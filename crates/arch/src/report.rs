@@ -283,9 +283,9 @@ where
 }
 
 /// The multi-core counterpart of [`serve`]: `workers` threads claim
-/// streams from a shared atomic cursor (work-stealing, so skewed
-/// stream lengths don't idle threads), each with its own stream table
-/// and [`EnergyObserver`]. Results return in stream order; the
+/// streams by work-stealing ([`cama_core::compile::work_steal`], so
+/// skewed stream lengths don't idle threads), each with its own stream
+/// table and [`EnergyObserver`]. Results return in stream order; the
 /// per-worker breakdowns are summed ([`EnergyBreakdown::accumulate`]).
 /// Execution is bit-identical to the sequential path, so the rollup
 /// differs only by floating-point summation order (asserted within
@@ -307,41 +307,26 @@ where
         return (results, observer.breakdown);
     }
 
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let cursor = AtomicUsize::new(0);
-    type Indexed = Vec<(usize, cama_sim::RunResult)>;
-    let merged: std::sync::Mutex<(Indexed, EnergyBreakdown)> =
-        std::sync::Mutex::new((Vec::new(), EnergyBreakdown::default()));
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                let merged = &merged;
-                scope.spawn(move || {
-                    let mut observer = make_observer();
-                    let mut batch = cama_sim::BatchSimulator::new(compiled);
-                    let mut mine: Indexed = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(stream) = streams.get(i) else { break };
-                        let id = i as cama_sim::StreamId;
-                        batch.open(id);
-                        batch.feed_sharded_with(id, stream, &mut observer);
-                        mine.push((i, batch.close_sharded_with(id, &mut observer)));
-                    }
-                    let mut lock = merged.lock().expect("serving merge mutex poisoned");
-                    lock.0.append(&mut mine);
-                    lock.1.accumulate(&observer.breakdown);
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("serving worker thread panicked");
-        }
-    });
-    let (mut indexed, energy) = merged.into_inner().expect("serving merge mutex poisoned");
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    (indexed.into_iter().map(|(_, r)| r).collect(), energy)
+    let energy = std::sync::Mutex::new(EnergyBreakdown::default());
+    let results = cama_core::compile::work_steal(
+        streams.len(),
+        workers,
+        || (make_observer(), cama_sim::BatchSimulator::new(compiled)),
+        |(observer, batch), i| {
+            let id = i as cama_sim::StreamId;
+            batch.open(id);
+            batch.feed_sharded_with(id, streams[i], observer);
+            batch.close_sharded_with(id, observer)
+        },
+        |(observer, _)| {
+            energy
+                .lock()
+                .expect("serving merge mutex poisoned")
+                .accumulate(&observer.breakdown);
+        },
+    );
+    let energy = energy.into_inner().expect("serving merge mutex poisoned");
+    (results, energy)
 }
 
 /// [`evaluate_serving`] fanned out across `workers` OS threads (`0` =

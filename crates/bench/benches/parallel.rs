@@ -200,5 +200,65 @@ fn bench_work_stealing_batch(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_parallel_stream, bench_work_stealing_batch);
+/// The worker pool against stream-level parallelism at equal thread
+/// count, where per-cycle work is µs-scale: the full-size Snort
+/// stand-in (scale 1.0) in 2 shards, two 16 KiB streams, run
+/// sequentially, each through a 2-worker pool, and as one 2-thread
+/// `run_parallel` batch. Printed only (a pass takes tens of
+/// milliseconds), as the minimum over a few alternating trials so
+/// bench-smoke stays short.
+fn bench_pool_vs_stream_parallelism(_c: &mut Criterion) {
+    const STREAM_LEN: usize = 16 * 1024;
+    const TRIALS: u32 = 3;
+    let nfa = Benchmark::Snort.generate(1.0);
+    let plan = ShardedAutomaton::compile(&nfa, 2);
+    let streams: Vec<Vec<u8>> = (1..=2)
+        .map(|seed| Benchmark::Snort.input(&nfa, STREAM_LEN, seed))
+        .collect();
+    let refs: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
+    let batch = BatchSimulator::new(&plan);
+    let mut pool = ParallelShardedSession::with_workers(&plan, 2);
+
+    let mut seq = std::time::Duration::MAX;
+    let (mut par, mut steal) = (seq, seq);
+    for _ in 0..TRIALS {
+        let start = std::time::Instant::now();
+        let mut session = ShardedSession::new(&plan);
+        for stream in &refs {
+            session.feed(black_box(stream));
+            black_box(session.finish());
+        }
+        seq = start.elapsed().min(seq);
+
+        let start = std::time::Instant::now();
+        for stream in &refs {
+            pool.feed(black_box(stream));
+            black_box(pool.finish());
+        }
+        par = start.elapsed().min(par);
+
+        let start = std::time::Instant::now();
+        black_box(batch.run_parallel(&refs, 2));
+        steal = start.elapsed().min(steal);
+    }
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    println!(
+        "pool vs stream parallelism (snort 1.0: {} states, 2 shards, 2x{STREAM_LEN}B, \
+         min of {TRIALS}): sequential {:.1} ms, 2-worker pool {:.1} ms ({:.2}x), \
+         run_parallel(2) {:.1} ms ({:.2}x)",
+        nfa.len(),
+        ms(seq),
+        ms(par),
+        ms(seq) / ms(par),
+        ms(steal),
+        ms(seq) / ms(steal),
+    );
+}
+
+criterion_group!(
+    benches,
+    bench_parallel_stream,
+    bench_work_stealing_batch,
+    bench_pool_vs_stream_parallelism
+);
 criterion_main!(benches);

@@ -21,8 +21,8 @@ use cama_encoding::{EncodingPlan, Scheme, StridedEncoding};
 use cama_mem::models::CircuitLibrary;
 use cama_sim::frame::{encode_close, encode_frame};
 use cama_sim::{
-    AutomataEngine, BatchSimulator, EncodedSession, FrameDecoder, InterpSimulator, Session,
-    ShardedSession, ShardingProfile, Simulator, StreamId, StridedSession,
+    AutomataEngine, BatchSimulator, EncodedSession, FlowSession, FrameDecoder, InterpSimulator,
+    Session, ShardedSession, ShardingProfile, Simulator, StreamId, StridedSession,
 };
 use cama_workloads::Benchmark;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

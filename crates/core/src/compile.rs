@@ -78,7 +78,6 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::compiled::{
     byte_probes, strided_probes, CompiledAutomaton, CompiledStridedAutomaton, DfaBudget,
@@ -111,6 +110,62 @@ pub fn worker_count(requested: usize) -> usize {
         }
     }
     std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// Work-stealing fan-out over `0..count`: `threads` scoped workers each
+/// build their state with `init`, claim the next unclaimed index from a
+/// shared atomic cursor and run `job` on it — so one expensive item
+/// doesn't idle the pool the way contiguous chunking would — and hand
+/// their state to `done` once the cursor runs dry. Results come back in
+/// index order.
+///
+/// Callers keep their own sequential path for `threads <= 1`; this
+/// always spawns.
+///
+/// # Panics
+///
+/// Propagates a worker's panic.
+pub fn work_steal<S, T: Send>(
+    count: usize,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    job: impl Fn(&mut S, usize) -> T + Sync,
+    done: impl Fn(S) + Sync,
+) -> Vec<T> {
+    let cursor = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(count, || None);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut claimed = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= count {
+                            break;
+                        }
+                        claimed.push((i, job(&mut state, i)));
+                    }
+                    done(state);
+                    claimed
+                })
+            })
+            .collect();
+        for handle in handles {
+            let claimed = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in claimed {
+                slots[i] = Some(result);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index is claimed exactly once"))
+        .collect()
 }
 
 /// A 128-bit structural fingerprint of one compilation unit, computed
@@ -586,40 +641,14 @@ where
             slots[index] = Some(compile_one(index));
         }
     } else {
-        // Work-stealing over the miss list: each worker claims the next
-        // unclaimed unit off an atomic cursor, so one giant component
-        // doesn't idle the pool the way contiguous chunking would.
-        let cursor = AtomicUsize::new(0);
-        let compiled: Mutex<Vec<(usize, Shard<P>)>> =
-            Mutex::new(Vec::with_capacity(miss_indices.len()));
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let compiled = &compiled;
-                    let miss_indices = &miss_indices;
-                    let compile_one = &compile_one;
-                    scope.spawn(move || loop {
-                        let next = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&index) = miss_indices.get(next) else {
-                            break;
-                        };
-                        let shard = compile_one(index);
-                        compiled
-                            .lock()
-                            .expect("compile worker poisoned the result lock")
-                            .push((index, shard));
-                    })
-                })
-                .collect();
-            for handle in handles {
-                handle.join().expect("compile worker panicked");
-            }
-        });
-        for (index, shard) in compiled
-            .into_inner()
-            .expect("compile worker poisoned the result lock")
-        {
+        let compiled = work_steal(
+            miss_indices.len(),
+            threads,
+            || (),
+            |_, k| compile_one(miss_indices[k]),
+            drop,
+        );
+        for (&index, shard) in miss_indices.iter().zip(compiled) {
             slots[index] = Some(shard);
         }
     }

@@ -166,6 +166,8 @@ macro_rules! dispatch {
             // SAFETY: `active()` never exceeds `detected()`, so the
             // required CPU features are present.
             Kernel::Avx2 => unsafe { avx2::$op($($arg),*) },
+            // SAFETY: as above — `Sse2` is only active when detected
+            // (and SSE2 is baseline on x86_64 anyway).
             Kernel::Sse2 => unsafe { sse2::$op($($arg),*) },
             Kernel::Scalar => scalar::$op($($arg),*),
         }

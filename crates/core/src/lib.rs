@@ -35,6 +35,8 @@
 //! # Ok::<(), cama_core::Error>(())
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod anml;
 pub mod bitset;
 pub mod bitwidth;

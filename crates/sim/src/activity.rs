@@ -187,6 +187,7 @@ impl ActivitySummary {
     }
 
     /// Folds one cycle into the summary.
+    #[inline]
     pub fn record(&mut self, active: usize, dynamic_enabled: usize, reports: usize) {
         self.cycles += 1;
         self.total_active += active;

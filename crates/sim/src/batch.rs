@@ -87,20 +87,16 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::activity::{Observer, ShardObserver};
-use crate::engine::ByteSession;
+use crate::engine::FlatSession;
 use crate::frame::{FrameDecoder, FrameError, FrameEvent, StreamId};
 use crate::result::RunResult;
 use crate::session::{FlowSession, Session, SuspendedFlow};
 use crate::sharded::{ShardStats, ShardedExecution, ShardedSession};
-use crate::strided::StridedSession;
-use cama_core::compiled::{
-    CompiledAutomaton, CompiledEncodedAutomaton, CompiledEncodedStridedAutomaton,
-    CompiledStridedAutomaton, ShardedAutomaton,
-};
+use cama_core::compile::work_steal;
+use cama_core::compiled::{CompiledAutomaton, ShardedAutomaton};
 use cama_core::PlanRemap;
 
 /// The per-flow outcome of a live plan swap (see
@@ -157,19 +153,21 @@ pub struct SwapReport {
 /// A compiled plan the stream table can serve: hands out sessions and
 /// tells the scheduler its shard structure.
 ///
-/// Implemented by [`CompiledAutomaton`] (flat [`ByteSession`]s, a
-/// single logical shard), [`CompiledEncodedAutomaton`] (flat
-/// [`EncodedSession`](crate::EncodedSession)s executing on the encoding
-/// codebook), the two 2-stride plans ([`CompiledStridedAutomaton`] and
-/// [`CompiledEncodedStridedAutomaton`], flat [`StridedSession`]s
-/// consuming a byte pair per cycle), and [`ShardedAutomaton`] over any
-/// of those flavours ([`ShardedSession`]s, one shard per simulated CAM
-/// array).
+/// Implemented by every flat plan flavour — [`CompiledAutomaton`], the
+/// encoded, and the two 2-stride plans, each handing out
+/// [`FlatSession`]s (a single logical shard) — and by
+/// [`ShardedAutomaton`] over any of those flavours ([`ShardedSession`]s,
+/// one shard per simulated CAM array).
 pub trait StreamPlan: Sync {
     /// The session type opened for each flow.
     type Session<'p>: FlowSession + Clone + fmt::Debug
     where
         Self: 'p;
+
+    /// The per-array plan flavour the sessions step (the plan itself
+    /// for flat plans): it fixes how a parked flow closes without a
+    /// session.
+    type Flavour: ShardedExecution;
 
     /// Starts a fresh session over this plan with the given multi-step
     /// chain length (1 for byte automata).
@@ -179,78 +177,17 @@ pub trait StreamPlan: Sync {
     fn num_shards(&self) -> usize {
         1
     }
-
-    /// Finalizes a parked flow without a resident session, or hands the
-    /// flow back when this flavour needs one: a strided flow suspended
-    /// mid-pair must flush its carry byte through an engine cycle (and
-    /// pair reports need the end-of-stream (offset, state) sort, which
-    /// the sessionless path applies directly).
-    ///
-    /// `Err` is the hand-back, not a failure — the flow moves by value
-    /// either way, so boxing it would only add an allocation.
-    #[allow(clippy::result_large_err)]
-    fn finalize_parked(flow: SuspendedFlow) -> Result<RunResult, SuspendedFlow> {
-        Ok(flow.into_result())
-    }
 }
 
-/// Shared [`StreamPlan::finalize_parked`] behaviour of the strided
-/// flavours: a pending carry needs a session; otherwise sort in place.
-#[allow(clippy::result_large_err)]
-fn finalize_parked_strided(flow: SuspendedFlow) -> Result<RunResult, SuspendedFlow> {
-    if flow.pending_carry().is_some() {
-        return Err(flow);
-    }
-    let mut result = flow.into_result();
-    result.reports.sort_by_key(|r| (r.offset, r.ste));
-    Ok(result)
-}
+impl<P: ShardedExecution + Clone + fmt::Debug> StreamPlan for P {
+    type Session<'p>
+        = FlatSession<'p, P>
+    where
+        Self: 'p;
+    type Flavour = P;
 
-impl StreamPlan for CompiledAutomaton {
-    type Session<'p> = ByteSession<'p>;
-
-    fn open_session(&self, chain: usize) -> ByteSession<'_> {
-        ByteSession::with_chain(self, chain)
-    }
-}
-
-impl StreamPlan for CompiledEncodedAutomaton {
-    type Session<'p> = ByteSession<'p, CompiledEncodedAutomaton>;
-
-    fn open_session(&self, chain: usize) -> ByteSession<'_, CompiledEncodedAutomaton> {
-        ByteSession::with_chain(self, chain)
-    }
-}
-
-impl StreamPlan for CompiledStridedAutomaton {
-    type Session<'p> = StridedSession<'p>;
-
-    fn open_session(&self, chain: usize) -> StridedSession<'_> {
-        assert_eq!(
-            chain, 1,
-            "multi-step chains are a byte-plan concept; strided plans consume pairs"
-        );
-        StridedSession::new(self)
-    }
-
-    fn finalize_parked(flow: SuspendedFlow) -> Result<RunResult, SuspendedFlow> {
-        finalize_parked_strided(flow)
-    }
-}
-
-impl StreamPlan for CompiledEncodedStridedAutomaton {
-    type Session<'p> = StridedSession<'p, CompiledEncodedStridedAutomaton>;
-
-    fn open_session(&self, chain: usize) -> StridedSession<'_, CompiledEncodedStridedAutomaton> {
-        assert_eq!(
-            chain, 1,
-            "multi-step chains are a byte-plan concept; strided plans consume pairs"
-        );
-        StridedSession::new(self)
-    }
-
-    fn finalize_parked(flow: SuspendedFlow) -> Result<RunResult, SuspendedFlow> {
-        finalize_parked_strided(flow)
+    fn open_session(&self, chain: usize) -> FlatSession<'_, P> {
+        FlatSession::with_chain(self, chain)
     }
 }
 
@@ -259,6 +196,7 @@ impl<P: ShardedExecution + Clone + fmt::Debug> StreamPlan for ShardedAutomaton<P
         = ShardedSession<'p, P>
     where
         Self: 'p;
+    type Flavour = P;
 
     fn open_session(&self, chain: usize) -> ShardedSession<'_, P> {
         ShardedSession::with_chain(self, chain)
@@ -266,15 +204,6 @@ impl<P: ShardedExecution + Clone + fmt::Debug> StreamPlan for ShardedAutomaton<P
 
     fn num_shards(&self) -> usize {
         ShardedAutomaton::num_shards(self)
-    }
-
-    fn finalize_parked(flow: SuspendedFlow) -> Result<RunResult, SuspendedFlow> {
-        if flow.pending_carry().is_some() {
-            return Err(flow);
-        }
-        let mut result = flow.into_result();
-        P::sort_reports(&mut result.reports);
-        Ok(result)
     }
 }
 
@@ -696,32 +625,46 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
     /// never fed (or never opened) yields the empty result, matching a
     /// zero-length stream.
     pub fn close(&mut self, stream: StreamId) -> RunResult {
-        match self.table.remove(&stream) {
-            Some(Flow::Resident { mut session, .. }) => {
+        self.close_with(stream, |session| session.finish())
+    }
+
+    /// [`close`](Self::close) with the session-side finish supplied by
+    /// the caller (plain or observed).
+    fn close_with(
+        &mut self,
+        stream: StreamId,
+        finish: impl FnOnce(&mut P::Session<'p>) -> RunResult,
+    ) -> RunResult {
+        let mut session = match self.table.remove(&stream) {
+            Some(Flow::Resident { session, .. }) => {
                 self.note_unresident(stream);
-                let result = session.finish();
-                self.pool.push(session);
-                result
+                session
             }
             Some(Flow::Parked { mut flow, epoch }) => {
                 Self::translate_deferred(&self.pending_remaps, &mut flow, epoch);
                 self.maybe_clear_remaps();
-                match P::finalize_parked(flow) {
-                    Ok(result) => result,
-                    Err(flow) => {
-                        let mut session = self
-                            .pool
-                            .pop()
-                            .unwrap_or_else(|| self.plan.open_session(self.chain));
-                        session.resume(flow);
-                        let result = session.finish();
-                        self.pool.push(session);
-                        result
-                    }
-                }
+                // Only a strided flow parked mid-pair needs a session,
+                // to flush its carry byte.
+                let flow = match flow.finalize::<P::Flavour>() {
+                    Ok(result) => return result,
+                    Err(flow) => flow,
+                };
+                let mut session = self.pooled_session();
+                session.resume(flow);
+                session
             }
-            None => RunResult::default(),
-        }
+            None => return RunResult::default(),
+        };
+        let result = finish(&mut session);
+        self.pool.push(session);
+        result
+    }
+
+    /// A recycled session from the pool, or a fresh one.
+    fn pooled_session(&mut self) -> P::Session<'p> {
+        self.pool
+            .pop()
+            .unwrap_or_else(|| self.plan.open_session(self.chain))
     }
 
     /// Catches a deferred (cold-parked) snapshot up with every plan
@@ -772,18 +715,16 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
     /// Makes `stream` resident (resuming it if parked, creating it if
     /// unknown), parking a victim first when the cap is reached.
     ///
-    /// Only called on the capped slow path or on a table miss; the
-    /// resident fast path stays inside [`session_mut`](Self::session_mut).
+    /// Only called off the resident fast path, which stays inside
+    /// [`session_mut`](Self::session_mut): on the capped slow path, and
+    /// for a flow a plan swap parked in an uncapped table.
     fn make_resident(&mut self, stream: StreamId, clock: u64) {
         if let Some(cap) = self.max_resident {
             if self.resident >= cap {
                 self.park_victim();
             }
         }
-        let mut session = self
-            .pool
-            .pop()
-            .unwrap_or_else(|| self.plan.open_session(self.chain));
+        let mut session = self.pooled_session();
         if let Some(Flow::Parked { mut flow, epoch }) = self.table.remove(&stream) {
             Self::translate_deferred(&self.pending_remaps, &mut flow, epoch);
             session.resume(flow);
@@ -869,28 +810,7 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
             // Uncapped tables never park on their own, but a plan swap
             // parks every flow: resume those off the fast path first.
             if matches!(self.table.get(&stream), Some(Flow::Parked { .. })) {
-                let Some(Flow::Parked {
-                    flow: mut parked,
-                    epoch,
-                }) = self.table.remove(&stream)
-                else {
-                    unreachable!("matched a parked flow above")
-                };
-                Self::translate_deferred(&self.pending_remaps, &mut parked, epoch);
-                let mut session = self
-                    .pool
-                    .pop()
-                    .unwrap_or_else(|| self.plan.open_session(self.chain));
-                session.resume(parked);
-                self.resident += 1;
-                self.table.insert(
-                    stream,
-                    Flow::Resident {
-                        session,
-                        last_touch: 0,
-                    },
-                );
-                self.maybe_clear_remaps();
+                self.make_resident(stream, clock);
             }
             // Every remaining open flow is resident: single hash lookup
             // on the per-chunk hot path.
@@ -984,11 +904,10 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
     /// spawned without work — and a count of 1 (or an empty batch)
     /// runs on the caller's thread.
     ///
-    /// Streams are dispatched by work-stealing: threads claim the next
-    /// unclaimed stream from a shared atomic cursor, so skewed stream
-    /// lengths don't idle threads the way contiguous chunking would.
-    /// Each thread writes results into pre-sized per-stream slots, so
-    /// ordering is positional, not concatenation-based.
+    /// Streams are dispatched by work-stealing ([`work_steal`]): threads
+    /// claim the next unclaimed stream from a shared atomic cursor, so
+    /// skewed stream lengths don't idle threads the way contiguous
+    /// chunking would. Results return in stream order.
     pub fn run_parallel(&self, streams: &[&[u8]], threads: usize) -> Vec<RunResult> {
         self.run_parallel_collect(streams, threads, |_| {})
     }
@@ -1017,57 +936,18 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
         }
 
         let (plan, chain) = (self.plan, self.chain);
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<RunResult>> = Vec::new();
-        slots.resize_with(streams.len(), || None);
-        let writer = SlotWriter(slots.as_mut_ptr());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let at_close = &at_close;
-                    scope.spawn(move || {
-                        // Capture the whole `Send` wrapper, not its
-                        // raw-pointer field (disjoint closure capture).
-                        let writer = writer;
-                        let mut session = plan.open_session(chain);
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(input) = streams.get(i) else { break };
-                            session.feed(input);
-                            let result = session.finish();
-                            // SAFETY: index `i` was claimed from the
-                            // cursor exactly once, so no other thread
-                            // writes this slot; the scope joins before
-                            // `slots` is read or dropped.
-                            unsafe { *writer.0.add(i) = Some(result) };
-                        }
-                        at_close(&mut session);
-                    })
-                })
-                .collect();
-            for handle in handles {
-                handle.join().expect("parallel stream thread panicked");
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every stream slot filled by a claiming thread"))
-            .collect()
+        work_steal(
+            streams.len(),
+            threads,
+            || plan.open_session(chain),
+            |session, i| {
+                session.feed(streams[i]);
+                session.finish()
+            },
+            |mut session| at_close(&mut session),
+        )
     }
 }
-
-/// A raw slot-array pointer the work-stealing threads write results
-/// through. Copied into each scoped thread; index-disjointness (each
-/// slot written by exactly one cursor claim) makes the shared `*mut`
-/// sound.
-#[derive(Clone, Copy)]
-struct SlotWriter(*mut Option<RunResult>);
-
-// SAFETY: dereferenced only at indices claimed uniquely via the atomic
-// cursor, within the scope that owns the allocation.
-unsafe impl Send for SlotWriter {}
-unsafe impl Sync for SlotWriter {}
 
 impl<'p, P: ShardedExecution + Clone + fmt::Debug> BatchSimulator<'p, ShardedAutomaton<P>> {
     /// [`run_parallel`](Self::run_parallel) that also returns the
@@ -1112,32 +992,7 @@ impl<'p, P: ShardedExecution + Clone + fmt::Debug> BatchSimulator<'p, ShardedAut
         stream: StreamId,
         observer: &mut impl ShardObserver,
     ) -> RunResult {
-        match self.table.remove(&stream) {
-            Some(Flow::Resident { mut session, .. }) => {
-                self.note_unresident(stream);
-                let result = session.finish_sharded_with(observer);
-                self.pool.push(session);
-                result
-            }
-            Some(Flow::Parked { mut flow, epoch }) => {
-                Self::translate_deferred(&self.pending_remaps, &mut flow, epoch);
-                self.maybe_clear_remaps();
-                match <ShardedAutomaton<P> as StreamPlan>::finalize_parked(flow) {
-                    Ok(result) => result,
-                    Err(flow) => {
-                        let mut session = self
-                            .pool
-                            .pop()
-                            .unwrap_or_else(|| self.plan.open_session(self.chain));
-                        session.resume(flow);
-                        let result = session.finish_sharded_with(observer);
-                        self.pool.push(session);
-                        result
-                    }
-                }
-            }
-            None => RunResult::default(),
-        }
+        self.close_with(stream, |session| session.finish_sharded_with(observer))
     }
 }
 

@@ -21,16 +21,13 @@
 //! exist when nothing is negated: the engine keeps streaming (no
 //! panic), it simply activates nothing for that cycle.
 //!
-//! [`EncodedSession`] is the [`Session`] type —
-//! literally [`ByteSession`] instantiated with the encoded plan, so
+//! [`EncodedSession`] is the [`Session`](crate::Session) type —
+//! literally [`FlatSession`] instantiated with the encoded plan, so
 //! chunked feeding, suspend/resume, and the
 //! [`BatchSimulator`](crate::BatchSimulator) stream table all work
 //! unchanged.
 
-use crate::activity::{NullObserver, Observer};
-use crate::engine::ByteSession;
-use crate::result::RunResult;
-use crate::session::{AutomataEngine, Session};
+use crate::engine::{Engine, FlatSession};
 use cama_core::compiled::CompiledEncodedAutomaton;
 use cama_core::Nfa;
 use cama_encoding::EncodingPlan;
@@ -38,12 +35,13 @@ use cama_encoding::EncodingPlan;
 /// A streaming session over a [`CompiledEncodedAutomaton`]: the same
 /// stepping loop as the byte session, driven through the input-encoder
 /// lookup.
-pub type EncodedSession<'p> = ByteSession<'p, CompiledEncodedAutomaton>;
+pub type EncodedSession<'p> = FlatSession<'p, CompiledEncodedAutomaton>;
 
 /// A cycle-by-cycle simulator executing on an encoded plan: encodes the
 /// automaton with the paper's toolchain (or an explicit
 /// [`EncodingPlan`]), lowers the CAM image into a
-/// [`CompiledEncodedAutomaton`], and runs streams on it.
+/// [`CompiledEncodedAutomaton`], and runs streams on it ([`Engine`]
+/// over the encoded plan).
 ///
 /// # Examples
 ///
@@ -59,12 +57,7 @@ pub type EncodedSession<'p> = ByteSession<'p, CompiledEncodedAutomaton>;
 /// assert_eq!(result, Simulator::new(&nfa).run(b"zabbz"));
 /// # Ok::<(), cama_core::Error>(())
 /// ```
-#[derive(Debug)]
-pub struct EncodedSimulator<'a> {
-    nfa: &'a Nfa,
-    encoding: EncodingPlan,
-    plan: CompiledEncodedAutomaton,
-}
+pub type EncodedSimulator<'a> = Engine<'a, CompiledEncodedAutomaton, Nfa, EncodingPlan>;
 
 impl<'a> EncodedSimulator<'a> {
     /// Runs the full proposed encoding pipeline on `nfa`
@@ -82,95 +75,14 @@ impl<'a> EncodedSimulator<'a> {
     /// Panics if `encoding` does not cover `nfa`.
     pub fn with_encoding(nfa: &'a Nfa, encoding: EncodingPlan) -> Self {
         let plan = encoding.compile(nfa);
-        EncodedSimulator {
-            nfa,
-            encoding,
-            plan,
-        }
-    }
-
-    /// The automaton being simulated.
-    pub fn nfa(&self) -> &'a Nfa {
-        self.nfa
-    }
-
-    /// The encoding this simulator executes on.
-    pub fn encoding(&self) -> &EncodingPlan {
-        &self.encoding
-    }
-
-    /// The compiled encoded plan.
-    pub fn plan(&self) -> &CompiledEncodedAutomaton {
-        &self.plan
-    }
-
-    /// Starts a multi-step (sub-symbol) streaming session; see
-    /// [`Simulator::run_multistep`](crate::Simulator::run_multistep)
-    /// for the group semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chain` is zero.
-    pub fn start_multistep(&self, chain: usize) -> EncodedSession<'_> {
-        ByteSession::with_chain(&self.plan, chain)
-    }
-
-    /// Runs over `input` from a fresh state.
-    pub fn run(&mut self, input: &[u8]) -> RunResult {
-        self.run_with(input, &mut NullObserver)
-    }
-
-    /// [`run`](Self::run) with a per-cycle observer (used by the energy
-    /// models, which charge the encoded entry layout this engine
-    /// actually visits).
-    pub fn run_with(&mut self, input: &[u8], observer: &mut impl Observer) -> RunResult {
-        let mut session = self.start();
-        session.feed_with(input, observer);
-        session.finish_with(observer)
-    }
-
-    /// Runs a sub-symbol (multi-step) automaton; see
-    /// [`Simulator::run_multistep`](crate::Simulator::run_multistep).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chain` is zero.
-    pub fn run_multistep(&mut self, input: &[u8], chain: usize) -> RunResult {
-        self.run_multistep_with(input, chain, &mut NullObserver)
-    }
-
-    /// [`run_multistep`](Self::run_multistep) with an observer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chain` is zero.
-    pub fn run_multistep_with(
-        &mut self,
-        input: &[u8],
-        chain: usize,
-        observer: &mut impl Observer,
-    ) -> RunResult {
-        let mut session = self.start_multistep(chain);
-        session.feed_with(input, observer);
-        session.finish_with(observer)
-    }
-}
-
-impl<'a> AutomataEngine for EncodedSimulator<'a> {
-    type Session<'e>
-        = EncodedSession<'e>
-    where
-        Self: 'e;
-
-    fn start(&self) -> EncodedSession<'_> {
-        ByteSession::new(&self.plan)
+        Engine::from_parts(nfa, plan, encoding)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Session, Simulator};
+    use crate::{AutomataEngine, Session, Simulator};
     use cama_core::regex;
     use cama_encoding::Scheme;
 

@@ -1,4 +1,4 @@
-//! The core cycle engine, running on a compiled execution plan.
+//! The flat session and the one owning engine.
 //!
 //! Per cycle (one input symbol), exactly the two steps of Figure 1:
 //!
@@ -14,505 +14,44 @@
 //! The engine state is split the way the hardware splits it: a *static*
 //! enable part (`all-input` start states, which never toggle — the
 //! hardware wires them on) kept as a mask in the plan, and a *dynamic*
-//! part (last cycle's Next Vector) kept per stream. One immutable
-//! [`CompiledAutomaton`] can therefore drive any number of concurrent
-//! streams — see [`BatchSimulator`](crate::BatchSimulator).
+//! part (last cycle's Next Vector) kept per stream. One immutable plan
+//! can therefore drive any number of concurrent streams — see
+//! [`BatchSimulator`](crate::BatchSimulator).
+//!
+//! A flat plan is the one-array case of a sharded one: [`FlatSession`]
+//! steps a single lane with the same kernels a
+//! [`ShardedSession`](crate::ShardedSession) runs per shard. [`Engine`]
+//! is the one owning engine over any [`StreamPlan`]; [`Simulator`] and
+//! the other simulators are its aliases.
 
 use crate::activity::{CycleView, NullObserver, Observer};
+use crate::batch::StreamPlan;
+use crate::lane::{CycleStep, FlatContext, ShardLane};
 use crate::session::{AutomataEngine, FlowSession, Session, SuspendedFlow};
-use cama_core::bitset::BitSet;
-use cama_core::compiled::{CompiledAutomaton, ExecutionPlan, StridedPlan};
-use cama_core::kernel;
-use cama_core::stride::ReportPhase;
-use cama_core::{Nfa, SteId};
+use crate::sharded::ShardedExecution;
+use cama_core::compiled::CompiledAutomaton;
+use cama_core::Nfa;
 
 pub use crate::result::{Report, RunResult};
 
-/// Zeroes exactly the words the one-bit-per-word `summary` marks dirty,
-/// then zeroes the summary — the sparse clear shared by every engine's
-/// vector/summary pairs.
-pub(crate) fn sparse_clear(words: &mut [u64], summary: &mut [u64]) {
-    for (j, any) in summary.iter_mut().enumerate() {
-        let mut dirty = *any;
-        while dirty != 0 {
-            words[j * 64 + dirty.trailing_zeros() as usize] = 0;
-            dirty &= dirty - 1;
-        }
-        *any = 0;
-    }
-}
-
-/// Popcounts only the words the one-bit-per-word `summary` marks dirty —
-/// the sparse count shared by every engine's cached dynamic-state count.
-pub(crate) fn popcount_dirty(words: &[u64], summary: &[u64]) -> usize {
-    let mut count = 0usize;
-    for (j, &any) in summary.iter().enumerate() {
-        let mut dirty = any;
-        while dirty != 0 {
-            count += words[j * 64 + dirty.trailing_zeros() as usize].count_ones() as usize;
-            dirty &= dirty - 1;
-        }
-    }
-    count
-}
-
-/// The per-stream mutable half of a simulation: enable/active vectors
-/// and the cycle counter. All automaton structure lives in the shared
-/// [`CompiledAutomaton`].
-#[derive(Clone, Debug)]
-pub(crate) struct CycleState {
-    /// Dynamic enable vector (last cycle's Next Vector).
-    dynamic: BitSet,
-    /// Scratch: next cycle's dynamic enable vector.
-    next: BitSet,
-    /// Scratch: this cycle's active set.
-    active: BitSet,
-    /// One-bit-per-word nonzero summaries of the three vectors, kept in
-    /// lockstep so clears and scans only touch dirty 64-state words.
-    dynamic_any: Vec<u64>,
-    next_any: Vec<u64>,
-    active_any: Vec<u64>,
-    /// Scratch summary of words touched within one pair cycle, so the
-    /// strided kernel's visited-word count is per distinct word, not
-    /// per (word, enable source) pass.
-    touched_any: Vec<u64>,
-    /// Popcount of `dynamic`, maintained at vector-advance time so the
-    /// per-cycle activity accounting never re-counts the vector.
-    num_dynamic: usize,
-    cycle: usize,
-}
-
-impl CycleState {
-    pub(crate) fn new(len: usize) -> CycleState {
-        let summary_words = len.div_ceil(64).div_ceil(64);
-        CycleState {
-            dynamic: BitSet::new(len),
-            next: BitSet::new(len),
-            active: BitSet::new(len),
-            dynamic_any: vec![0; summary_words],
-            next_any: vec![0; summary_words],
-            active_any: vec![0; summary_words],
-            touched_any: vec![0; summary_words],
-            num_dynamic: 0,
-            cycle: 0,
-        }
-    }
-
-    pub(crate) fn reset(&mut self) {
-        self.dynamic.clear();
-        self.next.clear();
-        self.active.clear();
-        self.dynamic_any.iter_mut().for_each(|w| *w = 0);
-        self.next_any.iter_mut().for_each(|w| *w = 0);
-        self.active_any.iter_mut().for_each(|w| *w = 0);
-        self.num_dynamic = 0;
-        self.cycle = 0;
-    }
-
-    /// Executes one cycle against `plan`. `inject_starts` is `true` when
-    /// all-input starts are enabled this cycle (always, for byte
-    /// automata; on group boundaries for multi-step automata).
-    /// Start-of-data states fire at cycle 0 regardless.
-    ///
-    /// The cycle visits only the 64-state words that can possibly be
-    /// active — the intersection of the plan's per-symbol match summary
-    /// with the enable-source summaries (the software form of CAMA's
-    /// selective precharge). Within a visited word,
-    /// `active = match_table[symbol] & (dynamic ∪ starts)`, and the
-    /// popcounts, report scan, and successor expansion all run while the
-    /// word is hot.
-    pub(crate) fn step(
-        &mut self,
-        plan: &impl ExecutionPlan,
-        symbol: u8,
-        inject_starts: bool,
-        result: &mut RunResult,
-        observer: &mut impl Observer,
-    ) {
-        let first_cycle = self.cycle == 0;
-        let match_words = plan.match_vector(symbol).words();
-        let match_any = plan.match_any(symbol);
-        let sod_words = plan.start_of_data_mask().as_words();
-        let sod_any = plan.start_of_data_any();
-        let report_words = plan.report_mask().as_words();
-
-        // Sparse-clear the previous cycle's active words.
-        sparse_clear(self.active.as_words_mut(), &mut self.active_any);
-        let active_words = self.active.as_words_mut();
-
-        // Phase 1: build the active vector from its three sources,
-        // visiting only words their summaries mark.
-        if inject_starts {
-            // Statically enabled starts that match: precompiled rows.
-            let start_words = plan.start_match(symbol).words();
-            for (j, &any) in plan.start_match_any(symbol).iter().enumerate() {
-                let mut dirty = any;
-                while dirty != 0 {
-                    let w = j * 64 + dirty.trailing_zeros() as usize;
-                    dirty &= dirty - 1;
-                    active_words[w] |= start_words[w];
-                    self.active_any[j] |= 1u64 << (w % 64);
-                }
-            }
-        }
-        let dynamic_words = self.dynamic.as_words();
-        let num_dynamic = self.num_dynamic;
-        for (j, &dynamic_any) in self.dynamic_any.iter().enumerate() {
-            let mut dirty = match_any[j] & dynamic_any;
-            while dirty != 0 {
-                let w = j * 64 + dirty.trailing_zeros() as usize;
-                dirty &= dirty - 1;
-                let active = match_words[w] & dynamic_words[w];
-                if active != 0 {
-                    active_words[w] |= active;
-                    self.active_any[j] |= 1u64 << (w % 64);
-                }
-            }
-        }
-        if first_cycle {
-            for (j, &any) in sod_any.iter().enumerate() {
-                let mut dirty = match_any[j] & any;
-                while dirty != 0 {
-                    let w = j * 64 + dirty.trailing_zeros() as usize;
-                    dirty &= dirty - 1;
-                    let active = match_words[w] & sod_words[w];
-                    if active != 0 {
-                        active_words[w] |= active;
-                        self.active_any[j] |= 1u64 << (w % 64);
-                    }
-                }
-            }
-        }
-
-        // Phase 2: one ordered pass over the active words — popcounts,
-        // the report scan, and the successor expansion while each word
-        // is hot.
-        let next_words = self.next.as_words_mut();
-        let mut num_active = 0usize;
-        let mut reports_this_cycle = 0usize;
-        for (j, &active_any) in self.active_any.iter().enumerate() {
-            let mut dirty = active_any;
-            while dirty != 0 {
-                let w = j * 64 + dirty.trailing_zeros() as usize;
-                dirty &= dirty - 1;
-                let active = active_words[w];
-                num_active += active.count_ones() as usize;
-
-                let mut reporting = active & report_words[w];
-                while reporting != 0 {
-                    let state = w * 64 + reporting.trailing_zeros() as usize;
-                    result.reports.push(Report {
-                        ste: SteId(state as u32),
-                        code: plan.report_code_unchecked(state),
-                        offset: self.cycle,
-                    });
-                    reports_this_cycle += 1;
-                    reporting &= reporting - 1;
-                }
-
-                let mut remaining = active;
-                while remaining != 0 {
-                    let state = w * 64 + remaining.trailing_zeros() as usize;
-                    for &succ in plan.successors(state) {
-                        let succ = succ as usize;
-                        next_words[succ / 64] |= 1u64 << (succ % 64);
-                        self.next_any[succ / 4096] |= 1u64 << ((succ / 64) % 64);
-                    }
-                    remaining &= remaining - 1;
-                }
-            }
-        }
-
-        result
-            .activity
-            .record(num_active, num_dynamic, reports_this_cycle);
-        observer.on_cycle(&CycleView {
-            cycle: self.cycle,
-            symbol,
-            dynamic_enabled: &self.dynamic,
-            active: &self.active,
-            reports: reports_this_cycle,
-        });
-
-        // The next vector becomes the dynamic vector; the old dynamic
-        // storage is sparse-cleared and reused as next cycle's scratch.
-        std::mem::swap(&mut self.dynamic, &mut self.next);
-        std::mem::swap(&mut self.dynamic_any, &mut self.next_any);
-        sparse_clear(self.next.as_words_mut(), &mut self.next_any);
-        self.num_dynamic = popcount_dirty(self.dynamic.as_words(), &self.dynamic_any);
-        self.cycle += 1;
-    }
-
-    /// Executes one *pair* cycle against a [`StridedPlan`]: the strided
-    /// counterpart of [`step`](CycleState::step), consuming the symbol
-    /// pair `(a, b)`.
-    ///
-    /// Per 64-state word, `active = first[a] & second[b] & (dynamic ∪
-    /// all-input starts ∪ start-of-data on cycle 0)`; the cycle visits
-    /// only words where both halves' match summaries *and* an
-    /// enable-source summary are set — the 2-stride form of CAMA's
-    /// selective precharge. Reports map through each state's
-    /// [`ReportPhase`] to absolute byte offsets (`2·cycle` or
-    /// `2·cycle + 1`); `limit` suppresses reports at or past it (only
-    /// the final zero-padded flush pair passes a finite limit).
-    ///
-    /// Returns the number of 64-state words visited.
-    pub(crate) fn step_pair(
-        &mut self,
-        plan: &impl StridedPlan,
-        a: u8,
-        b: u8,
-        limit: usize,
-        result: &mut RunResult,
-        observer: &mut impl Observer,
-    ) -> u64 {
-        let first_cycle = self.cycle == 0;
-        let first_words = plan.first_vector(a).words();
-        let first_any = plan.first_any(a);
-        let second_words = plan.second_vector(b).words();
-        let second_any = plan.second_any(b);
-        let sod_words = plan.start_of_data_mask().as_words();
-        let sod_any = plan.start_of_data_any();
-
-        sparse_clear(self.active.as_words_mut(), &mut self.active_any);
-        let active_words = self.active.as_words_mut();
-        self.touched_any.iter_mut().for_each(|w| *w = 0);
-
-        // Phase 1: build the active vector from its enable sources,
-        // visiting only words both halves and a source summary mark.
-        // Start injection: first_start_match[a] & second[b]
-        // (= first[a] & all_input & second[b]).
-        let start_words = plan.first_start_match(a).words();
-        for (j, &any) in plan.first_start_match_any(a).iter().enumerate() {
-            let mut dirty = any & second_any[j];
-            self.touched_any[j] |= dirty;
-            while dirty != 0 {
-                let w = j * 64 + dirty.trailing_zeros() as usize;
-                dirty &= dirty - 1;
-                let active = start_words[w] & second_words[w];
-                if active != 0 {
-                    active_words[w] |= active;
-                    self.active_any[j] |= 1u64 << (w % 64);
-                }
-            }
-        }
-        let dynamic_words = self.dynamic.as_words();
-        let num_dynamic = self.num_dynamic;
-        for (j, &dynamic_any) in self.dynamic_any.iter().enumerate() {
-            let mut dirty = first_any[j] & second_any[j] & dynamic_any;
-            self.touched_any[j] |= dirty;
-            while dirty != 0 {
-                let w = j * 64 + dirty.trailing_zeros() as usize;
-                dirty &= dirty - 1;
-                let active = first_words[w] & second_words[w] & dynamic_words[w];
-                if active != 0 {
-                    active_words[w] |= active;
-                    self.active_any[j] |= 1u64 << (w % 64);
-                }
-            }
-        }
-        if first_cycle {
-            for (j, &any) in sod_any.iter().enumerate() {
-                let mut dirty = first_any[j] & second_any[j] & any;
-                self.touched_any[j] |= dirty;
-                while dirty != 0 {
-                    let w = j * 64 + dirty.trailing_zeros() as usize;
-                    dirty &= dirty - 1;
-                    let active = first_words[w] & second_words[w] & sod_words[w];
-                    if active != 0 {
-                        active_words[w] |= active;
-                        self.active_any[j] |= 1u64 << (w % 64);
-                    }
-                }
-            }
-        }
-
-        let visited: u64 = self
-            .touched_any
-            .iter()
-            .map(|w| u64::from(w.count_ones()))
-            .sum();
-        self.finish_pair_cycle(plan, a, limit, None, num_dynamic, result, observer);
-        visited
-    }
-
-    /// The non-selective ("every word precharged") form of
-    /// [`step_pair`](CycleState::step_pair): one fused
-    /// [`kernel::and2_or2_summarize`] sweep computing `first[a] &
-    /// second[b] & (dynamic | static starts)` over every word — the
-    /// baseline the `strided` bench group compares selective visitation
-    /// against. Results are identical.
-    ///
-    /// `enabled` is caller-provided scratch sized to the plan; only the
-    /// first cycle uses it (to widen the static starts with the
-    /// start-of-data mask).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step_pair_naive(
-        &mut self,
-        plan: &impl StridedPlan,
-        a: u8,
-        b: u8,
-        limit: usize,
-        enabled: &mut BitSet,
-        result: &mut RunResult,
-        observer: &mut impl Observer,
-    ) -> u64 {
-        let static_mask: &[u64] = if self.cycle == 0 {
-            enabled.copy_from(plan.all_input_mask());
-            enabled.union_with(plan.start_of_data_mask());
-            enabled.as_words()
-        } else {
-            plan.all_input_mask().as_words()
-        };
-        let num_dynamic = self.num_dynamic;
-        let num_active = kernel::and2_or2_summarize(
-            plan.first_vector(a).words(),
-            plan.second_vector(b).words(),
-            self.dynamic.as_words(),
-            static_mask,
-            self.active.as_words_mut(),
-            &mut self.active_any,
-        );
-        let visited = self.active.as_words().len() as u64;
-
-        self.finish_pair_cycle(
-            plan,
-            a,
-            limit,
-            Some(num_active as usize),
-            num_dynamic,
-            result,
-            observer,
-        );
-        visited
-    }
-
-    /// Phase 2 of a pair cycle, shared by the selective and naive
-    /// forms: one ordered pass over the active words — popcounts, the
-    /// phase-mapped report scan, and the successor expansion while each
-    /// word is hot — then the per-cycle accounting and vector advance.
-    ///
-    /// `precounted` carries the active popcount when phase 1 already
-    /// produced it (the naive path's fused kernel returns it for free);
-    /// `None` makes this pass count during the walk.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_pair_cycle(
-        &mut self,
-        plan: &impl StridedPlan,
-        a: u8,
-        limit: usize,
-        precounted: Option<usize>,
-        num_dynamic: usize,
-        result: &mut RunResult,
-        observer: &mut impl Observer,
-    ) {
-        let report_words = plan.report_mask().as_words();
-        let active_words = self.active.as_words();
-        let next_words = self.next.as_words_mut();
-        let mut num_active = precounted.unwrap_or(0);
-        let mut reports_this_cycle = 0usize;
-        for (j, &active_any) in self.active_any.iter().enumerate() {
-            let mut dirty = active_any;
-            while dirty != 0 {
-                let w = j * 64 + dirty.trailing_zeros() as usize;
-                dirty &= dirty - 1;
-                let active = active_words[w];
-                if precounted.is_none() {
-                    num_active += active.count_ones() as usize;
-                }
-
-                let mut reporting = active & report_words[w];
-                while reporting != 0 {
-                    let state = w * 64 + reporting.trailing_zeros() as usize;
-                    let (code, phase) = plan.report_pair_unchecked(state);
-                    let offset = match phase {
-                        ReportPhase::First => self.cycle * 2,
-                        ReportPhase::Second => self.cycle * 2 + 1,
-                    };
-                    // Suppress reports landing on the pad byte.
-                    if offset < limit {
-                        result.reports.push(Report {
-                            ste: SteId(state as u32),
-                            code,
-                            offset,
-                        });
-                        reports_this_cycle += 1;
-                    }
-                    reporting &= reporting - 1;
-                }
-
-                let mut remaining = active;
-                while remaining != 0 {
-                    let state = w * 64 + remaining.trailing_zeros() as usize;
-                    for &succ in plan.successors(state) {
-                        let succ = succ as usize;
-                        next_words[succ / 64] |= 1u64 << (succ % 64);
-                        self.next_any[succ / 4096] |= 1u64 << ((succ / 64) % 64);
-                    }
-                    remaining &= remaining - 1;
-                }
-            }
-        }
-
-        result
-            .activity
-            .record(num_active, num_dynamic, reports_this_cycle);
-        observer.on_cycle(&CycleView {
-            cycle: self.cycle,
-            symbol: a,
-            dynamic_enabled: &self.dynamic,
-            active: &self.active,
-            reports: reports_this_cycle,
-        });
-
-        std::mem::swap(&mut self.dynamic, &mut self.next);
-        std::mem::swap(&mut self.dynamic_any, &mut self.next_any);
-        sparse_clear(self.next.as_words_mut(), &mut self.next_any);
-        self.num_dynamic = popcount_dirty(self.dynamic.as_words(), &self.dynamic_any);
-        self.cycle += 1;
-    }
-
-    pub(crate) fn cycle(&self) -> usize {
-        self.cycle
-    }
-
-    /// `true` when no state is dynamically enabled.
-    pub(crate) fn dynamic_is_empty(&self) -> bool {
-        self.dynamic_any.iter().all(|&w| w == 0)
-    }
-
-    /// Appends the indices of the dynamically enabled states to `out`.
-    pub(crate) fn snapshot_dynamic(&self, out: &mut Vec<u32>) {
-        out.extend(self.dynamic.iter().map(|i| i as u32));
-    }
-
-    /// Restores a suspended stream into this (fresh) state: the cycle
-    /// offset plus the sparse dynamic set.
-    pub(crate) fn restore(&mut self, cycle: usize, dynamic: &[u32]) {
-        debug_assert!(self.cycle == 0 && self.dynamic_is_empty());
-        self.cycle = cycle;
-        for &state in dynamic {
-            let state = state as usize;
-            self.dynamic.insert(state);
-            self.dynamic_any[state / 4096] |= 1u64 << ((state / 64) % 64);
-        }
-        self.num_dynamic = self.dynamic.count();
-    }
-}
-
-/// A streaming session over a symbol-per-cycle execution plan: the
-/// [`Session`] implementation shared by the byte engine
-/// ([`CompiledAutomaton`], the default) and the encoded engine
-/// ([`CompiledEncodedAutomaton`](cama_core::compiled::CompiledEncodedAutomaton),
-/// via the [`EncodedSession`](crate::EncodedSession) alias) — one
-/// stepping loop, two plan layouts.
+/// A streaming session over a flat execution plan — byte
+/// ([`CompiledAutomaton`], the default), encoded, or 2-stride — one
+/// lane stepped by the shared kernels. The [`ByteSession`],
+/// [`EncodedSession`](crate::EncodedSession),
+/// [`StridedSession`](crate::StridedSession) and
+/// [`EncodedStridedSession`](crate::EncodedStridedSession) names are
+/// aliases of it.
 ///
 /// The session owns the dynamic/next/active vectors, the cycle offset,
-/// and the report accumulation; the immutable plan is shared, so one
-/// plan can drive any number of concurrent sessions. A multi-step
-/// session ([`with_chain`](ByteSession::with_chain)) carries its group
-/// phase in the cycle offset, so chunks may split a `chain`-long group
-/// anywhere.
+/// the report accumulation and, for strided plans, the *carry byte*: a
+/// chunk ending on an odd boundary holds its dangling byte until the
+/// next chunk's first byte completes the pair, and
+/// [`finish`](Session::finish) flushes a still-pending carry as a
+/// zero-padded final pair whose pad-offset reports are suppressed. The
+/// immutable plan is shared, so one plan can drive any number of
+/// concurrent sessions. A multi-step session
+/// ([`with_chain`](FlatSession::with_chain)) carries its group phase in
+/// the cycle offset, so chunks may split a `chain`-long group anywhere.
 ///
 /// # Examples
 ///
@@ -530,37 +69,53 @@ impl CycleState {
 /// # Ok::<(), cama_core::Error>(())
 /// ```
 #[derive(Clone, Debug)]
-pub struct ByteSession<'p, P: ExecutionPlan = CompiledAutomaton> {
+pub struct FlatSession<'p, P = CompiledAutomaton> {
     plan: &'p P,
     /// Sub-symbols per original symbol; starts are injected on cycles
     /// that are multiples of this.
     chain: usize,
-    state: CycleState,
-    result: RunResult,
+    pub(crate) lane: ShardLane,
+    cycle: usize,
+    /// Strided plans: first byte of a pair whose second byte has not
+    /// arrived yet.
+    carry: Option<u8>,
     fed: usize,
+    /// 64-state words visited by pair cycles, monotone across
+    /// `finish`/`reset` (a lifetime counter, like
+    /// [`ShardStats`](crate::ShardStats)).
+    pub(crate) words_visited: u64,
+    result: RunResult,
 }
 
-impl<'p, P: ExecutionPlan> ByteSession<'p, P> {
-    /// Starts a symbol-per-cycle session over a shared plan.
+/// A streaming session over a symbol-per-cycle plan: [`FlatSession`]
+/// over the raw-byte [`CompiledAutomaton`] by default.
+pub type ByteSession<'p, P = CompiledAutomaton> = FlatSession<'p, P>;
+
+impl<'p, P: ShardedExecution> FlatSession<'p, P> {
+    /// Starts a session over a shared plan.
     pub fn new(plan: &'p P) -> Self {
         Self::with_chain(plan, 1)
     }
 
     /// Starts a multi-step (sub-symbol) session: start states are
     /// injected only on sub-steps that begin a `chain`-long group. The
-    /// group phase survives chunk boundaries.
+    /// group phase survives chunk boundaries. Strided plans consume
+    /// pairs and accept only `chain == 1`.
     ///
     /// # Panics
     ///
     /// Panics if `chain` is zero.
     pub fn with_chain(plan: &'p P, chain: usize) -> Self {
         assert!(chain > 0, "chain must be positive");
-        ByteSession {
+        FlatSession {
             plan,
             chain,
-            state: CycleState::new(plan.len()),
-            result: RunResult::default(),
+            lane: ShardLane::new(plan.len(), false),
+            cycle: 0,
+            carry: None,
             fed: 0,
+            words_visited: 0,
+            result: RunResult::default(),
         }
     }
 
@@ -573,35 +128,58 @@ impl<'p, P: ExecutionPlan> ByteSession<'p, P> {
     pub fn chain(&self) -> usize {
         self.chain
     }
+
+    /// Executes one cycle on the lane, then the per-cycle accounting,
+    /// the observer callback and the lane advance.
+    fn step(&mut self, step: CycleStep, observer: &mut impl Observer) {
+        let context = &mut FlatContext(&mut self.result.reports);
+        let out = P::step_lane(self.plan, None, &mut self.lane, step, self.cycle, context);
+        self.words_visited += out.words;
+        self.result
+            .activity
+            .record(out.num_active, self.lane.num_dynamic, out.reports);
+        observer.on_cycle(&CycleView {
+            cycle: self.cycle,
+            symbol: step.a,
+            dynamic_enabled: &self.lane.dynamic,
+            active: &self.lane.active,
+            reports: out.reports,
+        });
+        self.lane.advance();
+        self.cycle += 1;
+    }
+
+    /// Restores power-on state (the lifetime counter excepted).
+    fn reset_state(&mut self) {
+        self.lane.reset();
+        self.cycle = 0;
+        self.carry = None;
+        self.fed = 0;
+    }
 }
 
-impl<P: ExecutionPlan> Session for ByteSession<'_, P> {
+impl<P: ShardedExecution> Session for FlatSession<'_, P> {
     fn feed_with(&mut self, chunk: &[u8], observer: &mut impl Observer) {
-        if self.chain == 1 {
-            for &symbol in chunk {
-                self.state
-                    .step(self.plan, symbol, true, &mut self.result, observer);
-            }
-        } else {
-            for &symbol in chunk {
-                let inject = self.state.cycle().is_multiple_of(self.chain);
-                self.state
-                    .step(self.plan, symbol, inject, &mut self.result, observer);
-            }
-        }
+        let mut carry = self.carry.take();
+        P::plan_steps(chunk, &mut carry, self.chain, self.cycle, |step| {
+            self.step(step, observer)
+        });
+        self.carry = carry;
         self.fed += chunk.len();
     }
 
-    fn finish_with(&mut self, _observer: &mut impl Observer) -> RunResult {
-        let result = std::mem::take(&mut self.result);
-        self.state.reset();
-        self.fed = 0;
+    fn finish_with(&mut self, observer: &mut impl Observer) -> RunResult {
+        if let Some(step) = P::flush_step(&mut self.carry, self.fed) {
+            self.step(step, observer);
+        }
+        let mut result = std::mem::take(&mut self.result);
+        P::sort_reports(&mut result.reports);
+        self.reset_state();
         result
     }
 
     fn reset(&mut self) {
-        self.state.reset();
-        self.fed = 0;
+        self.reset_state();
         self.result.reports.clear();
         self.result.activity = Default::default();
     }
@@ -615,32 +193,34 @@ impl<P: ExecutionPlan> Session for ByteSession<'_, P> {
     }
 }
 
-impl<P: ExecutionPlan> FlowSession for ByteSession<'_, P> {
+impl<P: ShardedExecution> FlowSession for FlatSession<'_, P> {
     fn suspend(&mut self) -> SuspendedFlow {
-        let mut dynamic = Vec::new();
-        self.state.snapshot_dynamic(&mut dynamic);
         let flow = SuspendedFlow {
-            cycle: self.state.cycle(),
+            cycle: self.cycle,
             fed: self.fed,
-            dynamic,
-            carry: None,
+            dynamic: self.lane.dynamic.iter().map(|i| i as u32).collect(),
+            carry: self.carry.take(),
             result: std::mem::take(&mut self.result),
             dfa: Vec::new(),
         };
-        self.state.reset();
-        self.fed = 0;
+        self.reset_state();
         flow
     }
 
     fn resume(&mut self, flow: SuspendedFlow) {
-        debug_assert!(flow.carry.is_none(), "byte sessions carry no odd byte");
-        self.state.restore(flow.cycle, &flow.dynamic);
+        debug_assert!(self.cycle == 0 && self.is_idle());
+        self.cycle = flow.cycle;
         self.fed = flow.fed;
+        self.carry = flow.carry;
         self.result = flow.result;
+        for &state in &flow.dynamic {
+            self.lane.enable(state as usize);
+        }
+        self.lane.recount();
     }
 
     fn is_idle(&self) -> bool {
-        self.state.dynamic_is_empty()
+        self.carry.is_none() && self.lane.dynamic_is_empty()
     }
 
     fn for_each_active_shard(&self, mut f: impl FnMut(usize)) {
@@ -650,79 +230,86 @@ impl<P: ExecutionPlan> FlowSession for ByteSession<'_, P> {
     }
 }
 
-/// A cycle-by-cycle simulator: compiles an [`Nfa`] into a
-/// [`CompiledAutomaton`] and executes streams on it.
+/// The one owning engine: a compiled plan together with the automaton
+/// it was compiled from and whatever else its compiler produced (an
+/// encoding), generic over the [`StreamPlan`] flavour. It owns nothing
+/// per stream: each `run` is a complete session (start, feed, finish),
+/// so one-shot and chunked execution share the same stepping loop; use
+/// [`start`](AutomataEngine::start) to feed a stream incrementally. For
+/// running *many* streams over one automaton, compile the plan once and
+/// use [`BatchSimulator`](crate::BatchSimulator).
 ///
-/// Each `run` is a complete [`ByteSession`] (start, feed, finish), so
-/// one-shot and chunked execution share the same stepping loop; use
-/// [`start`](AutomataEngine::start) directly to feed a stream
-/// incrementally. For running *many* streams over one automaton,
-/// compile the plan once and use
-/// [`BatchSimulator`](crate::BatchSimulator) instead of constructing a
-/// `Simulator` per stream.
-///
-/// # Examples
-///
-/// ```
-/// use cama_core::regex;
-/// use cama_sim::Simulator;
-///
-/// let nfa = regex::compile("ab+")?;
-/// let mut sim = Simulator::new(&nfa);
-/// let result = sim.run(b"zabbz");
-/// assert_eq!(result.report_offsets(), vec![2, 3]);
-/// // Every run is a fresh session.
-/// let again = sim.run(b"ab");
-/// assert_eq!(again.report_offsets(), vec![1]);
-/// # Ok::<(), cama_core::Error>(())
-/// ```
+/// The simulators are aliases: [`Simulator`],
+/// [`EncodedSimulator`](crate::EncodedSimulator),
+/// [`StridedSimulator`](crate::StridedSimulator),
+/// [`EncodedStridedSimulator`](crate::EncodedStridedSimulator),
+/// [`ShardedSimulator`](crate::ShardedSimulator) and
+/// [`ParallelShardedSimulator`](crate::ParallelShardedSimulator); each
+/// alias adds only its constructors.
 #[derive(Debug)]
-pub struct Simulator<'a> {
-    nfa: &'a Nfa,
-    plan: CompiledAutomaton,
+pub struct Engine<'a, P, N = Nfa, E = ()> {
+    nfa: &'a N,
+    plan: P,
+    encoding: E,
+    /// Sessions skip idle shards ([`FlowSession::set_skip_idle`]); set
+    /// through the sharded aliases' `skip_idle`.
+    pub(crate) skip_idle: bool,
 }
 
-impl<'a> Simulator<'a> {
-    /// Compiles the automaton and prepares a simulator.
-    pub fn new(nfa: &'a Nfa) -> Self {
-        let plan = CompiledAutomaton::compile(nfa);
-        Simulator { nfa, plan }
+impl<'a, P: StreamPlan, N, E> Engine<'a, P, N, E> {
+    /// Wraps a plan compiled from `nfa` (with `encoding`, if any).
+    pub(crate) fn from_parts(nfa: &'a N, plan: P, encoding: E) -> Self {
+        Engine {
+            nfa,
+            plan,
+            encoding,
+            skip_idle: true,
+        }
     }
 
     /// The automaton being simulated.
-    pub fn nfa(&self) -> &'a Nfa {
+    pub fn nfa(&self) -> &'a N {
         self.nfa
     }
 
-    /// The compiled execution plan the simulator runs on.
-    pub fn plan(&self) -> &CompiledAutomaton {
+    /// The compiled execution plan the engine runs on.
+    pub fn plan(&self) -> &P {
         &self.plan
+    }
+
+    /// The encoding the plan was compiled with (`()` for unencoded
+    /// plans).
+    pub fn encoding(&self) -> &E {
+        &self.encoding
     }
 
     /// Starts a multi-step (sub-symbol) streaming session; see
     /// [`run_multistep`](Self::run_multistep) for the group semantics
-    /// and [`start`](AutomataEngine::start) for the byte-per-cycle
+    /// and [`start`](AutomataEngine::start) for the symbol-per-cycle
     /// equivalent.
     ///
     /// # Panics
     ///
     /// Panics if `chain` is zero.
-    pub fn start_multistep(&self, chain: usize) -> ByteSession<'_> {
-        ByteSession::with_chain(&self.plan, chain)
+    pub fn start_multistep(&self, chain: usize) -> P::Session<'_> {
+        let mut session = self.plan.open_session(chain);
+        session.set_skip_idle(self.skip_idle);
+        session
     }
 
     /// Runs over `input` from a fresh state and returns reports plus
-    /// activity statistics.
+    /// activity statistics. Strided plans accept any length (an odd
+    /// tail is padded internally) and report *original byte offsets*.
     pub fn run(&mut self, input: &[u8]) -> RunResult {
-        self.run_with(input, &mut NullObserver)
+        let mut session = self.start();
+        session.feed(input);
+        session.finish()
     }
 
     /// [`run`](Self::run) with a per-cycle observer (used by the energy
-    /// models).
+    /// models, which charge the entry layout the plan actually visits).
     pub fn run_with(&mut self, input: &[u8], observer: &mut impl Observer) -> RunResult {
-        let mut session = self.start();
-        session.feed_with(input, observer);
-        session.finish_with(observer)
+        self.run_multistep_with(input, 1, observer)
     }
 
     /// Runs a sub-symbol (multi-step) automaton: start states are
@@ -758,14 +345,42 @@ impl<'a> Simulator<'a> {
     }
 }
 
-impl<'a> AutomataEngine for Simulator<'a> {
+impl<'a, P: StreamPlan, N, E> AutomataEngine for Engine<'a, P, N, E> {
     type Session<'e>
-        = ByteSession<'e>
+        = P::Session<'e>
     where
         Self: 'e;
 
-    fn start(&self) -> ByteSession<'_> {
-        ByteSession::new(&self.plan)
+    fn start(&self) -> P::Session<'_> {
+        self.start_multistep(1)
+    }
+}
+
+/// A cycle-by-cycle simulator: compiles an [`Nfa`] into a
+/// [`CompiledAutomaton`] and executes streams on it ([`Engine`] over
+/// the byte plan).
+///
+/// # Examples
+///
+/// ```
+/// use cama_core::regex;
+/// use cama_sim::Simulator;
+///
+/// let nfa = regex::compile("ab+")?;
+/// let mut sim = Simulator::new(&nfa);
+/// let result = sim.run(b"zabbz");
+/// assert_eq!(result.report_offsets(), vec![2, 3]);
+/// // Every run is a fresh session.
+/// let again = sim.run(b"ab");
+/// assert_eq!(again.report_offsets(), vec![1]);
+/// # Ok::<(), cama_core::Error>(())
+/// ```
+pub type Simulator<'a> = Engine<'a, CompiledAutomaton>;
+
+impl<'a> Simulator<'a> {
+    /// Compiles the automaton and prepares a simulator.
+    pub fn new(nfa: &'a Nfa) -> Self {
+        Engine::from_parts(nfa, CompiledAutomaton::compile(nfa), ())
     }
 }
 

@@ -4,32 +4,42 @@
 //! Every in-memory automata accelerator in the paper executes the same
 //! two-phase loop per input symbol: *state matching* (which STEs accept
 //! the symbol) followed by *state transition* (AND with the enable vector,
-//! report, and compute the next enable vector). This crate implements that
-//! loop exactly, once, over the dense
-//! [`CompiledAutomaton`](cama_core::compiled::CompiledAutomaton) layout,
-//! so that the architecture models in `cama-arch` can attach
-//! energy/activity observers to a single trusted engine.
+//! report, and compute the next enable vector). In CAMA every CAM array
+//! runs that loop; a flat design is the one-array case. This crate
+//! implements the loop exactly once, so that the architecture models in
+//! `cama-arch` can attach energy/activity observers to a single trusted
+//! engine:
 //!
-//! * [`Simulator`] — byte-per-cycle execution of an
-//!   [`Nfa`](cama_core::Nfa) (compiles a plan internally);
-//! * [`encoded::EncodedSimulator`] — the same loop executing on a
-//!   [`CompiledEncodedAutomaton`](cama_core::compiled::CompiledEncodedAutomaton):
-//!   every symbol passes through the encoding codebook and matches the
-//!   states' actual CAM entry masks (the layout the energy model
-//!   charges), bit-identical to the byte engine for exact encodings;
-//! * [`Simulator::run_multistep`] — sub-symbol execution for bit-width
-//!   transformed automata (Impala's nibble NFAs);
+//! * `lane` (internal) — the stepping core: one lane of enable/active
+//!   vectors and the per-cycle kernels (byte, pair, DFA, and the
+//!   non-selective pair baseline). Flat sessions step one lane; sharded
+//!   sessions and the worker pool step one per shard, the shard-only
+//!   parts (global ids, cross-shard edges, per-state heat) passed in as
+//!   a context;
+//! * [`Engine`] — the one owning engine over any [`StreamPlan`]:
+//!   [`Simulator`] (byte plan; also [`Simulator::run_multistep`] for
+//!   Impala's nibble automata), [`EncodedSimulator`] (the CAM codebook
+//!   the energy model charges), [`StridedSimulator`] and
+//!   [`EncodedStridedSimulator`] (two bytes per cycle),
+//!   [`ShardedSimulator`] and [`ParallelShardedSimulator`] are its
+//!   aliases, each adding only constructors;
 //! * [`session`] — the streaming-session layer: every engine implements
 //!   [`AutomataEngine`], whose [`Session`]s accept input in arbitrary
-//!   chunks (`feed`) with results identical to one-shot runs;
-//! * [`BatchSimulator`] — the multi-stream stream table: open/feed/close
-//!   interleaved flows over one shared compiled plan, plus sequential
-//!   and threaded whole-batch runs;
+//!   chunks (`feed`) with results identical to one-shot runs.
+//!   [`FlatSession`] (aliased [`ByteSession`], [`EncodedSession`],
+//!   [`StridedSession`], [`EncodedStridedSession`]) serves every flat
+//!   plan flavour, [`ShardedSession`] every sharded one;
+//! * [`sharded`] — per-CAM-array execution with idle-shard skipping
+//!   and one cross-shard exchange per cycle, generic over the plan
+//!   flavour through [`ShardedExecution`];
 //! * [`parallel`] — the multi-core shard-parallel runtime:
 //!   [`ParallelShardedSession`] pins disjoint shard subsets to worker
-//!   threads and executes one stream cycle-synchronously (lock-free
-//!   mailbox exchange, per-cycle barrier), bit-identical to
+//!   threads that run the sequential shard loop cycle-synchronously
+//!   (lock-free mailbox exchange, per-cycle barrier), bit-identical to
 //!   [`ShardedSession`];
+//! * [`BatchSimulator`] — the multi-stream stream table: open/feed/close
+//!   interleaved flows over one shared compiled plan, plus sequential
+//!   and work-stealing whole-batch runs;
 //! * [`frame`] — length-prefixed wire framing ([`FrameDecoder`]) for
 //!   demuxing interleaved flows out of one buffer;
 //! * [`control`] — the serving control plane over the stream table:
@@ -38,12 +48,6 @@
 //!   ([`ControlledBatch`]), and a per-tenant usage ledger;
 //! * [`interp::InterpSimulator`] — the pre-compilation
 //!   structure-at-a-time engine, kept as the semantic baseline;
-//! * [`strided::StridedSimulator`] — two-bytes-per-cycle execution of a
-//!   [`StridedNfa`](cama_core::stride::StridedNfa) on a factored
-//!   pair-match plan, with the byte engine's selective word visitation;
-//!   [`strided::EncodedStridedSimulator`] runs the same pair loop on
-//!   per-half encoding codebooks, and the sharded engine and stream
-//!   table accept both strided plan flavours;
 //! * [`profile`] — profile-guided shard assignment: per-state activity
 //!   from a measured run ([`ShardStats::state_active`]) packed into a
 //!   heat-sorted sharding that concentrates hot states and leaves cold
@@ -98,6 +102,8 @@
 //! # Ok::<(), cama_core::Error>(())
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod activity;
 pub mod batch;
 pub mod buffers;
@@ -106,6 +112,7 @@ pub mod encoded;
 pub mod engine;
 pub mod frame;
 pub mod interp;
+mod lane;
 pub mod parallel;
 pub mod profile;
 pub mod result;
@@ -125,7 +132,7 @@ pub use control::{
     VictimPolicy,
 };
 pub use encoded::{EncodedSession, EncodedSimulator};
-pub use engine::{ByteSession, Simulator};
+pub use engine::{ByteSession, Engine, FlatSession, Simulator};
 pub use frame::{FrameDecoder, FrameError, FrameEvent, StreamId};
 pub use interp::{InterpSession, InterpSimulator};
 pub use parallel::{

@@ -11,10 +11,10 @@
 //!
 //! Per cycle, each worker:
 //!
-//! 1. **steps its pinned shards** with the exact sequential kernels
-//!    (idle-skip probes, SIMD word sweeps, strided pair matching — the
-//!    [`ShardedExecution`] hooks), staging reports and cross-shard
-//!    activations locally;
+//! 1. **steps its pinned shards** through the sequential session's own
+//!    per-cycle shard loop (the same idle-skip probes and lane kernels,
+//!    selected by the [`ShardedExecution`] hooks), staging reports and
+//!    cross-shard activations locally;
 //! 2. **publishes cross-shard activations**: targets pinned to this
 //!    worker are applied directly; the rest go into per-worker-pair
 //!    *mailboxes* — double-buffered `Vec<u64>` slots indexed by cycle
@@ -72,14 +72,13 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::activity::Observer;
+use crate::activity::{NullObserver, Observer};
 use crate::batch::StreamPlan;
+use crate::engine::Engine;
+use crate::lane::{CycleStep, ShardLane};
 use crate::result::{Report, RunResult};
-use crate::session::{AutomataEngine, FlowSession, Session, SuspendedFlow};
-use crate::sharded::{
-    advance_lane, apply_activation, CycleStep, ShardLane, ShardStats, ShardedExecution,
-    ShardedSession, StepSinks,
-};
+use crate::session::{FlowSession, Session, SuspendedFlow};
+use crate::sharded::{ShardSinks, ShardStats, ShardedExecution, ShardedSession};
 use cama_core::compiled::{CompiledAutomaton, ShardedAutomaton};
 use cama_core::Nfa;
 
@@ -288,19 +287,10 @@ struct WorkerCtx<P: ShardedExecution + 'static> {
 
 fn worker_main<P: ShardedExecution + 'static>(ctx: WorkerCtx<P>) {
     let mut local_sense = false;
-    let mut stats = ShardStats::new(ctx.num_shards, ctx.num_states);
-    let mut staged_reports: Vec<Report> = Vec::new();
-    let mut exchange: Vec<u64> = Vec::new();
+    let mut sinks = ShardSinks::new(ctx.num_shards, ctx.num_states);
     while let Ok(Msg::Run(job)) = ctx.jobs.recv() {
         let guard = PoisonGuard(&ctx.shared.poisoned);
-        let out = run_chunk::<P>(
-            &ctx,
-            &job,
-            &mut local_sense,
-            &mut stats,
-            &mut staged_reports,
-            &mut exchange,
-        );
+        let out = run_chunk::<P>(&ctx, &job, &mut local_sense, &mut sinks);
         drop(guard);
         if ctx.done.send(out).is_err() {
             // The session went away mid-flight; nothing to report to.
@@ -309,23 +299,26 @@ fn worker_main<P: ShardedExecution + 'static>(ctx: WorkerCtx<P>) {
     }
 }
 
-/// Executes one worker's share of one chunk — the parallel counterpart
-/// of the sequential per-cycle loop in [`ShardedSession`], cycle
-/// boundaries enforced by the pool barrier.
+/// Executes one worker's share of one chunk: per cycle, the shared
+/// shard loop ([`ShardSinks::visit`]) over the pinned shards, then the
+/// mailbox exchange, cycle boundaries enforced by the pool barrier.
 fn run_chunk<P: ShardedExecution + 'static>(
     ctx: &WorkerCtx<P>,
     job: &Job,
     local_sense: &mut bool,
-    stats: &mut ShardStats,
-    staged_reports: &mut Vec<Report>,
-    exchange: &mut Vec<u64>,
+    sinks: &mut ShardSinks,
 ) -> ChunkOut {
-    // SAFETY: the dispatching session holds the plan borrow and the
-    // lane array alive, and blocks on this worker's `ChunkOut` before
-    // touching either again (its pool field drops — joining us —
-    // before the borrowed data even during unwind).
-    let plan: &ShardedAutomaton<P> = unsafe { &*ctx.plan.0 };
-    let steps: &[CycleStep] = unsafe { std::slice::from_raw_parts(job.steps.0, job.steps_len) };
+    // SAFETY: the dispatching session holds the plan borrow, the step
+    // slice and the lane array alive, and blocks on this worker's
+    // `ChunkOut` before touching any of them again (its pool field
+    // drops — joining us — before the borrowed data even during
+    // unwind).
+    let (plan, steps): (&ShardedAutomaton<P>, &[CycleStep]) = unsafe {
+        (
+            &*ctx.plan.0,
+            std::slice::from_raw_parts(job.steps.0, job.steps_len),
+        )
+    };
     let shards = plan.shards();
     debug_assert_eq!(job.lanes_len, shards.len());
     let lanes = job.lanes.0;
@@ -335,62 +328,28 @@ fn run_chunk<P: ShardedExecution + 'static>(
 
     for (i, &step) in steps.iter().enumerate() {
         let cycle = job.start_cycle + i;
-        let first_cycle = cycle == 0;
         let parity = cycle & 1;
-        let mut num_active = 0usize;
-        let mut num_dynamic = 0usize;
-        let mut reports = 0usize;
 
-        // Compute: step every pinned shard with the sequential kernels.
-        for &si in &ctx.my_shards {
-            let shard = &shards[si];
-            // SAFETY: shard `si` is pinned to this worker; no other
-            // thread touches its lane during compute.
-            let lane = unsafe { &mut *lanes.add(si) };
-            // Counted before the skip check, exactly like the
-            // sequential loop: skipped shards still hold their count.
-            num_dynamic += lane.num_dynamic;
-            if shard.is_empty() || (job.skip_idle && P::shard_idle(shard, lane, step, first_cycle))
-            {
-                stats.skipped_shard_cycles += 1;
-                continue;
-            }
-            stats.shard_cycles[si] += 1;
-            // DFA-stepped shards charge one table-row search per
-            // visited cycle, matching the sequential loop exactly.
-            stats.words_visited += if lane.is_dfa {
-                1
-            } else {
-                shard.plan().len().div_ceil(64) as u64
-            };
-            let out = P::step_shard(
-                shard,
-                lane,
-                step,
-                first_cycle,
-                cycle,
-                StepSinks {
-                    staged_reports,
-                    exchange,
-                    state_active: &mut stats.state_active,
-                },
-            );
-            num_active += out.num_active;
-            reports += out.reports;
-        }
+        // Compute: the shared shard loop over this worker's shards.
+        let pinned = ctx.my_shards.iter().map(|&si| {
+            // SAFETY: shard `si` is pinned to this worker alone and
+            // `my_shards` holds each index once, so this is the only
+            // live reference to its lane during compute.
+            (si, &shards[si], unsafe { &mut *lanes.add(si) })
+        });
+        let tally = sinks.visit(pinned, step, cycle, job.skip_idle, &mut NullObserver);
 
         // Publish: all staged activations count as global-switch
         // traffic (parity with the sequential exchange); targets we own
         // apply directly, the rest ride the mailboxes.
-        stats.cross_activations += exchange.len() as u64;
-        for &packed in exchange.iter() {
+        sinks.stats.cross_activations += sinks.exchange.len() as u64;
+        for &packed in &sinks.exchange {
             let target = (packed >> 32) as usize;
-            let local = (packed & u64::from(u32::MAX)) as usize;
             let owner = ctx.pinned[target] as usize;
             if owner == ctx.me {
                 // SAFETY: `target` is pinned to this worker.
                 let lane = unsafe { &mut *lanes.add(target) };
-                apply_activation(lane, local);
+                lane.activate((packed & u64::from(u32::MAX)) as usize);
             } else {
                 // SAFETY: slot (me → owner, parity) is written only by
                 // this worker this cycle; the owner drains it only
@@ -402,7 +361,7 @@ fn run_chunk<P: ShardedExecution + 'static>(
                 sent_remote += 1;
             }
         }
-        exchange.clear();
+        sinks.exchange.clear();
 
         // The software global switch: everyone's publishes for this
         // cycle are visible after the barrier.
@@ -420,11 +379,9 @@ fn run_chunk<P: ShardedExecution + 'static>(
             let inbox =
                 unsafe { &mut *ctx.shared.mailboxes[src * workers + ctx.me].bufs[parity].get() };
             for &packed in inbox.iter() {
-                let target = (packed >> 32) as usize;
-                let local = (packed & u64::from(u32::MAX)) as usize;
                 // SAFETY: mailbox routing only sends us shards we own.
-                let lane = unsafe { &mut *lanes.add(target) };
-                apply_activation(lane, local);
+                let lane = unsafe { &mut *lanes.add((packed >> 32) as usize) };
+                lane.activate((packed & u64::from(u32::MAX)) as usize);
             }
             inbox.clear();
         }
@@ -433,15 +390,18 @@ fn run_chunk<P: ShardedExecution + 'static>(
         // reads only our own lanes, so no second barrier is needed.
         for &si in &ctx.my_shards {
             // SAFETY: shard `si` is pinned to this worker.
-            advance_lane(unsafe { &mut *lanes.add(si) });
+            unsafe { &mut *lanes.add(si) }.advance();
         }
 
-        tallies.push([num_active, num_dynamic, reports]);
+        tallies.push([tally.num_active, tally.num_dynamic, tally.reports]);
     }
 
     ChunkOut {
-        stats: std::mem::replace(stats, ShardStats::new(ctx.num_shards, ctx.num_states)),
-        reports: std::mem::take(staged_reports),
+        stats: std::mem::replace(
+            &mut sinks.stats,
+            ShardStats::new(ctx.num_shards, ctx.num_states),
+        ),
+        reports: std::mem::take(&mut sinks.reports),
         tallies,
         sent_remote,
     }
@@ -632,12 +592,6 @@ impl<'p, P: ShardedExecution + 'static> ParallelShardedSession<'p, P> {
         self.mailbox_traffic
     }
 
-    /// Enables or disables idle-shard skipping (on by default); see
-    /// [`ShardedSession::set_skip_idle`].
-    pub fn set_skip_idle(&mut self, on: bool) {
-        self.inner.set_skip_idle(on);
-    }
-
     /// The session's cumulative execution counters (identical to the
     /// sequential session's for the same input).
     pub fn stats(&self) -> &ShardStats {
@@ -657,12 +611,13 @@ impl<'p, P: ShardedExecution + 'static> ParallelShardedSession<'p, P> {
             return;
         }
         self.steps.clear();
+        let steps = &mut self.steps;
         P::plan_steps(
             chunk,
             &mut self.inner.carry,
             self.inner.chain,
             self.inner.cycle,
-            &mut self.steps,
+            |step| steps.push(step),
         );
         self.inner.fed += chunk.len();
         if self.steps.is_empty() {
@@ -700,7 +655,7 @@ impl<'p, P: ShardedExecution + 'static> ParallelShardedSession<'p, P> {
                 .unwrap_or_else(|_| panic!("parallel shard worker {w} panicked"));
             self.worker_words[w] += out.stats.words_visited;
             self.mailbox_traffic += out.sent_remote;
-            self.inner.stats.merge(&out.stats);
+            self.inner.sinks.stats.merge(&out.stats);
             self.merged_reports.extend(out.reports);
             debug_assert_eq!(out.tallies.len(), self.per_cycle.len());
             for (acc, t) in self.per_cycle.iter_mut().zip(&out.tallies) {
@@ -769,6 +724,10 @@ impl<P: ShardedExecution + 'static> FlowSession for ParallelShardedSession<'_, P
     fn for_each_active_shard(&self, f: impl FnMut(usize)) {
         self.inner.for_each_active_shard(f);
     }
+
+    fn set_skip_idle(&mut self, on: bool) {
+        self.inner.set_skip_idle(on);
+    }
 }
 
 impl<P: ShardedExecution + Clone + 'static> Clone for ParallelShardedSession<'_, P> {
@@ -834,6 +793,7 @@ impl<P: ShardedExecution + Clone + fmt::Debug + 'static> StreamPlan for Parallel
         = ParallelShardedSession<'p, P>
     where
         Self: 'p;
+    type Flavour = P;
 
     fn open_session(&self, chain: usize) -> ParallelShardedSession<'_, P> {
         ParallelShardedSession::with_chain_workers(&self.plan, chain, self.workers)
@@ -842,20 +802,12 @@ impl<P: ShardedExecution + Clone + fmt::Debug + 'static> StreamPlan for Parallel
     fn num_shards(&self) -> usize {
         self.plan.num_shards()
     }
-
-    fn finalize_parked(flow: SuspendedFlow) -> Result<RunResult, SuspendedFlow> {
-        if flow.pending_carry().is_some() {
-            return Err(flow);
-        }
-        let mut result = flow.into_result();
-        P::sort_reports(&mut result.reports);
-        Ok(result)
-    }
 }
 
 /// The multi-core counterpart of
 /// [`ShardedSimulator`](crate::ShardedSimulator): compiles an [`Nfa`]
-/// into a [`ShardedAutomaton`] and runs streams on a worker pool.
+/// into a [`ShardedAutomaton`] and runs streams on a worker pool
+/// ([`Engine`] over a [`ParallelShardedPlan`]).
 ///
 /// # Examples
 ///
@@ -869,25 +821,21 @@ impl<P: ShardedExecution + Clone + fmt::Debug + 'static> StreamPlan for Parallel
 /// assert_eq!(result.report_offsets(), vec![2, 3, 5]);
 /// # Ok::<(), cama_core::Error>(())
 /// ```
-#[derive(Debug)]
-pub struct ParallelShardedSimulator<'a> {
-    nfa: &'a Nfa,
-    plan: ShardedAutomaton,
-    workers: usize,
-    skip_idle: bool,
-}
+pub type ParallelShardedSimulator<'a> = Engine<'a, ParallelShardedPlan>;
 
 impl<'a> ParallelShardedSimulator<'a> {
     /// Compiles `nfa` into at most `num_shards` component-balanced
     /// shards; `workers` as in
     /// [`ParallelShardedSession::with_workers`].
     pub fn new(nfa: &'a Nfa, num_shards: usize, workers: usize) -> Self {
-        Self::from_plan(nfa, ShardedAutomaton::compile(nfa, num_shards), workers)
+        let plan = ShardedAutomaton::compile(nfa, num_shards);
+        Engine::from_parts(nfa, ParallelShardedPlan::new(plan, workers), ())
     }
 
     /// One shard per connected component.
     pub fn per_component(nfa: &'a Nfa, workers: usize) -> Self {
-        Self::from_plan(nfa, ShardedAutomaton::compile_per_component(nfa), workers)
+        let plan = ShardedAutomaton::compile_per_component(nfa);
+        Engine::from_parts(nfa, ParallelShardedPlan::new(plan, workers), ())
     }
 
     /// An explicit per-state shard assignment.
@@ -896,56 +844,14 @@ impl<'a> ParallelShardedSimulator<'a> {
     ///
     /// Panics if `assignment.len() != nfa.len()`.
     pub fn with_assignment(nfa: &'a Nfa, assignment: &[u32], workers: usize) -> Self {
-        Self::from_plan(
-            nfa,
-            ShardedAutomaton::compile_with_assignment(nfa, assignment),
-            workers,
-        )
-    }
-
-    fn from_plan(nfa: &'a Nfa, plan: ShardedAutomaton, workers: usize) -> Self {
-        ParallelShardedSimulator {
-            nfa,
-            plan,
-            workers,
-            skip_idle: true,
-        }
+        let plan = ShardedAutomaton::compile_with_assignment(nfa, assignment);
+        Engine::from_parts(nfa, ParallelShardedPlan::new(plan, workers), ())
     }
 
     /// Sets whether sessions skip idle shards (on by default).
     pub fn skip_idle(mut self, on: bool) -> Self {
         self.skip_idle = on;
         self
-    }
-
-    /// The automaton being simulated.
-    pub fn nfa(&self) -> &'a Nfa {
-        self.nfa
-    }
-
-    /// The sharded execution plan.
-    pub fn plan(&self) -> &ShardedAutomaton {
-        &self.plan
-    }
-
-    /// Runs over `input` from a fresh state.
-    pub fn run(&mut self, input: &[u8]) -> RunResult {
-        let mut session = self.start();
-        session.feed(input);
-        session.finish()
-    }
-}
-
-impl<'a> AutomataEngine for ParallelShardedSimulator<'a> {
-    type Session<'e>
-        = ParallelShardedSession<'e>
-    where
-        Self: 'e;
-
-    fn start(&self) -> ParallelShardedSession<'_> {
-        let mut session = ParallelShardedSession::with_workers(&self.plan, self.workers);
-        session.set_skip_idle(self.skip_idle);
-        session
     }
 }
 

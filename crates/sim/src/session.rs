@@ -43,6 +43,7 @@
 use crate::activity::{NullObserver, Observer};
 use crate::buffers::{stats_for_run, BufferStats};
 use crate::result::RunResult;
+use crate::sharded::ShardedExecution;
 
 /// A resumable per-stream execution: feed input in arbitrary chunks,
 /// then [`finish`](Session::finish) to collect the [`RunResult`].
@@ -156,6 +157,22 @@ impl SuspendedFlow {
         self.result
     }
 
+    /// Closes a parked flow of plan flavour `P` without a session: the
+    /// accumulated result with `P`'s end-of-stream report order. A
+    /// strided flow suspended mid-pair must still flush its carry byte
+    /// through an engine cycle, so it is handed back as `Err` — not a
+    /// failure; the flow moves by value either way, so boxing it would
+    /// only add an allocation.
+    #[allow(clippy::result_large_err)]
+    pub(crate) fn finalize<P: ShardedExecution>(self) -> Result<RunResult, SuspendedFlow> {
+        if self.carry.is_some() {
+            return Err(self);
+        }
+        let mut result = self.result;
+        P::sort_reports(&mut result.reports);
+        Ok(result)
+    }
+
     /// Rewrites the snapshot's global state ids through an old→new
     /// [`PlanRemap`](cama_core::PlanRemap) so the flow can resume on
     /// the new plan — the per-flow half of a live hot swap.
@@ -225,15 +242,25 @@ pub trait FlowSession: Session {
     /// Calls `f` with each shard index where the stream currently has
     /// dynamic activity (flat engines report shard 0 when non-idle).
     fn for_each_active_shard(&self, f: impl FnMut(usize));
+
+    /// Enables or disables idle-shard skipping (on by default). With
+    /// skipping off every non-empty shard executes every cycle — the
+    /// "all arrays always powered" baseline the benchmarks compare
+    /// against. Results are identical either way. A flat session is
+    /// one lane that steps every cycle, so it ignores the setting.
+    fn set_skip_idle(&mut self, on: bool) {
+        let _ = on;
+    }
 }
 
 /// An automata engine that can start resumable streaming sessions.
 ///
-/// Implemented by [`Simulator`](crate::Simulator) (compiled byte
-/// engine), [`StridedSimulator`](crate::StridedSimulator) (two bytes
-/// per cycle), and [`InterpSimulator`](crate::InterpSimulator) (the
-/// structure-at-a-time baseline), so differential harnesses and serving
-/// loops can be written once against the trait.
+/// Implemented by [`Engine`](crate::Engine) — and so by every
+/// simulator alias ([`Simulator`](crate::Simulator),
+/// [`StridedSimulator`](crate::StridedSimulator), …) — and by
+/// [`InterpSimulator`](crate::InterpSimulator) (the structure-at-a-time
+/// baseline), so differential harnesses and serving loops can be
+/// written once against the trait.
 pub trait AutomataEngine {
     /// The session type; borrows the engine's immutable compiled plan.
     type Session<'e>: Session

@@ -1,15 +1,16 @@
 //! The sharded cycle engine: executing a
 //! [`ShardedAutomaton`] one simulated CAM array at a time.
 //!
-//! The flat engine ([`Simulator`](crate::Simulator)) sweeps one enable
-//! vector sized to the whole design every cycle. The hardware does not:
-//! states live in many 256×128 CAM sub-arrays, each array resolves its
-//! own activations through its local switch, and only cross-array
-//! activations ride the global switch. [`ShardedSession`] is the
-//! software form of that decomposition:
+//! A flat plan sweeps one enable vector sized to the whole design every
+//! cycle. The hardware does not: states live in many 256×128 CAM
+//! sub-arrays, each array resolves its own activations through its
+//! local switch, and only cross-array activations ride the global
+//! switch. [`ShardedSession`] is the software form of that
+//! decomposition:
 //!
-//! * **per-shard enable vectors** — each shard keeps its own
-//!   dynamic/next/active bit sets over its local state space;
+//! * **per-shard enable vectors** — each shard keeps its own lane over
+//!   its local state space, stepped by the same kernels a flat session
+//!   runs;
 //! * **idle-shard skipping** — a shard with nothing enabled (empty
 //!   dynamic vector, no start state matching this symbol, no
 //!   start-of-data state on cycle 0) is skipped without touching a
@@ -48,152 +49,39 @@ use crate::activity::{
     CycleView, DfaShardCycleView, NullObserver, Observer, ShardCycleSummary, ShardCycleView,
     ShardObserver,
 };
-use crate::engine::{popcount_dirty, sparse_clear};
+use crate::engine::Engine;
+use crate::lane::{
+    byte_steps, pair_flush, pair_steps, step_pair_naive, step_shard_byte, step_shard_dfa,
+    step_shard_pair, CycleStep, LaneContext, ShardLane, StepOut,
+};
 use crate::result::{Report, RunResult};
-use crate::session::{AutomataEngine, FlowSession, Session, SuspendedFlow};
+use crate::session::{FlowSession, Session, SuspendedFlow};
 use cama_core::bitset::BitSet;
 use cama_core::compiled::{
     CompiledAutomaton, CompiledDfa, CompiledEncodedAutomaton, CompiledEncodedStridedAutomaton,
     CompiledStridedAutomaton, ExecutionPlan, PlanBase, Shard, ShardedAutomaton, StridedPlan,
 };
-use cama_core::stride::ReportPhase;
 use cama_core::{Nfa, SteId};
-
-/// One shard's mutable half of a stream: local enable/active vectors
-/// plus their one-bit-per-word summaries (kept in lockstep so clears
-/// and scans only touch dirty words).
-///
-/// Public only because it appears in the `#[doc(hidden)]` parallel
-/// hooks of [`ShardedExecution`]; not part of the supported API.
-#[doc(hidden)]
-#[derive(Clone, Debug)]
-pub struct ShardLane {
-    pub(crate) dynamic: BitSet,
-    pub(crate) next: BitSet,
-    pub(crate) active: BitSet,
-    pub(crate) dynamic_any: Vec<u64>,
-    pub(crate) next_any: Vec<u64>,
-    pub(crate) active_any: Vec<u64>,
-    /// Popcount of `dynamic`, maintained at the cycle-end advance so
-    /// per-cycle accounting never re-counts the vector.
-    pub(crate) num_dynamic: usize,
-    /// The shard ships a [`CompiledDfa`] and this session's stepping
-    /// mode (byte plan, chain 1) can use it. Fixed at construction.
-    pub(crate) dfa_capable: bool,
-    /// Step this lane through the DFA table this cycle. Starts equal to
-    /// `dfa_capable`; resume clears it (NFA fallback) when a restored
-    /// dynamic set has no corresponding DFA state.
-    pub(crate) is_dfa: bool,
-    /// Current DFA state (0 = empty set) when `is_dfa`.
-    pub(crate) dfa_state: u32,
-}
-
-impl ShardLane {
-    fn new(len: usize, dfa_capable: bool) -> ShardLane {
-        let summary_words = len.div_ceil(64).div_ceil(64);
-        ShardLane {
-            dynamic: BitSet::new(len),
-            next: BitSet::new(len),
-            active: BitSet::new(len),
-            dynamic_any: vec![0; summary_words],
-            next_any: vec![0; summary_words],
-            active_any: vec![0; summary_words],
-            num_dynamic: 0,
-            dfa_capable,
-            is_dfa: dfa_capable,
-            dfa_state: 0,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.dynamic.clear();
-        self.next.clear();
-        self.active.clear();
-        self.dynamic_any.iter_mut().for_each(|w| *w = 0);
-        self.next_any.iter_mut().for_each(|w| *w = 0);
-        self.active_any.iter_mut().for_each(|w| *w = 0);
-        self.num_dynamic = 0;
-        self.is_dfa = self.dfa_capable;
-        self.dfa_state = 0;
-    }
-
-    fn dynamic_is_empty(&self) -> bool {
-        self.dynamic_any.iter().all(|&w| w == 0)
-    }
-}
-
-/// Sets a staged activation in a lane's next vector (with its word
-/// summary) — the single write both the sequential exchange and the
-/// parallel mailbox drain perform per cross-shard activation.
-#[inline]
-pub(crate) fn apply_activation(lane: &mut ShardLane, local: usize) {
-    lane.next.as_words_mut()[local / 64] |= 1u64 << (local % 64);
-    lane.next_any[local / 4096] |= 1u64 << ((local / 64) % 64);
-}
-
-/// Advances one lane at cycle end: next becomes dynamic; the old
-/// dynamic storage is sparse-cleared and becomes next cycle's scratch.
-#[inline]
-pub(crate) fn advance_lane(lane: &mut ShardLane) {
-    std::mem::swap(&mut lane.dynamic, &mut lane.next);
-    std::mem::swap(&mut lane.dynamic_any, &mut lane.next_any);
-    sparse_clear(lane.next.as_words_mut(), &mut lane.next_any);
-    lane.num_dynamic = popcount_dirty(lane.dynamic.as_words(), &lane.dynamic_any);
-}
-
-/// One engine cycle lowered to data: the symbol(s), whether starts
-/// inject, and the report-offset limit (pad suppression on a strided
-/// flush, `usize::MAX` otherwise). The parallel runtime plans a chunk
-/// into these once ([`ShardedExecution::plan_steps`]) and hands the
-/// slice to every worker, so all workers agree on cycle boundaries.
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug)]
-pub struct CycleStep {
-    pub(crate) a: u8,
-    pub(crate) b: u8,
-    pub(crate) inject: bool,
-    pub(crate) limit: usize,
-}
-
-/// The sinks one shard-cycle writes outside its own lane: staged
-/// reports, staged cross-shard activations (packed
-/// `shard << 32 | local`), and the per-state activity histogram.
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct StepSinks<'a> {
-    pub(crate) staged_reports: &'a mut Vec<Report>,
-    pub(crate) exchange: &'a mut Vec<u64>,
-    pub(crate) state_active: &'a mut [u64],
-}
-
-/// What one shard-cycle contributed to the cycle's totals.
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug)]
-pub struct StepOut {
-    pub(crate) num_active: usize,
-    pub(crate) reports: usize,
-}
 
 /// The byte-plan idle probe: `true` when the shard can be skipped this
 /// cycle without changing results — nothing dynamically enabled, no
 /// start state matching this symbol (if starts inject), and no live
 /// start-of-data overlap on cycle 0.
 #[inline]
-pub(crate) fn byte_shard_idle<P: ExecutionPlan>(
+fn byte_shard_idle<P: ExecutionPlan>(
     shard: &Shard<P>,
     lane: &ShardLane,
-    symbol: u8,
-    inject_starts: bool,
+    step: CycleStep,
     first_cycle: bool,
 ) -> bool {
-    let starts_matter = inject_starts && shard.start_match_possible(symbol);
+    let starts_matter = step.inject && shard.start_match_possible(step.a);
     // Cycle 0 only: a shard whose start-of-data states share no bit
     // with this symbol's match vector has nothing to fire.
     let sod_matters = first_cycle
         && shard.has_start_of_data()
         && !shard
             .plan()
-            .match_vector(symbol)
+            .match_vector(step.a)
             .is_disjoint(shard.plan().start_of_data_mask().as_row());
     lane.dynamic_is_empty() && !starts_matter && !sod_matters
 }
@@ -203,19 +91,18 @@ pub(crate) fn byte_shard_idle<P: ExecutionPlan>(
 /// state matches `a` in its first half and `b` in its second, and a
 /// cycle-0 start-of-data state must match both halves to fire.
 #[inline]
-pub(crate) fn pair_shard_idle<P: StridedPlan>(
+fn pair_shard_idle<P: StridedPlan>(
     shard: &Shard<P>,
     lane: &ShardLane,
-    a: u8,
-    b: u8,
+    step: CycleStep,
     first_cycle: bool,
 ) -> bool {
-    let starts_matter = shard.pair_start_possible(a, b);
+    let starts_matter = shard.pair_start_possible(step.a, step.b);
     let splan = shard.plan();
     let sod_matters = first_cycle && shard.has_start_of_data() && {
         let sod = splan.start_of_data_mask().as_words();
-        let first = splan.first_vector(a).words();
-        let second = splan.second_vector(b).words();
+        let first = splan.first_vector(step.a).words();
+        let second = splan.second_vector(step.b).words();
         sod.iter()
             .enumerate()
             .any(|(w, &m)| m & first[w] & second[w] != 0)
@@ -223,345 +110,212 @@ pub(crate) fn pair_shard_idle<P: StridedPlan>(
     lane.dynamic_is_empty() && !starts_matter && !sod_matters
 }
 
-/// One visited shard-cycle of the byte kernel: build the active vector
-/// from its enable sources (phase 1), then one pass over the active
-/// words — popcounts, reports with global ids, local successor
-/// expansion, and staging of cross-shard activations (phase 2). Both
-/// the sequential [`ShardedSession::step`] loop and the parallel
-/// workers execute exactly this function, which is what makes their
-/// results bit-identical by construction.
-pub(crate) fn step_shard_byte<P: ExecutionPlan>(
-    shard: &Shard<P>,
-    lane: &mut ShardLane,
-    symbol: u8,
-    inject_starts: bool,
-    first_cycle: bool,
-    cycle: usize,
-    sinks: StepSinks<'_>,
-) -> StepOut {
-    let splan = shard.plan();
-    let match_words = splan.match_vector(symbol).words();
-    let match_any = splan.match_any(symbol);
-    let sod_words = splan.start_of_data_mask().as_words();
-    let sod_any = splan.start_of_data_any();
-    let report_words = splan.report_mask().as_words();
-    let globals = shard.global_states();
-    let mut num_active = 0usize;
+/// The flavour half of every session: how a concrete plan type maps
+/// input bytes onto engine cycles and which lane kernel steps them.
+/// Byte and encoded plans ([`CompiledAutomaton`],
+/// [`CompiledEncodedAutomaton`]) consume one symbol per cycle; strided
+/// plans ([`CompiledStridedAutomaton`],
+/// [`CompiledEncodedStridedAutomaton`]) consume a symbol pair per
+/// cycle, carrying a dangling odd byte across chunk boundaries and
+/// flushing it (zero-padded, pad reports suppressed) at finish.
+///
+/// Implemented per concrete plan type — the kernels stay generic over
+/// [`ExecutionPlan`] / [`StridedPlan`]; this trait only selects them,
+/// which is what lets the flat [`FlatSession`](crate::FlatSession), the
+/// [`ShardedSession`], the worker pool, [`StreamPlan`](crate::StreamPlan)
+/// and therefore [`BatchSimulator`](crate::BatchSimulator) accept every
+/// plan flavour.
+pub trait ShardedExecution: PlanBase + Sized {
+    /// Maps a chunk of input bytes onto engine cycles, calling `cycle`
+    /// once per cycle in order — the one chunk-to-cycle mapping every
+    /// session runs. Byte plans emit one step per symbol (start
+    /// injection gated by `chain`, counted from `start_cycle`); strided
+    /// plans emit one step per symbol pair, threading the dangling odd
+    /// byte through `carry`.
+    #[doc(hidden)]
+    fn plan_steps(
+        chunk: &[u8],
+        carry: &mut Option<u8>,
+        chain: usize,
+        start_cycle: usize,
+        cycle: impl FnMut(CycleStep),
+    );
 
-    // Sparse-clear the previous cycle's active words.
-    sparse_clear(lane.active.as_words_mut(), &mut lane.active_any);
-    let active_words = lane.active.as_words_mut();
-
-    // Phase 1: build the active vector from its enable sources,
-    // visiting only words their summaries mark.
-    if inject_starts {
-        let start_words = splan.start_match(symbol).words();
-        for (j, &any) in splan.start_match_any(symbol).iter().enumerate() {
-            let mut dirty = any;
-            while dirty != 0 {
-                let w = j * 64 + dirty.trailing_zeros() as usize;
-                dirty &= dirty - 1;
-                active_words[w] |= start_words[w];
-                lane.active_any[j] |= 1u64 << (w % 64);
-            }
-        }
-    }
-    let dynamic_words = lane.dynamic.as_words();
-    for (j, &dynamic_any) in lane.dynamic_any.iter().enumerate() {
-        let mut dirty = match_any[j] & dynamic_any;
-        while dirty != 0 {
-            let w = j * 64 + dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            let active = match_words[w] & dynamic_words[w];
-            if active != 0 {
-                active_words[w] |= active;
-                lane.active_any[j] |= 1u64 << (w % 64);
-            }
-        }
-    }
-    if first_cycle {
-        for (j, &any) in sod_any.iter().enumerate() {
-            let mut dirty = match_any[j] & any;
-            while dirty != 0 {
-                let w = j * 64 + dirty.trailing_zeros() as usize;
-                dirty &= dirty - 1;
-                let active = match_words[w] & sod_words[w];
-                if active != 0 {
-                    active_words[w] |= active;
-                    lane.active_any[j] |= 1u64 << (w % 64);
-                }
-            }
-        }
+    /// The finish-time counterpart of
+    /// [`plan_steps`](ShardedExecution::plan_steps): a pending strided
+    /// carry byte becomes one zero-padded final step whose pad-offset
+    /// reports are suppressed via `limit = fed`. Byte plans have no
+    /// carry and return `None`.
+    #[doc(hidden)]
+    fn flush_step(carry: &mut Option<u8>, fed: usize) -> Option<CycleStep> {
+        let _ = (carry, fed);
+        None
     }
 
-    // Phase 2: one pass over the active words — popcounts, reports
-    // (emitted with global ids), local successor expansion, and
-    // staging of cross-shard activations.
-    let next_words = lane.next.as_words_mut();
-    let mut shard_reports = 0usize;
-    for (j, &active_any) in lane.active_any.iter().enumerate() {
-        let mut dirty = active_any;
-        while dirty != 0 {
-            let w = j * 64 + dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            let active = active_words[w];
-            num_active += active.count_ones() as usize;
-
-            let mut reporting = active & report_words[w];
-            while reporting != 0 {
-                let local = w * 64 + reporting.trailing_zeros() as usize;
-                sinks.staged_reports.push(Report {
-                    ste: SteId(globals[local]),
-                    code: splan.report_code_unchecked(local),
-                    offset: cycle,
-                });
-                shard_reports += 1;
-                reporting &= reporting - 1;
-            }
-
-            let mut remaining = active;
-            while remaining != 0 {
-                let local = w * 64 + remaining.trailing_zeros() as usize;
-                sinks.state_active[globals[local] as usize] += 1;
-                for &succ in splan.successors(local) {
-                    let succ = succ as usize;
-                    next_words[succ / 64] |= 1u64 << (succ % 64);
-                    lane.next_any[succ / 4096] |= 1u64 << ((succ / 64) % 64);
-                }
-                for t in shard.cross_successors(local) {
-                    sinks
-                        .exchange
-                        .push(u64::from(t.shard) << 32 | u64::from(t.local));
-                }
-                remaining &= remaining - 1;
-            }
-        }
+    /// End-of-stream report ordering: strided plans re-sort by
+    /// (offset, state) because a pair cycle emits two offsets; byte
+    /// plans are already in that order.
+    fn sort_reports(reports: &mut Vec<Report>) {
+        let _ = reports;
     }
-    StepOut {
-        num_active,
-        reports: shard_reports,
-    }
+
+    /// The per-shard idle probe for one step — `true` when the shard
+    /// can be skipped without touching a state word.
+    #[doc(hidden)]
+    fn shard_idle(
+        shard: &Shard<Self>,
+        lane: &ShardLane,
+        step: CycleStep,
+        first_cycle: bool,
+    ) -> bool;
+
+    /// Steps one lane through one cycle with this flavour's kernel —
+    /// the DFA table when `dfa` is given (byte plans only), otherwise
+    /// the NFA word kernel (or, for a pair lane with `precharge_all`
+    /// set, its non-selective baseline).
+    #[doc(hidden)]
+    fn step_lane(
+        plan: &Self,
+        dfa: Option<&CompiledDfa>,
+        lane: &mut ShardLane,
+        step: CycleStep,
+        cycle: usize,
+        ctx: &mut impl LaneContext,
+    ) -> StepOut;
 }
 
-/// One visited shard-cycle of the hybrid DFA fast path: the whole
-/// active-set computation collapses into a single dense-table lookup —
-/// `first[row]` on cycle 0 (start-of-data folded in), `next[state,
-/// row]` afterwards — followed by O(|active| + |next|) precomputed
-/// writes.
-///
-/// The kernel *writes through* to the lane's active/next bit sets
-/// (members and dynamics of the landed DFA state), so everything
-/// downstream — idle probes, suspend/resume, `is_idle`, observers, the
-/// cycle-end advance — sees exactly the state the NFA kernel would
-/// have produced and needs no DFA awareness. Reports use the same
-/// staging path (sorted by (offset, global state) at cycle end), so
-/// output is bit-identical to [`step_shard_byte`] by construction.
-///
-/// DFAs are only attached to zero-cross-edge component shards and only
-/// stepped when `chain == 1` (starts inject every cycle — the
-/// `all_input` fold baked into the transition table assumes it), which
-/// the dispatch sites guarantee.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn step_shard_dfa<P: ExecutionPlan>(
-    shard: &Shard<P>,
-    dfa: &CompiledDfa,
-    lane: &mut ShardLane,
-    symbol: u8,
-    inject_starts: bool,
-    first_cycle: bool,
-    cycle: usize,
-    sinks: StepSinks<'_>,
-) -> StepOut {
-    debug_assert!(inject_starts, "DFA stepping requires chain == 1");
-    let _ = inject_starts;
-    let row = shard.plan().row_of_symbol(symbol);
-    // A suspended-at-cycle-0 flow has no dynamic state, so on the first
-    // cycle the lane is necessarily in the empty state and the
-    // start-of-data column applies.
-    debug_assert!(!first_cycle || lane.dfa_state == 0);
-    let state = if first_cycle {
-        dfa.first(row)
-    } else {
-        dfa.next(lane.dfa_state, row)
+/// The byte-plan hook set, shared by [`CompiledAutomaton`] and
+/// [`CompiledEncodedAutomaton`].
+macro_rules! byte_execution {
+    ($plan:ty) => {
+        impl ShardedExecution for $plan {
+            fn plan_steps(
+                chunk: &[u8],
+                _carry: &mut Option<u8>,
+                chain: usize,
+                start_cycle: usize,
+                cycle: impl FnMut(CycleStep),
+            ) {
+                byte_steps(chunk, chain, start_cycle, cycle);
+            }
+
+            #[inline]
+            fn shard_idle(
+                shard: &Shard<Self>,
+                lane: &ShardLane,
+                step: CycleStep,
+                first_cycle: bool,
+            ) -> bool {
+                byte_shard_idle(shard, lane, step, first_cycle)
+            }
+
+            fn step_lane(
+                plan: &Self,
+                dfa: Option<&CompiledDfa>,
+                lane: &mut ShardLane,
+                step: CycleStep,
+                cycle: usize,
+                ctx: &mut impl LaneContext,
+            ) -> StepOut {
+                match dfa {
+                    Some(dfa) => step_shard_dfa(plan, dfa, lane, step, cycle, ctx),
+                    None => step_shard_byte(plan, lane, step, cycle, ctx),
+                }
+            }
+        }
     };
-    lane.dfa_state = state;
-    let globals = shard.global_states();
+}
 
-    // Word-level write-through: OR the state's precomputed active and
-    // next-enable bitmaps into the lane — O(words) per cycle even for
-    // dense active sets, where the member-at-a-time loop the bitmaps
-    // replace was O(states).
-    sparse_clear(lane.active.as_words_mut(), &mut lane.active_any);
-    let (bits, any) = dfa.active_words(state);
-    let active_words = lane.active.as_words_mut();
-    for (w, &word) in bits.iter().enumerate() {
-        active_words[w] |= word;
-    }
-    for (j, &word) in any.iter().enumerate() {
-        lane.active_any[j] |= word;
-    }
+/// The strided-plan hook set, shared by [`CompiledStridedAutomaton`]
+/// and [`CompiledEncodedStridedAutomaton`].
+macro_rules! pair_execution {
+    ($plan:ty) => {
+        impl ShardedExecution for $plan {
+            fn plan_steps(
+                chunk: &[u8],
+                carry: &mut Option<u8>,
+                chain: usize,
+                _start_cycle: usize,
+                cycle: impl FnMut(CycleStep),
+            ) {
+                pair_steps(chunk, carry, chain, cycle);
+            }
 
-    // Per-state activity heat stays exact (the profile and the energy
-    // model read it) — the member list is the one remaining
-    // O(active-set) walk.
-    let members = dfa.members(state);
-    for &local in members {
-        sinks.state_active[globals[local as usize] as usize] += 1;
-    }
+            fn flush_step(carry: &mut Option<u8>, fed: usize) -> Option<CycleStep> {
+                pair_flush(carry, fed)
+            }
 
-    let (report_locals, report_codes) = dfa.reports(state);
-    for (&local, &code) in report_locals.iter().zip(report_codes) {
-        sinks.staged_reports.push(Report {
-            ste: SteId(globals[local as usize]),
+            fn sort_reports(reports: &mut Vec<Report>) {
+                reports.sort_by_key(|r| (r.offset, r.ste));
+            }
+
+            #[inline]
+            fn shard_idle(
+                shard: &Shard<Self>,
+                lane: &ShardLane,
+                step: CycleStep,
+                first_cycle: bool,
+            ) -> bool {
+                pair_shard_idle(shard, lane, step, first_cycle)
+            }
+
+            fn step_lane(
+                plan: &Self,
+                dfa: Option<&CompiledDfa>,
+                lane: &mut ShardLane,
+                step: CycleStep,
+                cycle: usize,
+                ctx: &mut impl LaneContext,
+            ) -> StepOut {
+                debug_assert!(dfa.is_none(), "strided shards carry no DFA");
+                if lane.precharge_all {
+                    step_pair_naive(plan, lane, step, cycle, ctx)
+                } else {
+                    step_shard_pair(plan, lane, step, cycle, ctx)
+                }
+            }
+        }
+    };
+}
+
+byte_execution!(CompiledAutomaton);
+byte_execution!(CompiledEncodedAutomaton);
+pair_execution!(CompiledStridedAutomaton);
+pair_execution!(CompiledEncodedStridedAutomaton);
+
+/// One shard's [`LaneContext`]: reports carry global ids, every
+/// activation counts in the per-state heat histogram, and cross-shard
+/// successors are staged (packed `shard << 32 | local`) for the
+/// cycle-end exchange.
+struct ShardContext<'a, P> {
+    shard: &'a Shard<P>,
+    globals: &'a [u32],
+    reports: &'a mut Vec<Report>,
+    exchange: &'a mut Vec<u64>,
+    state_active: &'a mut [u64],
+}
+
+impl<P: PlanBase> LaneContext for ShardContext<'_, P> {
+    #[inline]
+    fn report(&mut self, local: usize, code: u32, offset: usize) {
+        self.reports.push(Report {
+            ste: SteId(self.globals[local]),
             code,
-            offset: cycle,
+            offset,
         });
     }
 
-    let (next_bits, next_any) = dfa.dynamic_words(state);
-    let next_words = lane.next.as_words_mut();
-    for (w, &word) in next_bits.iter().enumerate() {
-        next_words[w] |= word;
-    }
-    for (j, &word) in next_any.iter().enumerate() {
-        lane.next_any[j] |= word;
+    #[inline]
+    fn heat(&mut self, local: usize) {
+        self.state_active[self.globals[local] as usize] += 1;
     }
 
-    StepOut {
-        num_active: members.len(),
-        reports: report_locals.len(),
-    }
-}
-
-/// One visited shard-cycle of the paired kernel: the strided
-/// counterpart of [`step_shard_byte`]. Within the shard,
-/// `active = first[a] & second[b] & enabled` per dirty 64-state word
-/// (both halves' summaries fused into the visit filter); reports map
-/// through each state's [`ReportPhase`], and `limit` suppresses
-/// pad-byte reports exactly like the flat strided session.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn step_shard_pair<P: StridedPlan>(
-    shard: &Shard<P>,
-    lane: &mut ShardLane,
-    a: u8,
-    b: u8,
-    limit: usize,
-    first_cycle: bool,
-    cycle: usize,
-    sinks: StepSinks<'_>,
-) -> StepOut {
-    let splan = shard.plan();
-    let first_words = splan.first_vector(a).words();
-    let first_any = splan.first_any(a);
-    let second_words = splan.second_vector(b).words();
-    let second_any = splan.second_any(b);
-    let sod_words = splan.start_of_data_mask().as_words();
-    let sod_any = splan.start_of_data_any();
-    let report_words = splan.report_mask().as_words();
-    let globals = shard.global_states();
-    let mut num_active = 0usize;
-
-    // Sparse-clear the previous cycle's active words.
-    sparse_clear(lane.active.as_words_mut(), &mut lane.active_any);
-    let active_words = lane.active.as_words_mut();
-
-    // Phase 1: build the active vector from its enable sources,
-    // visiting only words both halves and a source mark.
-    let start_words = splan.first_start_match(a).words();
-    for (j, &any) in splan.first_start_match_any(a).iter().enumerate() {
-        let mut dirty = any & second_any[j];
-        while dirty != 0 {
-            let w = j * 64 + dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            let active = start_words[w] & second_words[w];
-            if active != 0 {
-                active_words[w] |= active;
-                lane.active_any[j] |= 1u64 << (w % 64);
-            }
+    #[inline]
+    fn stage_cross(&mut self, local: usize) {
+        for t in self.shard.cross_successors(local) {
+            self.exchange
+                .push(u64::from(t.shard) << 32 | u64::from(t.local));
         }
-    }
-    let dynamic_words = lane.dynamic.as_words();
-    for (j, &dynamic_any) in lane.dynamic_any.iter().enumerate() {
-        let mut dirty = first_any[j] & second_any[j] & dynamic_any;
-        while dirty != 0 {
-            let w = j * 64 + dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            let active = first_words[w] & second_words[w] & dynamic_words[w];
-            if active != 0 {
-                active_words[w] |= active;
-                lane.active_any[j] |= 1u64 << (w % 64);
-            }
-        }
-    }
-    if first_cycle {
-        for (j, &any) in sod_any.iter().enumerate() {
-            let mut dirty = first_any[j] & second_any[j] & any;
-            while dirty != 0 {
-                let w = j * 64 + dirty.trailing_zeros() as usize;
-                dirty &= dirty - 1;
-                let active = first_words[w] & second_words[w] & sod_words[w];
-                if active != 0 {
-                    active_words[w] |= active;
-                    lane.active_any[j] |= 1u64 << (w % 64);
-                }
-            }
-        }
-    }
-
-    // Phase 2: one pass over the active words — popcounts,
-    // phase-mapped reports (with global ids), local successor
-    // expansion, and staging of cross-shard activations.
-    let next_words = lane.next.as_words_mut();
-    let mut shard_reports = 0usize;
-    for (j, &active_any) in lane.active_any.iter().enumerate() {
-        let mut dirty = active_any;
-        while dirty != 0 {
-            let w = j * 64 + dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            let active = active_words[w];
-            num_active += active.count_ones() as usize;
-
-            let mut reporting = active & report_words[w];
-            while reporting != 0 {
-                let local = w * 64 + reporting.trailing_zeros() as usize;
-                let (code, phase) = splan.report_pair_unchecked(local);
-                let offset = match phase {
-                    ReportPhase::First => cycle * 2,
-                    ReportPhase::Second => cycle * 2 + 1,
-                };
-                // Suppress reports landing on the pad byte.
-                if offset < limit {
-                    sinks.staged_reports.push(Report {
-                        ste: SteId(globals[local]),
-                        code,
-                        offset,
-                    });
-                    shard_reports += 1;
-                }
-                reporting &= reporting - 1;
-            }
-
-            let mut remaining = active;
-            while remaining != 0 {
-                let local = w * 64 + remaining.trailing_zeros() as usize;
-                sinks.state_active[globals[local] as usize] += 1;
-                for &succ in splan.successors(local) {
-                    let succ = succ as usize;
-                    next_words[succ / 64] |= 1u64 << (succ % 64);
-                    lane.next_any[succ / 4096] |= 1u64 << ((succ / 64) % 64);
-                }
-                for t in shard.cross_successors(local) {
-                    sinks
-                        .exchange
-                        .push(u64::from(t.shard) << 32 | u64::from(t.local));
-                }
-                remaining &= remaining - 1;
-            }
-        }
-    }
-    StepOut {
-        num_active,
-        reports: shard_reports,
     }
 }
 
@@ -629,6 +383,106 @@ impl ShardStats {
     }
 }
 
+/// One cycle's totals over the shards a [`ShardSinks::visit`] pass
+/// stepped or skipped.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct CycleTally {
+    pub(crate) num_active: usize,
+    pub(crate) num_dynamic: usize,
+    pub(crate) reports: usize,
+    pub(crate) visited: usize,
+    pub(crate) skipped: usize,
+}
+
+/// What a pass over shards writes outside the lanes: staged reports,
+/// staged cross-shard activations (packed `shard << 32 | local`) and
+/// the execution counters. A [`ShardedSession`] owns one; each pool
+/// worker owns its own.
+#[derive(Clone, Debug)]
+pub(crate) struct ShardSinks {
+    pub(crate) reports: Vec<Report>,
+    pub(crate) exchange: Vec<u64>,
+    pub(crate) stats: ShardStats,
+}
+
+impl ShardSinks {
+    pub(crate) fn new(num_shards: usize, num_states: usize) -> ShardSinks {
+        ShardSinks {
+            reports: Vec::new(),
+            exchange: Vec::new(),
+            stats: ShardStats::new(num_shards, num_states),
+        }
+    }
+
+    /// The per-cycle shard loop: idle-skip or step each `(index, shard,
+    /// lane)` for one cycle, counting into the stats and reporting each
+    /// stepped shard to `observer`. The sequential session passes every
+    /// shard; each pool worker passes its pinned ones — the same loop,
+    /// which is what makes their results bit-identical by construction.
+    pub(crate) fn visit<'a, P: ShardedExecution + 'a>(
+        &mut self,
+        lanes: impl Iterator<Item = (usize, &'a Shard<P>, &'a mut ShardLane)>,
+        step: CycleStep,
+        cycle: usize,
+        skip_idle: bool,
+        observer: &mut impl ShardObserver,
+    ) -> CycleTally {
+        let first_cycle = cycle == 0;
+        let mut tally = CycleTally::default();
+        for (si, shard, lane) in lanes {
+            // Skipped shards hold no dynamically enabled state, so the
+            // cached per-lane counts sum to the flat engine's total.
+            tally.num_dynamic += lane.num_dynamic;
+            if shard.is_empty() || (skip_idle && P::shard_idle(shard, lane, step, first_cycle)) {
+                tally.skipped += 1;
+                self.stats.skipped_shard_cycles += 1;
+                continue;
+            }
+            tally.visited += 1;
+            self.stats.shard_cycles[si] += 1;
+            // A DFA-stepped shard searches one transition-table row
+            // instead of sweeping its state words — the modeling choice
+            // behind the hybrid visited-words win.
+            self.stats.words_visited += if lane.is_dfa {
+                1
+            } else {
+                shard.plan().len().div_ceil(64) as u64
+            };
+            let dfa = shard.dfa().filter(|_| lane.is_dfa);
+            let mut ctx = ShardContext {
+                shard,
+                globals: shard.global_states(),
+                reports: &mut self.reports,
+                exchange: &mut self.exchange,
+                state_active: &mut self.stats.state_active,
+            };
+            let out = P::step_lane(shard.plan(), dfa, lane, step, cycle, &mut ctx);
+            tally.num_active += out.num_active;
+            tally.reports += out.reports;
+
+            let shard_view = ShardCycleView {
+                cycle,
+                symbol: step.a,
+                shard: si,
+                global_states: shard.global_states(),
+                dynamic_enabled: &lane.dynamic,
+                active: &lane.active,
+                reports: out.reports,
+            };
+            match dfa {
+                Some(dfa) => observer.on_dfa_shard_cycle(&DfaShardCycleView {
+                    shard_view,
+                    dfa_state: lane.dfa_state,
+                    dfa_states: dfa.num_states(),
+                    alphabet: dfa.alphabet(),
+                }),
+                None => observer.on_shard_cycle(&shard_view),
+            }
+        }
+        tally
+    }
+}
+
 /// A streaming session over a [`ShardedAutomaton`]: the sharded
 /// engine's [`Session`] implementation.
 ///
@@ -663,19 +517,15 @@ pub struct ShardedSession<'p, P: PlanBase = CompiledAutomaton> {
     pub(crate) chain: usize,
     pub(crate) skip_idle: bool,
     pub(crate) lanes: Vec<ShardLane>,
-    /// Cross-shard activations staged during the per-shard pass,
-    /// exchanged once per cycle (packed `shard << 32 | local`).
-    exchange: Vec<u64>,
-    /// This cycle's reports, sorted by global state before appending so
-    /// report order matches the flat engine exactly.
-    staged_reports: Vec<Report>,
+    /// This cycle's staged reports and activations, plus the lifetime
+    /// counters.
+    pub(crate) sinks: ShardSinks,
     pub(crate) cycle: usize,
     /// Strided plans: first byte of a pair whose second byte has not
     /// arrived yet. Always `None` for byte plans.
     pub(crate) carry: Option<u8>,
     pub(crate) result: RunResult,
     pub(crate) fed: usize,
-    pub(crate) stats: ShardStats,
     /// Cached scatter scratch for the flat-[`Observer`] compatibility
     /// path ([`Session::feed_with`]); `None` until first used.
     flat_scratch: Option<Box<FlatViewScratch>>,
@@ -707,13 +557,11 @@ impl<'p, P: PlanBase> ShardedSession<'p, P> {
                 // use an attached DFA.
                 .map(|s| ShardLane::new(s.len(), s.dfa().is_some() && chain == 1))
                 .collect(),
-            exchange: Vec::new(),
-            staged_reports: Vec::new(),
+            sinks: ShardSinks::new(plan.num_shards(), plan.len()),
             cycle: 0,
             carry: None,
             result: RunResult::default(),
             fed: 0,
-            stats: ShardStats::new(plan.num_shards(), plan.len()),
             flat_scratch: None,
         }
     }
@@ -728,74 +576,29 @@ impl<'p, P: PlanBase> ShardedSession<'p, P> {
         self.chain
     }
 
-    /// Enables or disables idle-shard skipping (on by default). With
-    /// skipping off every non-empty shard executes every cycle — the
-    /// "all arrays always powered" baseline the benchmarks compare
-    /// against. Results are identical either way.
-    pub fn set_skip_idle(&mut self, on: bool) {
-        self.skip_idle = on;
-    }
-
     /// The session's cumulative execution counters.
     pub fn stats(&self) -> &ShardStats {
-        &self.stats
+        &self.sinks.stats
     }
 
     /// Takes the counters, resetting them to zero.
     pub fn take_stats(&mut self) -> ShardStats {
         std::mem::replace(
-            &mut self.stats,
+            &mut self.sinks.stats,
             ShardStats::new(self.plan.num_shards(), self.plan.len()),
         )
     }
 
-    /// The once-per-cycle epilogue shared by the byte and pair kernels:
-    /// the cross-shard exchange, the lane advance, the per-cycle report
-    /// commit (in ascending (offset, state) order, matching the flat
-    /// engines' within-cycle order), and the cycle accounting.
-    #[allow(clippy::too_many_arguments)]
-    fn end_cycle(
-        &mut self,
-        symbol: u8,
-        num_active: usize,
-        num_dynamic: usize,
-        cycle_reports: usize,
-        visited: usize,
-        skipped: usize,
-        observer: &mut impl ShardObserver,
-    ) {
-        // The once-per-cycle cross-shard exchange: apply staged
-        // activations to the target shards' next vectors.
-        self.stats.cross_activations += self.exchange.len() as u64;
-        for &packed in &self.exchange {
-            let lane = &mut self.lanes[(packed >> 32) as usize];
-            apply_activation(lane, (packed & u64::from(u32::MAX)) as usize);
+    /// Restores power-on state (stats excepted), keeping capacity.
+    fn reset_state(&mut self) {
+        for lane in &mut self.lanes {
+            lane.reset();
         }
-        self.exchange.clear();
-
-        // Advance every lane: next becomes dynamic; the old dynamic
-        // storage is sparse-cleared and becomes next cycle's scratch.
-        for lane in self.lanes.iter_mut() {
-            advance_lane(lane);
-        }
-
-        // Emit this cycle's reports in ascending (offset, global state)
-        // order — for byte plans all of a cycle's offsets are equal, so
-        // this is exactly the flat engine's within-cycle state order.
-        self.staged_reports
-            .sort_unstable_by_key(|r| (r.offset, r.ste));
-        self.result.reports.append(&mut self.staged_reports);
-        self.result
-            .activity
-            .record(num_active, num_dynamic, cycle_reports);
-        observer.on_cycle_end(&ShardCycleSummary {
-            cycle: self.cycle,
-            symbol,
-            shards_visited: visited,
-            shards_skipped: skipped,
-            reports: cycle_reports,
-        });
-        self.cycle += 1;
+        self.sinks.exchange.clear();
+        self.sinks.reports.clear();
+        self.cycle = 0;
+        self.carry = None;
+        self.fed = 0;
     }
 }
 
@@ -807,7 +610,11 @@ impl<'p, P: ShardedExecution> ShardedSession<'p, P> {
     /// consume a symbol pair, carrying a dangling odd byte across
     /// chunk boundaries.
     pub fn feed_sharded_with(&mut self, chunk: &[u8], observer: &mut impl ShardObserver) {
-        P::drive(self, chunk, observer);
+        let mut carry = self.carry.take();
+        P::plan_steps(chunk, &mut carry, self.chain, self.cycle, |step| {
+            self.step(step, observer)
+        });
+        self.carry = carry;
         self.fed += chunk.len();
     }
 
@@ -815,604 +622,88 @@ impl<'p, P: ShardedExecution> ShardedSession<'p, P> {
     /// flush cycles natively, and returns the accumulated result — the
     /// [`ShardObserver`] counterpart of [`Session::finish_with`].
     pub fn finish_sharded_with(&mut self, observer: &mut impl ShardObserver) -> RunResult {
-        P::flush(self, observer);
+        if let Some(step) = P::flush_step(&mut self.carry, self.fed) {
+            self.step(step, observer);
+        }
         let mut result = std::mem::take(&mut self.result);
         P::sort_reports(&mut result.reports);
         self.reset_state();
         result
     }
-}
 
-impl<'p, P: ExecutionPlan> ShardedSession<'p, P> {
-    /// Executes one cycle: per-shard match/transition over the visited
-    /// shards, then the cross-shard exchange, then the global advance.
-    fn step(&mut self, symbol: u8, inject_starts: bool, observer: &mut impl ShardObserver) {
-        let first_cycle = self.cycle == 0;
-        let mut num_active = 0usize;
-        let mut num_dynamic = 0usize;
-        let mut cycle_reports = 0usize;
-        let mut visited = 0usize;
-        let mut skipped = 0usize;
-
-        let ShardedSession {
-            plan,
-            skip_idle,
-            lanes,
-            exchange,
-            staged_reports,
-            cycle,
-            stats,
-            ..
-        } = self;
-
-        for (si, (shard, lane)) in plan.shards().iter().zip(lanes.iter_mut()).enumerate() {
-            // Skipped shards hold no dynamically enabled state, so the
-            // cached per-lane counts sum to the flat engine's total.
-            num_dynamic += lane.num_dynamic;
-            if shard.is_empty()
-                || (*skip_idle && byte_shard_idle(shard, lane, symbol, inject_starts, first_cycle))
-            {
-                skipped += 1;
-                stats.skipped_shard_cycles += 1;
-                continue;
-            }
-            visited += 1;
-            stats.shard_cycles[si] += 1;
-            // A DFA-stepped shard searches one transition-table row
-            // instead of sweeping its state words — the modeling choice
-            // behind the hybrid visited-words win.
-            stats.words_visited += if lane.is_dfa {
-                1
-            } else {
-                shard.plan().len().div_ceil(64) as u64
-            };
-
-            let sinks = StepSinks {
-                staged_reports,
-                exchange,
-                state_active: &mut stats.state_active,
-            };
-            let out = match shard.dfa().filter(|_| lane.is_dfa) {
-                Some(dfa) => step_shard_dfa(
-                    shard,
-                    dfa,
-                    lane,
-                    symbol,
-                    inject_starts,
-                    first_cycle,
-                    *cycle,
-                    sinks,
-                ),
-                None => step_shard_byte(
-                    shard,
-                    lane,
-                    symbol,
-                    inject_starts,
-                    first_cycle,
-                    *cycle,
-                    sinks,
-                ),
-            };
-            num_active += out.num_active;
-            cycle_reports += out.reports;
-
-            let shard_view = ShardCycleView {
-                cycle: *cycle,
-                symbol,
-                shard: si,
-                global_states: shard.global_states(),
-                dynamic_enabled: &lane.dynamic,
-                active: &lane.active,
-                reports: out.reports,
-            };
-            match shard.dfa().filter(|_| lane.is_dfa) {
-                Some(dfa) => observer.on_dfa_shard_cycle(&DfaShardCycleView {
-                    shard_view,
-                    dfa_state: lane.dfa_state,
-                    dfa_states: dfa.num_states(),
-                    alphabet: dfa.alphabet(),
-                }),
-                None => observer.on_shard_cycle(&shard_view),
-            }
-        }
-
-        self.end_cycle(
-            symbol,
-            num_active,
-            num_dynamic,
-            cycle_reports,
-            visited,
-            skipped,
+    /// Executes one cycle: the shard loop over every shard, then the
+    /// once-per-cycle cross-shard exchange, the lane advance, the
+    /// report commit (in ascending (offset, state) order, matching the
+    /// flat engine's within-cycle order), and the cycle accounting.
+    fn step(&mut self, step: CycleStep, observer: &mut impl ShardObserver) {
+        let lanes = self.plan.shards().iter().zip(self.lanes.iter_mut());
+        let tally = self.sinks.visit(
+            lanes
+                .enumerate()
+                .map(|(si, (shard, lane))| (si, shard, lane)),
+            step,
+            self.cycle,
+            self.skip_idle,
             observer,
         );
-    }
-}
 
-impl<'p, P: StridedPlan> ShardedSession<'p, P> {
-    /// Executes one *pair* cycle: the strided counterpart of
-    /// [`step`](ShardedSession::step). Within a visited shard,
-    /// `active = first[a] & second[b] & enabled` per dirty 64-state
-    /// word (both halves' summaries fused into the visit filter);
-    /// shards with nothing enabled — empty dynamic vector, no
-    /// statically enabled state whose two halves could both match this
-    /// pair, no live start-of-data overlap on cycle 0 — are skipped
-    /// without touching a word. Reports map through each state's
-    /// [`ReportPhase`]; `limit` suppresses pad-byte reports exactly
-    /// like the flat strided session.
-    fn step_pair(&mut self, a: u8, b: u8, limit: usize, observer: &mut impl ShardObserver) {
-        let first_cycle = self.cycle == 0;
-        let mut num_active = 0usize;
-        let mut num_dynamic = 0usize;
-        let mut cycle_reports = 0usize;
-        let mut visited = 0usize;
-        let mut skipped = 0usize;
-
-        let ShardedSession {
-            plan,
-            skip_idle,
-            lanes,
-            exchange,
-            staged_reports,
-            cycle,
-            stats,
-            ..
-        } = self;
-
-        for (si, (shard, lane)) in plan.shards().iter().zip(lanes.iter_mut()).enumerate() {
-            // Skipped shards hold no dynamically enabled state, so the
-            // cached per-lane counts sum to the flat engine's total.
-            num_dynamic += lane.num_dynamic;
-            if shard.is_empty() || (*skip_idle && pair_shard_idle(shard, lane, a, b, first_cycle)) {
-                skipped += 1;
-                stats.skipped_shard_cycles += 1;
-                continue;
-            }
-            visited += 1;
-            stats.shard_cycles[si] += 1;
-            stats.words_visited += shard.plan().len().div_ceil(64) as u64;
-
-            let out = step_shard_pair(
-                shard,
-                lane,
-                a,
-                b,
-                limit,
-                first_cycle,
-                *cycle,
-                StepSinks {
-                    staged_reports,
-                    exchange,
-                    state_active: &mut stats.state_active,
-                },
-            );
-            num_active += out.num_active;
-            cycle_reports += out.reports;
-
-            observer.on_shard_cycle(&ShardCycleView {
-                cycle: *cycle,
-                symbol: a,
-                shard: si,
-                global_states: shard.global_states(),
-                dynamic_enabled: &lane.dynamic,
-                active: &lane.active,
-                reports: out.reports,
-            });
+        let sinks = &mut self.sinks;
+        sinks.stats.cross_activations += sinks.exchange.len() as u64;
+        for &packed in &sinks.exchange {
+            self.lanes[(packed >> 32) as usize].activate((packed & u64::from(u32::MAX)) as usize);
         }
-
-        self.end_cycle(
-            a,
-            num_active,
-            num_dynamic,
-            cycle_reports,
-            visited,
-            skipped,
-            observer,
-        );
-    }
-}
-
-/// The flavour-specific driver half of a [`ShardedSession`]: how a
-/// concrete plan type maps a chunk of input bytes onto engine cycles.
-/// Byte and encoded plans ([`CompiledAutomaton`],
-/// [`CompiledEncodedAutomaton`]) consume one symbol per cycle; strided
-/// plans ([`CompiledStridedAutomaton`],
-/// [`CompiledEncodedStridedAutomaton`]) consume a symbol pair per
-/// cycle, carrying a dangling odd byte across chunk boundaries and
-/// flushing it (zero-padded, pad reports suppressed) at finish.
-///
-/// Implemented per concrete plan type — the kernels themselves stay
-/// generic over [`ExecutionPlan`] / [`StridedPlan`]; this trait only
-/// selects which kernel drives the session, which is what lets one
-/// [`ShardedSession`] (and [`StreamPlan`](crate::StreamPlan), and
-/// therefore [`BatchSimulator`](crate::BatchSimulator)) accept every
-/// plan flavour.
-pub trait ShardedExecution: PlanBase + Sized {
-    /// Consumes `chunk` through `session`, delivering per-shard
-    /// activity to `observer`.
-    fn drive<O: ShardObserver>(
-        session: &mut ShardedSession<'_, Self>,
-        chunk: &[u8],
-        observer: &mut O,
-    );
-
-    /// Flushes pending partial state at finish (a strided carry byte;
-    /// a no-op for byte plans).
-    fn flush<O: ShardObserver>(session: &mut ShardedSession<'_, Self>, observer: &mut O) {
-        let _ = (session, observer);
-    }
-
-    /// End-of-stream report ordering: strided plans re-sort by
-    /// (offset, state) because a pair cycle emits two offsets; byte
-    /// plans are already in that order.
-    fn sort_reports(reports: &mut Vec<Report>) {
-        let _ = reports;
-    }
-
-    /// Maps a chunk of input bytes onto per-cycle step descriptors —
-    /// the chunk-level half of [`drive`](ShardedExecution::drive),
-    /// factored out so the parallel runtime can plan a chunk once and
-    /// hand the same step list to every worker. Byte plans emit one
-    /// step per symbol (start injection gated by `chain`); strided
-    /// plans emit one step per symbol pair, threading the dangling odd
-    /// byte through `carry`.
-    #[doc(hidden)]
-    fn plan_steps(
-        chunk: &[u8],
-        carry: &mut Option<u8>,
-        chain: usize,
-        start_cycle: usize,
-        out: &mut Vec<CycleStep>,
-    );
-
-    /// The finish-time counterpart of
-    /// [`plan_steps`](ShardedExecution::plan_steps): a pending strided
-    /// carry byte becomes one zero-padded final step whose pad-offset
-    /// reports are suppressed via `limit = fed`. Byte plans have no
-    /// carry and return `None`.
-    #[doc(hidden)]
-    fn flush_step(carry: &mut Option<u8>, fed: usize) -> Option<CycleStep> {
-        let _ = (carry, fed);
-        None
-    }
-
-    /// The per-shard idle probe for one step — `true` when the shard
-    /// can be skipped without touching a state word.
-    #[doc(hidden)]
-    fn shard_idle(
-        shard: &Shard<Self>,
-        lane: &ShardLane,
-        step: CycleStep,
-        first_cycle: bool,
-    ) -> bool;
-
-    /// Executes one step on one shard, writing reports, cross-shard
-    /// activations, and per-state tallies into `sinks`.
-    #[doc(hidden)]
-    fn step_shard(
-        shard: &Shard<Self>,
-        lane: &mut ShardLane,
-        step: CycleStep,
-        first_cycle: bool,
-        cycle: usize,
-        sinks: StepSinks<'_>,
-    ) -> StepOut;
-}
-
-/// The byte kernel: one symbol per cycle, start injection gated by the
-/// multi-step chain.
-fn drive_byte<P: ExecutionPlan>(
-    session: &mut ShardedSession<'_, P>,
-    chunk: &[u8],
-    observer: &mut impl ShardObserver,
-) {
-    if session.chain == 1 {
-        for &symbol in chunk {
-            session.step(symbol, true, observer);
-        }
-    } else {
-        for &symbol in chunk {
-            let inject = session.cycle.is_multiple_of(session.chain);
-            session.step(symbol, inject, observer);
-        }
-    }
-}
-
-/// The paired kernel: two symbols per cycle with the carry byte.
-fn drive_pairs<P: StridedPlan>(
-    session: &mut ShardedSession<'_, P>,
-    chunk: &[u8],
-    observer: &mut impl ShardObserver,
-) {
-    assert_eq!(
-        session.chain, 1,
-        "multi-step chains are a byte-plan concept; strided plans consume pairs"
-    );
-    let mut chunk = chunk;
-    if let Some(a) = session.carry {
-        let Some((&b, rest)) = chunk.split_first() else {
-            return;
-        };
-        session.carry = None;
-        session.step_pair(a, b, usize::MAX, observer);
-        chunk = rest;
-    }
-    let mut pairs = chunk.chunks_exact(2);
-    for pair in pairs.by_ref() {
-        session.step_pair(pair[0], pair[1], usize::MAX, observer);
-    }
-    if let [last] = *pairs.remainder() {
-        session.carry = Some(last);
-    }
-}
-
-/// The paired flush: a pending carry byte becomes a zero-padded final
-/// pair whose pad-offset reports are suppressed.
-fn flush_pairs<P: StridedPlan>(
-    session: &mut ShardedSession<'_, P>,
-    observer: &mut impl ShardObserver,
-) {
-    if let Some(a) = session.carry.take() {
-        let limit = session.fed;
-        session.step_pair(a, 0, limit, observer);
-    }
-}
-
-/// Step planning for byte plans: one step per symbol, start injection
-/// gated by the multi-step chain exactly like [`drive_byte`].
-fn plan_steps_byte(chunk: &[u8], chain: usize, start_cycle: usize, out: &mut Vec<CycleStep>) {
-    for (i, &symbol) in chunk.iter().enumerate() {
-        let inject = chain == 1 || (start_cycle + i).is_multiple_of(chain);
-        out.push(CycleStep {
-            a: symbol,
-            b: 0,
-            inject,
-            limit: usize::MAX,
-        });
-    }
-}
-
-/// Step planning for strided plans: one step per symbol pair with the
-/// carry byte threaded across chunk boundaries, exactly like
-/// [`drive_pairs`].
-fn plan_steps_pairs(chunk: &[u8], carry: &mut Option<u8>, chain: usize, out: &mut Vec<CycleStep>) {
-    assert_eq!(
-        chain, 1,
-        "multi-step chains are a byte-plan concept; strided plans consume pairs"
-    );
-    let mut chunk = chunk;
-    if let Some(a) = *carry {
-        let Some((&b, rest)) = chunk.split_first() else {
-            return;
-        };
-        *carry = None;
-        out.push(CycleStep {
-            a,
-            b,
-            inject: true,
-            limit: usize::MAX,
-        });
-        chunk = rest;
-    }
-    let mut pairs = chunk.chunks_exact(2);
-    for pair in pairs.by_ref() {
-        out.push(CycleStep {
-            a: pair[0],
-            b: pair[1],
-            inject: true,
-            limit: usize::MAX,
-        });
-    }
-    if let [last] = *pairs.remainder() {
-        *carry = Some(last);
-    }
-}
-
-/// The strided flush step: the carry byte, zero-padded, with the pad
-/// offset suppressed by `limit = fed`.
-fn flush_step_pairs(carry: &mut Option<u8>, fed: usize) -> Option<CycleStep> {
-    carry.take().map(|a| CycleStep {
-        a,
-        b: 0,
-        inject: true,
-        limit: fed,
-    })
-}
-
-/// The byte-plan hook set, shared by [`CompiledAutomaton`] and
-/// [`CompiledEncodedAutomaton`] via a macro so the delegation stays
-/// literal.
-macro_rules! byte_execution_hooks {
-    () => {
-        fn plan_steps(
-            chunk: &[u8],
-            carry: &mut Option<u8>,
-            chain: usize,
-            start_cycle: usize,
-            out: &mut Vec<CycleStep>,
-        ) {
-            let _ = carry;
-            plan_steps_byte(chunk, chain, start_cycle, out);
-        }
-
-        fn shard_idle(
-            shard: &Shard<Self>,
-            lane: &ShardLane,
-            step: CycleStep,
-            first_cycle: bool,
-        ) -> bool {
-            byte_shard_idle(shard, lane, step.a, step.inject, first_cycle)
-        }
-
-        fn step_shard(
-            shard: &Shard<Self>,
-            lane: &mut ShardLane,
-            step: CycleStep,
-            first_cycle: bool,
-            cycle: usize,
-            sinks: StepSinks<'_>,
-        ) -> StepOut {
-            match shard.dfa().filter(|_| lane.is_dfa) {
-                Some(dfa) => step_shard_dfa(
-                    shard,
-                    dfa,
-                    lane,
-                    step.a,
-                    step.inject,
-                    first_cycle,
-                    cycle,
-                    sinks,
-                ),
-                None => {
-                    step_shard_byte(shard, lane, step.a, step.inject, first_cycle, cycle, sinks)
-                }
-            }
-        }
-    };
-}
-
-/// The strided-plan hook set, shared by [`CompiledStridedAutomaton`]
-/// and [`CompiledEncodedStridedAutomaton`].
-macro_rules! pair_execution_hooks {
-    () => {
-        fn plan_steps(
-            chunk: &[u8],
-            carry: &mut Option<u8>,
-            chain: usize,
-            start_cycle: usize,
-            out: &mut Vec<CycleStep>,
-        ) {
-            let _ = start_cycle;
-            plan_steps_pairs(chunk, carry, chain, out);
-        }
-
-        fn flush_step(carry: &mut Option<u8>, fed: usize) -> Option<CycleStep> {
-            flush_step_pairs(carry, fed)
-        }
-
-        fn shard_idle(
-            shard: &Shard<Self>,
-            lane: &ShardLane,
-            step: CycleStep,
-            first_cycle: bool,
-        ) -> bool {
-            pair_shard_idle(shard, lane, step.a, step.b, first_cycle)
-        }
-
-        fn step_shard(
-            shard: &Shard<Self>,
-            lane: &mut ShardLane,
-            step: CycleStep,
-            first_cycle: bool,
-            cycle: usize,
-            sinks: StepSinks<'_>,
-        ) -> StepOut {
-            step_shard_pair(
-                shard,
-                lane,
-                step.a,
-                step.b,
-                step.limit,
-                first_cycle,
-                cycle,
-                sinks,
-            )
-        }
-    };
-}
-
-impl ShardedExecution for CompiledAutomaton {
-    fn drive<O: ShardObserver>(
-        session: &mut ShardedSession<'_, Self>,
-        chunk: &[u8],
-        observer: &mut O,
-    ) {
-        drive_byte(session, chunk, observer);
-    }
-
-    byte_execution_hooks!();
-}
-
-impl ShardedExecution for CompiledEncodedAutomaton {
-    fn drive<O: ShardObserver>(
-        session: &mut ShardedSession<'_, Self>,
-        chunk: &[u8],
-        observer: &mut O,
-    ) {
-        drive_byte(session, chunk, observer);
-    }
-
-    byte_execution_hooks!();
-}
-
-impl ShardedExecution for CompiledStridedAutomaton {
-    fn drive<O: ShardObserver>(
-        session: &mut ShardedSession<'_, Self>,
-        chunk: &[u8],
-        observer: &mut O,
-    ) {
-        drive_pairs(session, chunk, observer);
-    }
-
-    fn flush<O: ShardObserver>(session: &mut ShardedSession<'_, Self>, observer: &mut O) {
-        flush_pairs(session, observer);
-    }
-
-    fn sort_reports(reports: &mut Vec<Report>) {
-        reports.sort_by_key(|r| (r.offset, r.ste));
-    }
-
-    pair_execution_hooks!();
-}
-
-impl ShardedExecution for CompiledEncodedStridedAutomaton {
-    fn drive<O: ShardObserver>(
-        session: &mut ShardedSession<'_, Self>,
-        chunk: &[u8],
-        observer: &mut O,
-    ) {
-        drive_pairs(session, chunk, observer);
-    }
-
-    fn flush<O: ShardObserver>(session: &mut ShardedSession<'_, Self>, observer: &mut O) {
-        flush_pairs(session, observer);
-    }
-
-    fn sort_reports(reports: &mut Vec<Report>) {
-        reports.sort_by_key(|r| (r.offset, r.ste));
-    }
-
-    pair_execution_hooks!();
-}
-
-impl<'p, P: PlanBase> ShardedSession<'p, P> {
-    /// Restores power-on state (stats excepted), keeping capacity.
-    fn reset_state(&mut self) {
+        sinks.exchange.clear();
         for lane in &mut self.lanes {
-            lane.reset();
+            lane.advance();
         }
-        self.exchange.clear();
-        self.staged_reports.clear();
-        self.cycle = 0;
-        self.carry = None;
-        self.fed = 0;
+
+        // For byte plans all of a cycle's offsets are equal, so this is
+        // exactly the flat engine's within-cycle state order.
+        sinks.reports.sort_unstable_by_key(|r| (r.offset, r.ste));
+        self.result.reports.append(&mut sinks.reports);
+        self.result
+            .activity
+            .record(tally.num_active, tally.num_dynamic, tally.reports);
+        observer.on_cycle_end(&ShardCycleSummary {
+            cycle: self.cycle,
+            symbol: step.a,
+            shards_visited: tally.visited,
+            shards_skipped: tally.skipped,
+            reports: tally.reports,
+        });
+        self.cycle += 1;
+    }
+
+    /// Runs `f` with a [`ShardObserver`] adapter that materializes flat
+    /// [`CycleView`]s for `observer`, reusing the session's cached
+    /// global-sized scatter scratch so per-chunk cost stays
+    /// O(activity), not O(states) of fresh zeroed allocations.
+    fn with_flat_view<O: Observer, R>(
+        &mut self,
+        observer: &mut O,
+        f: impl FnOnce(&mut Self, &mut GlobalViewAdapter<'_, O>) -> R,
+    ) -> R {
+        let mut scratch = self
+            .flat_scratch
+            .take()
+            .unwrap_or_else(|| Box::new(FlatViewScratch::new(self.plan.len())));
+        let out = f(
+            self,
+            &mut GlobalViewAdapter {
+                observer,
+                scratch: &mut scratch,
+            },
+        );
+        self.flat_scratch = Some(scratch);
+        out
     }
 }
 
 impl<P: ShardedExecution> Session for ShardedSession<'_, P> {
     fn feed_with(&mut self, chunk: &[u8], observer: &mut impl Observer) {
-        // The global-sized scatter scratch is cached on the session so
-        // per-chunk cost stays O(activity), not O(states) of fresh
-        // zeroed allocations.
-        let mut scratch = self
-            .flat_scratch
-            .take()
-            .unwrap_or_else(|| Box::new(FlatViewScratch::new(self.plan.len())));
-        let mut adapter = GlobalViewAdapter {
-            observer,
-            scratch: &mut scratch,
-        };
-        self.feed_sharded_with(chunk, &mut adapter);
-        self.flat_scratch = Some(scratch);
+        self.with_flat_view(observer, |session, adapter| {
+            session.feed_sharded_with(chunk, adapter)
+        });
     }
 
     fn feed(&mut self, chunk: &[u8]) {
@@ -1422,25 +713,14 @@ impl<P: ShardedExecution> Session for ShardedSession<'_, P> {
     }
 
     fn finish_with(&mut self, observer: &mut impl Observer) -> RunResult {
-        if self.carry.is_some() {
-            // A strided carry byte flushes as one final pair cycle;
-            // route its activity through the flat-view adapter so the
-            // observer sees the flush exactly like fed cycles.
-            let mut scratch = self
-                .flat_scratch
-                .take()
-                .unwrap_or_else(|| Box::new(FlatViewScratch::new(self.plan.len())));
-            let mut adapter = GlobalViewAdapter {
-                observer,
-                scratch: &mut scratch,
-            };
-            P::flush(self, &mut adapter);
-            self.flat_scratch = Some(scratch);
+        if self.carry.is_none() {
+            return self.finish_sharded_with(&mut NullObserver);
         }
-        let mut result = std::mem::take(&mut self.result);
-        P::sort_reports(&mut result.reports);
-        self.reset_state();
-        result
+        // A strided carry byte flushes as one final pair cycle; the
+        // observer sees it exactly like fed cycles.
+        self.with_flat_view(observer, |session, adapter| {
+            session.finish_sharded_with(adapter)
+        })
     }
 
     fn reset(&mut self) {
@@ -1493,14 +773,11 @@ impl<P: ShardedExecution> FlowSession for ShardedSession<'_, P> {
         self.result = flow.result;
         for &global in &flow.dynamic {
             let (shard, local) = self.plan.placement_of(global as usize);
-            let lane = &mut self.lanes[shard as usize];
-            let local = local as usize;
-            lane.dynamic.insert(local);
-            lane.dynamic_any[local / 4096] |= 1u64 << ((local / 64) % 64);
+            self.lanes[shard as usize].enable(local as usize);
         }
         let mut locals = Vec::new();
         for (si, (shard, lane)) in self.plan.shards().iter().zip(&mut self.lanes).enumerate() {
-            lane.num_dynamic = popcount_dirty(lane.dynamic.as_words(), &lane.dynamic_any);
+            lane.recount();
             if !lane.dfa_capable {
                 continue;
             }
@@ -1547,6 +824,10 @@ impl<P: ShardedExecution> FlowSession for ShardedSession<'_, P> {
                 f(si);
             }
         }
+    }
+
+    fn set_skip_idle(&mut self, on: bool) {
+        self.skip_idle = on;
     }
 }
 
@@ -1612,9 +893,9 @@ impl<O: Observer> ShardObserver for GlobalViewAdapter<'_, O> {
     }
 }
 
-/// The sharded counterpart of [`Simulator`](crate::Simulator): compiles
-/// an [`Nfa`] into a [`ShardedAutomaton`] and executes streams on it,
-/// one simulated CAM array per shard.
+/// The sharded engine: compiles an [`Nfa`] into a [`ShardedAutomaton`]
+/// and executes streams on it, one simulated CAM array per shard
+/// ([`Engine`] over the sharded plan).
 ///
 /// # Examples
 ///
@@ -1628,23 +909,18 @@ impl<O: Observer> ShardObserver for GlobalViewAdapter<'_, O> {
 /// assert_eq!(result.report_offsets(), vec![2, 3, 5]);
 /// # Ok::<(), cama_core::Error>(())
 /// ```
-#[derive(Debug)]
-pub struct ShardedSimulator<'a> {
-    nfa: &'a Nfa,
-    plan: ShardedAutomaton,
-    skip_idle: bool,
-}
+pub type ShardedSimulator<'a> = Engine<'a, ShardedAutomaton>;
 
 impl<'a> ShardedSimulator<'a> {
     /// Compiles `nfa` into at most `num_shards` component-balanced
     /// shards and prepares a simulator.
     pub fn new(nfa: &'a Nfa, num_shards: usize) -> Self {
-        Self::from_plan(nfa, ShardedAutomaton::compile(nfa, num_shards))
+        Engine::from_parts(nfa, ShardedAutomaton::compile(nfa, num_shards), ())
     }
 
     /// One shard per connected component.
     pub fn per_component(nfa: &'a Nfa) -> Self {
-        Self::from_plan(nfa, ShardedAutomaton::compile_per_component(nfa))
+        Engine::from_parts(nfa, ShardedAutomaton::compile_per_component(nfa), ())
     }
 
     /// An explicit per-state shard assignment (e.g. the architecture
@@ -1654,93 +930,34 @@ impl<'a> ShardedSimulator<'a> {
     ///
     /// Panics if `assignment.len() != nfa.len()`.
     pub fn with_assignment(nfa: &'a Nfa, assignment: &[u32]) -> Self {
-        Self::from_plan(
-            nfa,
-            ShardedAutomaton::compile_with_assignment(nfa, assignment),
-        )
-    }
-
-    fn from_plan(nfa: &'a Nfa, plan: ShardedAutomaton) -> Self {
-        ShardedSimulator {
-            nfa,
-            plan,
-            skip_idle: true,
-        }
+        let plan = ShardedAutomaton::compile_with_assignment(nfa, assignment);
+        Engine::from_parts(nfa, plan, ())
     }
 
     /// Sets whether sessions skip idle shards (on by default); see
-    /// [`ShardedSession::set_skip_idle`].
+    /// [`FlowSession::set_skip_idle`].
     pub fn skip_idle(mut self, on: bool) -> Self {
         self.skip_idle = on;
         self
     }
 
-    /// The automaton being simulated.
-    pub fn nfa(&self) -> &'a Nfa {
-        self.nfa
-    }
-
-    /// The sharded execution plan.
-    pub fn plan(&self) -> &ShardedAutomaton {
-        &self.plan
-    }
-
-    /// Runs over `input` from a fresh state.
-    pub fn run(&mut self, input: &[u8]) -> RunResult {
-        let mut session = self.start();
-        session.feed(input);
-        session.finish()
-    }
-
-    /// [`run`](Self::run) with a flat per-cycle observer (compatibility
-    /// path; global views are materialized from shard activity).
-    pub fn run_with(&mut self, input: &[u8], observer: &mut impl Observer) -> RunResult {
-        let mut session = self.start();
-        session.feed_with(input, observer);
-        session.finish_with(observer)
-    }
-
-    /// [`run`](Self::run) with a per-shard observer — the native
+    /// [`run`](Engine::run) with a per-shard observer — the native
     /// observation path (used by the energy models).
     pub fn run_sharded_with(
         &mut self,
         input: &[u8],
         observer: &mut impl ShardObserver,
     ) -> RunResult {
-        let mut session = self.start();
+        let mut session = self.start_multistep(1);
         session.feed_sharded_with(input, observer);
         session.finish()
-    }
-
-    /// Starts a multi-step (sub-symbol) streaming session; see
-    /// [`Simulator::run_multistep`](crate::Simulator::run_multistep)
-    /// for the group semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chain` is zero.
-    pub fn start_multistep(&self, chain: usize) -> ShardedSession<'_> {
-        let mut session = ShardedSession::with_chain(&self.plan, chain);
-        session.set_skip_idle(self.skip_idle);
-        session
-    }
-}
-
-impl<'a> AutomataEngine for ShardedSimulator<'a> {
-    type Session<'e>
-        = ShardedSession<'e>
-    where
-        Self: 'e;
-
-    fn start(&self) -> ShardedSession<'_> {
-        self.start_multistep(1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Simulator;
+    use crate::{AutomataEngine, Simulator};
     use cama_core::regex;
 
     #[test]

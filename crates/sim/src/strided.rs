@@ -4,7 +4,7 @@
 //! The pair match vector is computed word-level from the plan's two
 //! factored tables (`first[a] & second[b]` — the software form of a
 //! two-segment match CAM), and the stepping loop is the byte engine's
-//! generic loop in paired form: [`StridedSession`] is generic over any
+//! flat session in paired form: [`StridedSession`] is generic over any
 //! [`StridedPlan`], so the raw-byte plan
 //! ([`CompiledStridedAutomaton`]) and the encoding-aware plan
 //! ([`CompiledEncodedStridedAutomaton`], per-half codebooks) execute
@@ -47,27 +47,16 @@
 //! # Ok::<(), cama_core::Error>(())
 //! ```
 
-use crate::activity::{NullObserver, Observer};
-use crate::engine::CycleState;
-use crate::result::RunResult;
-use crate::session::{AutomataEngine, FlowSession, Session, SuspendedFlow};
-use cama_core::bitset::BitSet;
+use crate::engine::{Engine, FlatSession};
+use crate::sharded::ShardedExecution;
 use cama_core::compiled::{CompiledEncodedStridedAutomaton, CompiledStridedAutomaton, StridedPlan};
 use cama_core::stride::StridedNfa;
 use cama_encoding::StridedEncoding;
 
-/// A streaming session over a [`StridedPlan`] — by default the raw-byte
-/// [`CompiledStridedAutomaton`]; instantiate with
-/// [`CompiledEncodedStridedAutomaton`] (the [`EncodedStridedSession`]
-/// alias) to execute on per-half codebooks.
-///
-/// The session owns the enable vectors, the pair-cycle offset, the
-/// report accumulation, and the *carry byte*: when a chunk ends on an
-/// odd boundary the dangling byte is held until the next chunk's first
-/// byte completes the pair. [`finish`](Session::finish) flushes a
-/// still-pending carry byte as a zero-padded final pair; reports that
-/// would land on the pad are suppressed, exactly like the one-shot
-/// engine's odd-length padding.
+/// A streaming session over a [`StridedPlan`] — [`FlatSession`] over
+/// the raw-byte [`CompiledStridedAutomaton`] by default; instantiate
+/// with [`CompiledEncodedStridedAutomaton`] (the
+/// [`EncodedStridedSession`] alias) to execute on per-half codebooks.
 ///
 /// # Examples
 ///
@@ -85,57 +74,20 @@ use cama_encoding::StridedEncoding;
 /// assert_eq!(session.finish().report_offsets(), vec![2, 3]);
 /// # Ok::<(), cama_core::Error>(())
 /// ```
-#[derive(Clone, Debug)]
-pub struct StridedSession<'p, P: StridedPlan = CompiledStridedAutomaton> {
-    plan: &'p P,
-    state: CycleState,
-    /// First byte of a pair whose second byte has not arrived yet.
-    carry: Option<u8>,
-    fed: usize,
-    /// Selective visitation on (default) or the precharge-everything
-    /// baseline.
-    selective: bool,
-    /// 64-state words visited, monotone across `finish`/`reset` (like
-    /// [`ShardStats`](crate::ShardStats), it describes the session's
-    /// lifetime).
-    words_visited: u64,
-    /// Scratch for the non-selective baseline's materialized enable
-    /// vector.
-    enabled_scratch: BitSet,
-    result: RunResult,
-}
+pub type StridedSession<'p, P = CompiledStridedAutomaton> = FlatSession<'p, P>;
 
 /// A streaming session over a [`CompiledEncodedStridedAutomaton`]: the
 /// same paired stepping loop, with each half's symbol routed through
 /// its own input-encoder lookup.
-pub type EncodedStridedSession<'p> = StridedSession<'p, CompiledEncodedStridedAutomaton>;
+pub type EncodedStridedSession<'p> = FlatSession<'p, CompiledEncodedStridedAutomaton>;
 
-impl<'p, P: StridedPlan> StridedSession<'p, P> {
-    /// Starts a session over a shared strided plan.
-    pub fn new(plan: &'p P) -> Self {
-        StridedSession {
-            plan,
-            state: CycleState::new(plan.len()),
-            carry: None,
-            fed: 0,
-            selective: true,
-            words_visited: 0,
-            enabled_scratch: BitSet::new(plan.len()),
-            result: RunResult::default(),
-        }
-    }
-
-    /// The shared compiled plan this session executes.
-    pub fn plan(&self) -> &'p P {
-        self.plan
-    }
-
+impl<P: StridedPlan + ShardedExecution> FlatSession<'_, P> {
     /// Enables or disables selective word visitation (on by default).
     /// With it off every pair cycle precharges (visits) every 64-state
     /// word — the "all words always searched" baseline the `strided`
     /// bench group compares against. Results are identical either way.
     pub fn set_selective(&mut self, on: bool) {
-        self.selective = on;
+        self.lane.precharge_all = !on;
     }
 
     /// Total 64-state words visited by this session's pair cycles —
@@ -144,120 +96,16 @@ impl<'p, P: StridedPlan> StridedSession<'p, P> {
     pub fn words_visited(&self) -> u64 {
         self.words_visited
     }
-
-    /// Executes one pair cycle. Reports map to absolute byte offsets
-    /// through the pair-cycle counter; `limit` suppresses reports at or
-    /// past it (only the final zero-padded flush pair passes a finite
-    /// limit — every mid-stream pair's offsets are below the bytes
-    /// already fed).
-    fn step(&mut self, a: u8, b: u8, limit: usize, observer: &mut impl Observer) {
-        self.words_visited += if self.selective {
-            self.state
-                .step_pair(self.plan, a, b, limit, &mut self.result, observer)
-        } else {
-            self.state.step_pair_naive(
-                self.plan,
-                a,
-                b,
-                limit,
-                &mut self.enabled_scratch,
-                &mut self.result,
-                observer,
-            )
-        };
-    }
 }
 
-impl<P: StridedPlan> Session for StridedSession<'_, P> {
-    fn feed_with(&mut self, chunk: &[u8], observer: &mut impl Observer) {
-        self.fed += chunk.len();
-        let mut chunk = chunk;
-        if let Some(a) = self.carry {
-            let Some((&b, rest)) = chunk.split_first() else {
-                return;
-            };
-            self.carry = None;
-            self.step(a, b, usize::MAX, observer);
-            chunk = rest;
-        }
-        let mut pairs = chunk.chunks_exact(2);
-        for pair in pairs.by_ref() {
-            self.step(pair[0], pair[1], usize::MAX, observer);
-        }
-        if let [last] = *pairs.remainder() {
-            self.carry = Some(last);
-        }
-    }
-
-    fn finish_with(&mut self, observer: &mut impl Observer) -> RunResult {
-        if let Some(a) = self.carry.take() {
-            self.step(a, 0, self.fed, observer);
-        }
-        let mut result = std::mem::take(&mut self.result);
-        result.reports.sort_by_key(|r| (r.offset, r.ste));
-        self.reset();
-        result
-    }
-
-    fn reset(&mut self) {
-        self.state.reset();
-        self.carry = None;
-        self.fed = 0;
-        self.result.reports.clear();
-        self.result.activity = Default::default();
-    }
-
-    fn bytes_fed(&self) -> usize {
-        self.fed
-    }
-
-    fn pending(&self) -> &RunResult {
-        &self.result
-    }
-}
-
-impl<P: StridedPlan> FlowSession for StridedSession<'_, P> {
-    fn suspend(&mut self) -> SuspendedFlow {
-        let mut dynamic = Vec::new();
-        self.state.snapshot_dynamic(&mut dynamic);
-        let flow = SuspendedFlow {
-            cycle: self.state.cycle(),
-            fed: self.fed,
-            dynamic,
-            carry: self.carry.take(),
-            result: std::mem::take(&mut self.result),
-            dfa: Vec::new(),
-        };
-        self.state.reset();
-        self.fed = 0;
-        flow
-    }
-
-    fn resume(&mut self, flow: SuspendedFlow) {
-        self.state.restore(flow.cycle, &flow.dynamic);
-        self.carry = flow.carry;
-        self.fed = flow.fed;
-        self.result = flow.result;
-    }
-
-    fn is_idle(&self) -> bool {
-        self.state.dynamic_is_empty() && self.carry.is_none()
-    }
-
-    fn for_each_active_shard(&self, mut f: impl FnMut(usize)) {
-        if !self.is_idle() {
-            f(0);
-        }
-    }
-}
-
-/// A cycle-by-cycle simulator for a [`StridedNfa`].
+/// A cycle-by-cycle simulator for a [`StridedNfa`] ([`Engine`] over
+/// the strided plan).
 ///
 /// Odd-length inputs are padded with one zero byte; reports whose mapped
 /// offset would fall on the pad are suppressed, so the report stream is
 /// identical to the unpadded 1-stride stream. Each `run` is a complete
-/// [`StridedSession`]; use [`start`](AutomataEngine::start) to feed a
-/// stream in chunks instead.
+/// [`StridedSession`]; use [`start`](crate::AutomataEngine::start) to
+/// feed a stream in chunks instead.
 ///
 /// # Examples
 ///
@@ -272,51 +120,12 @@ impl<P: StridedPlan> FlowSession for StridedSession<'_, P> {
 /// assert_eq!(result.report_offsets(), vec![2, 3]);
 /// # Ok::<(), cama_core::Error>(())
 /// ```
-#[derive(Debug)]
-pub struct StridedSimulator<'a> {
-    nfa: &'a StridedNfa,
-    plan: CompiledStridedAutomaton,
-}
+pub type StridedSimulator<'a> = Engine<'a, CompiledStridedAutomaton, StridedNfa>;
 
 impl<'a> StridedSimulator<'a> {
     /// Compiles the strided automaton and prepares a simulator.
     pub fn new(nfa: &'a StridedNfa) -> Self {
-        let plan = CompiledStridedAutomaton::compile(nfa);
-        StridedSimulator { nfa, plan }
-    }
-
-    /// The strided automaton being simulated.
-    pub fn nfa(&self) -> &'a StridedNfa {
-        self.nfa
-    }
-
-    /// The compiled strided plan the simulator runs on.
-    pub fn plan(&self) -> &CompiledStridedAutomaton {
-        &self.plan
-    }
-
-    /// Runs over `input` (any length; odd lengths are padded internally)
-    /// and returns reports with *original byte offsets*.
-    pub fn run(&mut self, input: &[u8]) -> RunResult {
-        self.run_with(input, &mut NullObserver)
-    }
-
-    /// [`run`](Self::run) with a per-cycle observer.
-    pub fn run_with(&mut self, input: &[u8], observer: &mut impl Observer) -> RunResult {
-        let mut session = self.start();
-        session.feed_with(input, observer);
-        session.finish_with(observer)
-    }
-}
-
-impl<'a> AutomataEngine for StridedSimulator<'a> {
-    type Session<'e>
-        = StridedSession<'e>
-    where
-        Self: 'e;
-
-    fn start(&self) -> StridedSession<'_> {
-        StridedSession::new(&self.plan)
+        Engine::from_parts(nfa, CompiledStridedAutomaton::compile(nfa), ())
     }
 }
 
@@ -339,12 +148,8 @@ impl<'a> AutomataEngine for StridedSimulator<'a> {
 /// assert_eq!(result, StridedSimulator::new(&strided).run(b"zabbz"));
 /// # Ok::<(), cama_core::Error>(())
 /// ```
-#[derive(Debug)]
-pub struct EncodedStridedSimulator<'a> {
-    nfa: &'a StridedNfa,
-    encoding: StridedEncoding,
-    plan: CompiledEncodedStridedAutomaton,
-}
+pub type EncodedStridedSimulator<'a> =
+    Engine<'a, CompiledEncodedStridedAutomaton, StridedNfa, StridedEncoding>;
 
 impl<'a> EncodedStridedSimulator<'a> {
     /// Runs the proposed per-half encoding pipeline on `nfa` and
@@ -361,51 +166,7 @@ impl<'a> EncodedStridedSimulator<'a> {
     /// Panics if `encoding` does not cover `nfa`.
     pub fn with_encoding(nfa: &'a StridedNfa, encoding: StridedEncoding) -> Self {
         let plan = encoding.compile(nfa);
-        EncodedStridedSimulator {
-            nfa,
-            encoding,
-            plan,
-        }
-    }
-
-    /// The strided automaton being simulated.
-    pub fn nfa(&self) -> &'a StridedNfa {
-        self.nfa
-    }
-
-    /// The per-half encoding this simulator executes on.
-    pub fn encoding(&self) -> &StridedEncoding {
-        &self.encoding
-    }
-
-    /// The compiled encoded strided plan.
-    pub fn plan(&self) -> &CompiledEncodedStridedAutomaton {
-        &self.plan
-    }
-
-    /// Runs over `input` from a fresh state.
-    pub fn run(&mut self, input: &[u8]) -> RunResult {
-        self.run_with(input, &mut NullObserver)
-    }
-
-    /// [`run`](Self::run) with a per-cycle observer (used by the energy
-    /// models, which charge the per-half entry layout this engine
-    /// actually visits).
-    pub fn run_with(&mut self, input: &[u8], observer: &mut impl Observer) -> RunResult {
-        let mut session = self.start();
-        session.feed_with(input, observer);
-        session.finish_with(observer)
-    }
-}
-
-impl<'a> AutomataEngine for EncodedStridedSimulator<'a> {
-    type Session<'e>
-        = EncodedStridedSession<'e>
-    where
-        Self: 'e;
-
-    fn start(&self) -> EncodedStridedSession<'_> {
-        StridedSession::new(&self.plan)
+        Engine::from_parts(nfa, plan, encoding)
     }
 }
 
@@ -413,6 +174,7 @@ impl<'a> AutomataEngine for EncodedStridedSimulator<'a> {
 mod tests {
     use super::*;
     use crate::engine::Simulator;
+    use crate::{AutomataEngine, FlowSession, RunResult, Session};
     use cama_core::regex;
     use cama_core::stride::StridedNfa;
 
@@ -498,7 +260,7 @@ mod tests {
         assert_eq!(result.report_offsets(), vec![2]);
     }
 
-    impl<'p, P: StridedPlan> StridedSession<'p, P> {
+    impl<'p, P: StridedPlan + ShardedExecution> StridedSession<'p, P> {
         fn feed_all(mut self, input: &[u8]) -> RunResult {
             self.feed(input);
             self.finish()
