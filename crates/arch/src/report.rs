@@ -512,9 +512,10 @@ pub fn evaluate_serving_strided(
     rollup(design, mapping, area, timing, results, energy, streams)
 }
 
-/// Per-strided-state weights for the Figure 13 designs: the product of
-/// the two halves' CAM entry counts for CAMA (a 64-bit entry per
-/// first/second combination), the rectangle-pair product for Impala.
+/// Per-strided-state weights for the Figure 13 designs: the
+/// [`paired_entries`](cama_core::stride::paired_entries) of the two
+/// halves' CAM entry counts for CAMA (a 64-bit entry per first/second
+/// combination), of the two halves' rectangle counts for Impala.
 pub fn strided_weights(design: DesignKind, strided: &StridedNfa) -> Vec<u32> {
     strided
         .states()
@@ -527,7 +528,7 @@ pub fn strided_weights(design: DesignKind, strided: &StridedNfa) -> Vec<u32> {
                 ),
                 _ => (entry_estimate(&state.first), entry_estimate(&state.second)),
             };
-            (a.max(1) * b.max(1)).min(64) as u32
+            cama_core::stride::paired_entries(a, b)
         })
         .collect()
 }

@@ -6,34 +6,45 @@
 //! routing structures instead of interpreted pointer-chasing structure:
 //! a CAM array answers "which states accept this symbol" in one search,
 //! and a local switch answers "which states do the active ones enable"
-//! in one route. [`CompiledAutomaton`] is the software analogue:
+//! in one route.
 //!
-//! * a full 256-entry symbol → match-[`BitSet`] table covering **all**
-//!   STEs (the CAM search result for every possible input symbol);
+//! CAMA reconfigures one state-matching datapath instead of building one
+//! per mode, and every plan here is likewise one [`CompiledPlan`] body:
+//!
 //! * a CSR adjacency — one offsets array plus one flat successor
 //!   array — replacing per-state `Vec` chasing (the switch fabric);
-//! * packed report metadata: a report mask plus rank-indexed codes;
-//! * precomputed start masks for both start kinds.
+//! * precomputed start masks for both start kinds;
+//! * packed report metadata: a report mask plus rank-indexed codes (and,
+//!   for 2-stride plans, report phases).
+//!
+//! The body is parameterized by its *match-row source*: the CAM search
+//! result for every possible input symbol, stored as flat cache-blocked
+//! row tables whose rows carry one-bit-per-word summaries.
+//!
+//! | plan | row source | a cycle's match vector |
+//! |---|---|---|
+//! | [`CompiledAutomaton`] | [`ByteRows`]`<`[`RawBytes`]`>` | `rows[symbol]` |
+//! | [`CompiledEncodedAutomaton`] | [`ByteRows`]`<`[`Codebook`]`>` | `rows[code(symbol)]` |
+//! | [`CompiledStridedAutomaton`] | [`PairRows`]`<`[`RawBytes`]`>` | `first[a] & second[b]` |
+//! | [`CompiledEncodedStridedAutomaton`] | [`PairRows`]`<`[`Codebook`]`>` | `first[code1(a)] & second[code2(b)]` |
+//!
+//! A byte-cycle source holds one row table plus precompiled start rows
+//! (`rows & all-input`). A pair-cycle source holds one table per half of
+//! the 2-stride search word plus the first half's start rows, which
+//! avoids the 64 Ki-entry squared-alphabet table. Either is indexed by
+//! the raw byte through the zero-sized [`RawBytes`] identity, or through
+//! a [`Codebook`]: CAMA's input encoder, whose rows are derived by
+//! evaluating every state's stored CAM entries (negated entries
+//! included) against each code, so the functional engine exercises
+//! exactly the entry layout the energy model charges for. The index is
+//! a type parameter: the per-cycle lookup has no branch on the flavour,
+//! and byte plans hold no encoder table.
 //!
 //! With this plan the per-cycle step is word-level:
-//! `active = match_table[symbol] & enabled`, 64 states at a time, which
-//! is what `cama-sim`'s engines execute. [`CompiledStridedAutomaton`]
-//! is the same layout for 2-stride automata, where the pair match
-//! vector is the AND of two per-byte tables
-//! (`first_table[a] & second_table[b]`) — the software form of the
-//! paper's two-segment match CAM.
-//!
-//! [`CompiledEncodedAutomaton`] is the *encoding-aware* flavour: its
-//! match rows are not indexed by raw 8-bit symbols but by the codes of
-//! an encoding codebook (CAMA's remapped input alphabet), and each row
-//! is derived by evaluating every state's stored CAM entries — including
-//! negated entries — against that code. The per-cycle step first runs
-//! the input-encoder lookup (symbol → code row) and then executes the
-//! identical word-level loop, so the functional engine exercises exactly
-//! the entry layout the energy model charges for. The
-//! [`ExecutionPlan`] trait abstracts the per-symbol row interface both
-//! flavours share, which is also what lets either act as the per-shard
-//! plan of a [`ShardedAutomaton`].
+//! `active = match_vector & enabled`, 64 states at a time, which is what
+//! `cama-sim`'s engines execute through [`ExecutionPlan`] (byte cycles)
+//! and [`StridedPlan`] (pair cycles) — the same traits that let any
+//! flavour act as the per-shard plan of a [`ShardedAutomaton`].
 //!
 //! # Examples
 //!
@@ -57,13 +68,13 @@
 use crate::bitset::{BitSet, Row};
 use crate::graph::connected_components;
 use crate::kernel;
-use crate::nfa::{BuildOptions, Nfa, NfaBuilder, StartKind};
-use crate::stride::{ReportPhase, StridedNfa};
-use crate::symbol::ALPHABET;
+use crate::nfa::{BuildOptions, Nfa, NfaBuilder, StartKind, SteId};
+use crate::stride::{paired_entries, ReportPhase, StridedNfa, StridedSte};
+use crate::symbol::{SymbolClass, ALPHABET};
 
-/// Packed report metadata shared by both compiled flavours: a mask of
-/// reporting states plus their codes stored rank-indexed (one entry per
-/// reporting state, not per state).
+/// Packed report metadata: a mask of reporting states plus their codes,
+/// and for 2-stride plans their phases, stored rank-indexed (one entry
+/// per reporting state, not per state).
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct ReportTable {
     /// Bit `i` set iff state `i` reports.
@@ -72,114 +83,20 @@ struct ReportTable {
     word_rank: Vec<u32>,
     /// Report codes of reporting states, in state order.
     codes: Vec<u32>,
+    /// Report phases of reporting states, in state order (empty for
+    /// byte plans).
+    phases: Vec<ReportPhase>,
 }
 
 impl ReportTable {
-    fn build(len: usize, reports: impl Iterator<Item = (usize, u32)>) -> ReportTable {
-        let mut mask = BitSet::new(len);
-        let mut codes = Vec::new();
-        for (state, code) in reports {
-            mask.insert(state);
-            codes.push(code);
-        }
-        let mut word_rank = Vec::with_capacity(mask.as_words().len());
-        let mut rank = 0u32;
-        for &word in mask.as_words() {
-            word_rank.push(rank);
-            rank += word.count_ones();
-        }
-        ReportTable {
-            mask,
-            word_rank,
-            codes,
-        }
-    }
-
-    /// The mask of reporting states.
-    fn mask(&self) -> &BitSet {
-        &self.mask
-    }
-
-    /// The rank of a reporting `state`: its index into the packed
-    /// per-reporting-state arrays (`codes`, and the strided `phases`).
+    /// The rank of a reporting `state`: its index into `codes` and
+    /// `phases`.
+    #[inline]
     fn rank(&self, state: usize) -> usize {
         let word = state / 64;
         let below = self.mask.as_words()[word] & ((1u64 << (state % 64)) - 1);
         self.word_rank[word] as usize + below.count_ones() as usize
     }
-
-    /// The report code of `state`, which must be reporting.
-    fn code(&self, state: usize) -> u32 {
-        self.codes[self.rank(state)]
-    }
-
-    fn code_checked(&self, state: usize) -> Option<u32> {
-        if state < self.mask.len() && self.mask.contains(state) {
-            Some(self.code(state))
-        } else {
-            None
-        }
-    }
-}
-
-/// The dense, immutable execution plan compiled from an [`Nfa`].
-///
-/// A plan is self-contained (it does not borrow the source automaton),
-/// `Sync`, and intended to be shared: one compiled plan can drive any
-/// number of concurrent stream simulations.
-///
-/// # Examples
-///
-/// ```
-/// use cama_core::compiled::CompiledAutomaton;
-/// use cama_core::regex;
-///
-/// let nfa = regex::compile("(a|b)e*cd+")?;
-/// let plan = CompiledAutomaton::compile(&nfa);
-/// assert_eq!(plan.len(), nfa.len());
-/// // Every state whose class contains b'c' is in the match vector.
-/// let matched = plan.match_vector(b'c');
-/// assert_eq!(
-///     matched.iter().count(),
-///     nfa.stes().iter().filter(|s| s.class.contains(b'c')).count()
-/// );
-/// # Ok::<(), cama_core::Error>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct CompiledAutomaton {
-    len: usize,
-    name: String,
-    /// `match_rows[sym]`: all states whose class accepts `sym`, one
-    /// flat cache-blocked row per symbol. Each row carries its
-    /// one-bit-per-word summary, which the engine uses the way CAMA
-    /// uses selective precharge: 64-state words that cannot match a
-    /// symbol are never visited.
-    match_rows: RowTable,
-    /// `start_rows[sym] = match_rows[sym] & all_input`: the statically
-    /// enabled states that accept `sym`, precompiled so the per-cycle
-    /// start injection touches only the (typically very few) words where
-    /// a start state actually matches.
-    start_rows: RowTable,
-    /// CSR adjacency: successors of state `i` are
-    /// `successors[succ_offsets[i]..succ_offsets[i + 1]]`.
-    succ_offsets: Vec<u32>,
-    successors: Vec<u32>,
-    /// States enabled statically on every symbol (`all-input` starts).
-    all_input: BitSet,
-    /// Summary of `all_input`, one bit per 64-state word.
-    all_input_any: Vec<u64>,
-    /// States enabled only at cycle 0 (`start-of-data` starts).
-    start_of_data: BitSet,
-    /// Summary of `start_of_data`, one bit per 64-state word.
-    start_of_data_any: Vec<u64>,
-    reports: ReportTable,
-}
-
-/// Builds the one-bit-per-word nonzero summary of a bit set.
-fn word_summary(set: &BitSet) -> Vec<u64> {
-    let mut summary = vec![0u64; set.as_words().len().div_ceil(64)];
-    kernel::summarize(set.as_words(), &mut summary);
-    summary
 }
 
 /// A flat, cache-blocked table of fixed-width bit rows — the storage
@@ -190,7 +107,8 @@ fn word_summary(set: &BitSet) -> Vec<u64> {
 /// never share a 32-byte group and [`row`](RowTable::row) is always a
 /// contiguous slice the SIMD kernels in [`crate::kernel`] can stream.
 /// Each row's one-bit-per-word nonzero summary (the selective-precharge
-/// analogue) is packed the same way in a second flat array.
+/// analogue: 64-state words that cannot match a symbol are never
+/// visited) is packed the same way in a second flat array.
 #[derive(Clone, Debug)]
 struct RowTable {
     /// Bits per row.
@@ -237,96 +155,46 @@ impl RowTable {
         }
     }
 
+    /// Packs a match table together with its start rows
+    /// (`table[row] & all_input`): the statically enabled states that
+    /// accept each row's symbol, precompiled so the per-cycle start
+    /// injection touches only the (typically very few) words where a
+    /// start state actually matches.
+    fn with_starts(table: &[BitSet], all_input: &BitSet) -> (RowTable, RowTable) {
+        let starts: Vec<BitSet> = table
+            .iter()
+            .map(|row| {
+                let mut statically_matched = row.clone();
+                statically_matched.intersect_with(all_input);
+                statically_matched
+            })
+            .collect();
+        (
+            RowTable::from_rows(all_input.len(), table),
+            RowTable::from_rows(all_input.len(), &starts),
+        )
+    }
+
     /// Row `i` as a borrowed exact-length view.
+    #[inline]
     fn row(&self, i: usize) -> Row<'_> {
         let start = i * self.stride;
         Row::from_words(self.len, &self.data[start..start + self.words_per_row])
     }
 
     /// The one-bit-per-word nonzero summary of row `i`.
+    #[inline]
     fn summary(&self, i: usize) -> &[u64] {
         &self.summaries[i * self.summary_words..(i + 1) * self.summary_words]
     }
-}
-
-/// Builds the CSR adjacency (offsets + flat successor array) of `nfa`.
-fn build_csr(nfa: &Nfa) -> (Vec<u32>, Vec<u32>) {
-    let n = nfa.len();
-    let mut succ_offsets = Vec::with_capacity(n + 1);
-    let mut successors = Vec::with_capacity(nfa.num_edges());
-    succ_offsets.push(0);
-    for i in 0..n {
-        successors.extend(
-            nfa.successors(crate::nfa::SteId(i as u32))
-                .iter()
-                .map(|s| s.0),
-        );
-        succ_offsets.push(successors.len() as u32);
-    }
-    (succ_offsets, successors)
-}
-
-/// Builds the packed report table of `nfa`.
-fn build_reports(nfa: &Nfa) -> ReportTable {
-    ReportTable::build(
-        nfa.len(),
-        nfa.stes()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.report.map(|code| (i, code))),
-    )
-}
-
-/// The precompiled start-match rows and one-bit-per-word summaries
-/// derived from a match table and the start masks — the selective-
-/// precharge acceleration structures shared by the byte and encoded
-/// plan layouts.
-struct DerivedRows {
-    match_rows: RowTable,
-    start_rows: RowTable,
-    all_input_any: Vec<u64>,
-    start_of_data_any: Vec<u64>,
-}
-
-/// Derives [`DerivedRows`] from a match table (one row per symbol or
-/// per code) and the start masks.
-fn derive_rows(match_table: &[BitSet], all_input: &BitSet, start_of_data: &BitSet) -> DerivedRows {
-    let len = all_input.len();
-    let start_match: Vec<BitSet> = match_table
-        .iter()
-        .map(|row| {
-            let mut statically_matched = row.clone();
-            statically_matched.intersect_with(all_input);
-            statically_matched
-        })
-        .collect();
-    DerivedRows {
-        match_rows: RowTable::from_rows(len, match_table),
-        start_rows: RowTable::from_rows(len, &start_match),
-        all_input_any: word_summary(all_input),
-        start_of_data_any: word_summary(start_of_data),
-    }
-}
-
-/// Builds the two start masks (`all-input`, `start-of-data`) of `nfa`.
-fn build_start_masks(nfa: &Nfa) -> (BitSet, BitSet) {
-    let mut all_input = BitSet::new(nfa.len());
-    let mut start_of_data = BitSet::new(nfa.len());
-    for (i, ste) in nfa.stes().iter().enumerate() {
-        match ste.start {
-            StartKind::AllInput => all_input.insert(i),
-            StartKind::StartOfData => start_of_data.insert(i),
-            StartKind::None => {}
-        }
-    }
-    (all_input, start_of_data)
 }
 
 /// The plan shape every compiled flavour shares — state count, start
 /// masks, packed report mask, and the CSR successor adjacency — split
 /// out of [`ExecutionPlan`] so the [`ShardedAutomaton`] shell (and any
 /// other plan consumer that does not step cycles itself) can hold byte,
-/// encoded, and strided plans behind one bound.
+/// encoded, and strided plans behind one bound. Implemented once, by
+/// [`CompiledPlan`].
 pub trait PlanBase: Sync {
     /// Number of states.
     fn len(&self) -> usize;
@@ -362,21 +230,21 @@ pub trait PlanBase: Sync {
 
 /// The per-cycle row interface a byte-stream execution plan exposes to
 /// the engines: per-symbol match and start-match rows with their
-/// one-bit-per-word summaries, start masks, packed report metadata, and
-/// the CSR successor adjacency.
+/// one-bit-per-word summaries, and packed report codes.
 ///
-/// Implemented by [`CompiledAutomaton`] (rows indexed directly by the
-/// raw 8-bit symbol) and [`CompiledEncodedAutomaton`] (rows indexed by
-/// the encoded code the input encoder produces for the symbol), so a
-/// single stepping loop in `cama-sim` — and a single [`ShardedAutomaton`]
-/// shell — drives both layouts. The paired-symbol counterpart is
-/// [`StridedPlan`].
+/// Implemented once, by every plan over a [`ByteRows`] source — rows
+/// indexed by the raw 8-bit symbol ([`CompiledAutomaton`]) or by the
+/// code the input encoder produces for it ([`CompiledEncodedAutomaton`])
+/// — so a single stepping loop in `cama-sim`, and a single
+/// [`ShardedAutomaton`] shell, drives both layouts. The paired-symbol
+/// counterpart is [`StridedPlan`].
 pub trait ExecutionPlan: PlanBase {
     /// The match vector of `symbol`: every state accepting it, as a
     /// contiguous [`Row`] into the flat match table.
     fn match_vector(&self, symbol: u8) -> Row<'_>;
 
-    /// The word-level summary of [`match_vector`](Self::match_vector).
+    /// The word-level summary of [`match_vector`](Self::match_vector):
+    /// bit `j` set iff word `j` of the match vector is nonzero.
     fn match_any(&self, symbol: u8) -> &[u64];
 
     /// The statically matched start states for `symbol`:
@@ -400,17 +268,13 @@ pub trait ExecutionPlan: PlanBase {
     /// equal row indices are indistinguishable to the plan, which is
     /// what [`CompiledDfa::determinize`] exploits to build one
     /// transition column per *row*, not per raw byte.
-    fn row_of_symbol(&self, symbol: u8) -> u32 {
-        u32::from(symbol)
-    }
+    fn row_of_symbol(&self, symbol: u8) -> u32;
 
     /// Number of distinct match-row indices
     /// ([`row_of_symbol`](Self::row_of_symbol) is always `< alphabet_rows`):
     /// 256 for byte plans, `num_codes + 1` for encoded plans (one extra
     /// row for out-of-codebook symbols).
-    fn alphabet_rows(&self) -> usize {
-        ALPHABET
-    }
+    fn alphabet_rows(&self) -> usize;
 }
 
 /// The paired-symbol flavour of [`ExecutionPlan`]: the per-cycle row
@@ -422,10 +286,11 @@ pub trait ExecutionPlan: PlanBase {
 /// words either half's summary rules out — the strided form of CAMA's
 /// selective precharge.
 ///
-/// Implemented by [`CompiledStridedAutomaton`] (halves indexed by raw
-/// bytes) and [`CompiledEncodedStridedAutomaton`] (each half routed
-/// through its own codebook), so a single paired stepping loop in
-/// `cama-sim` — and the same [`ShardedAutomaton`] shell — drives both.
+/// Implemented once, by every plan over a [`PairRows`] source — halves
+/// indexed by raw bytes ([`CompiledStridedAutomaton`]) or each routed
+/// through its own codebook ([`CompiledEncodedStridedAutomaton`]) — so a
+/// single paired stepping loop in `cama-sim`, and the same
+/// [`ShardedAutomaton`] shell, drives both.
 pub trait StridedPlan: PlanBase {
     /// The first-half match vector: states whose first class accepts
     /// `a`, as a contiguous [`Row`] into the flat table.
@@ -460,34 +325,352 @@ pub trait StridedPlan: PlanBase {
     fn report_pair_unchecked(&self, state: usize) -> (u32, ReportPhase);
 }
 
-impl CompiledAutomaton {
-    /// Compiles `nfa` into its dense execution plan.
-    pub fn compile(nfa: &Nfa) -> CompiledAutomaton {
-        let n = nfa.len();
-        let mut match_table = vec![BitSet::new(n); ALPHABET];
-        for (i, ste) in nfa.stes().iter().enumerate() {
-            for symbol in ste.class.iter() {
-                match_table[symbol as usize].insert(i);
+/// How a match-row source turns an input symbol into a row index: the
+/// raw byte itself ([`RawBytes`]) or its learned code ([`Codebook`]).
+pub trait SymbolIndex: Sync {
+    /// The match row `symbol` selects.
+    fn row(&self, symbol: u8) -> usize;
+
+    /// Number of match rows; [`row`](Self::row) is always below it.
+    fn num_rows(&self) -> usize;
+}
+
+/// The identity [`SymbolIndex`]: one match row per raw byte. Zero-sized,
+/// so byte plans hold no encoder table.
+#[derive(Clone, Copy, Debug)]
+pub struct RawBytes;
+
+impl SymbolIndex for RawBytes {
+    #[inline]
+    fn row(&self, symbol: u8) -> usize {
+        symbol as usize
+    }
+
+    fn num_rows(&self) -> usize {
+        ALPHABET
+    }
+}
+
+/// A codebook described as closures — how the encoded flavours receive
+/// the encoding toolchain's output without `cama-core` depending on any
+/// concrete toolchain. One spec describes an encoded byte plan's
+/// codebook, or one half of an encoded 2-stride plan:
+///
+/// * `encode(symbol)` — the input-encoder lookup: the code row of a
+///   symbol (`0..num_codes`), or `None` for the reserved out-of-domain
+///   word;
+/// * `matches(state, row)` — the CAM search outcome: whether the state's
+///   stored entries (inverter included) match the code of `row`, where
+///   `None` is the reserved word;
+/// * `entries(state)` — CAM entries the state stores;
+/// * `negated(state)` — whether the state's row output is inverted.
+pub struct CodebookSpec<'a> {
+    /// Code width in bits (the width of the simulated search word).
+    pub code_len: usize,
+    /// Number of in-domain code rows.
+    pub num_codes: usize,
+    /// The input-encoder lookup.
+    pub encode: Box<dyn Fn(u8) -> Option<u16> + 'a>,
+    /// The per-(state, row) CAM search outcome.
+    pub matches: Box<dyn Fn(usize, Option<u16>) -> bool + 'a>,
+    /// Entries stored per state.
+    pub entries: Box<dyn Fn(usize) -> u32 + 'a>,
+    /// Whether a state's row output is inverted.
+    pub negated: Box<dyn Fn(usize) -> bool + 'a>,
+}
+
+/// A compiled codebook: the 256-entry symbol → code-row lookup (the
+/// input-encoder image) plus the per-state CAM image metadata the energy
+/// model charges for. The [`SymbolIndex`] of both encoded flavours.
+#[derive(Clone, Debug)]
+pub struct Codebook {
+    code_len: usize,
+    /// Number of in-domain code rows; row `num_codes` is the reserved
+    /// out-of-domain row.
+    num_codes: usize,
+    /// Symbol → row index.
+    encoder: Vec<u16>,
+    /// CAM entries stored per state.
+    entries_of: Vec<u32>,
+    /// States whose row output is inverted (Negation Optimization).
+    negated: BitSet,
+}
+
+impl Codebook {
+    /// The one codebook builder: evaluates `spec` for `len` states into
+    /// the codebook and its unpacked code-indexed match table — one row
+    /// per code plus the reserved out-of-domain row, each the CAM search
+    /// result of that code against every state's stored entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec.encode` returns a row at or beyond
+    /// `spec.num_codes`, or if `spec.num_codes` exceeds `u16::MAX`.
+    fn build(len: usize, spec: &CodebookSpec<'_>) -> (Codebook, Vec<BitSet>) {
+        let num_codes = spec.num_codes;
+        assert!(num_codes < u16::MAX as usize, "too many codes");
+        let encoder = (0..=u8::MAX)
+            .map(|symbol| match (spec.encode)(symbol) {
+                Some(row) => {
+                    assert!(
+                        (row as usize) < num_codes,
+                        "code row {row} out of range (num_codes {num_codes})"
+                    );
+                    row
+                }
+                None => num_codes as u16,
+            })
+            .collect();
+        let mut table = vec![BitSet::new(len); num_codes + 1];
+        let mut negated = BitSet::new(len);
+        for state in 0..len {
+            for (row, vector) in table.iter_mut().enumerate() {
+                if (spec.matches)(state, (row < num_codes).then_some(row as u16)) {
+                    vector.insert(state);
+                }
+            }
+            if (spec.negated)(state) {
+                negated.insert(state);
             }
         }
-        let (all_input, start_of_data) = build_start_masks(nfa);
-        let (succ_offsets, successors) = build_csr(nfa);
-        let reports = build_reports(nfa);
-        let derived = derive_rows(&match_table, &all_input, &start_of_data);
+        let codebook = Codebook {
+            code_len: spec.code_len,
+            num_codes,
+            encoder,
+            entries_of: (0..len).map(|state| (spec.entries)(state)).collect(),
+            negated,
+        };
+        (codebook, table)
+    }
+}
 
-        CompiledAutomaton {
-            len: n,
-            name: nfa.name().to_string(),
-            match_rows: derived.match_rows,
-            start_rows: derived.start_rows,
+impl SymbolIndex for Codebook {
+    #[inline]
+    fn row(&self, symbol: u8) -> usize {
+        self.encoder[symbol as usize] as usize
+    }
+
+    fn num_rows(&self) -> usize {
+        // Codes 0..num_codes plus the reserved out-of-codebook row.
+        self.num_codes + 1
+    }
+}
+
+/// The byte-cycle match-row source: one row table indexed through `I`,
+/// plus the precompiled start rows (`rows & all-input`).
+#[derive(Clone, Debug)]
+pub struct ByteRows<I> {
+    index: I,
+    matches: RowTable,
+    starts: RowTable,
+}
+
+impl<I> ByteRows<I> {
+    fn new(index: I, table: &[BitSet], all_input: &BitSet) -> ByteRows<I> {
+        let (matches, starts) = RowTable::with_starts(table, all_input);
+        ByteRows {
+            index,
+            matches,
+            starts,
+        }
+    }
+}
+
+/// The pair-cycle match-row source: one row table per half of the
+/// 2-stride search word, each indexed through its own `I`, plus the
+/// first half's start rows (`first & all-input`, pending the AND with
+/// the second half's row).
+#[derive(Clone, Debug)]
+pub struct PairRows<I> {
+    first_index: I,
+    second_index: I,
+    first: RowTable,
+    second: RowTable,
+    first_starts: RowTable,
+}
+
+impl<I> PairRows<I> {
+    fn new(
+        (first_index, first): (I, Vec<BitSet>),
+        (second_index, second): (I, Vec<BitSet>),
+        all_input: &BitSet,
+    ) -> PairRows<I> {
+        let (first, first_starts) = RowTable::with_starts(&first, all_input);
+        PairRows {
+            first_index,
+            second_index,
+            first,
+            second: RowTable::from_rows(all_input.len(), &second),
+            first_starts,
+        }
+    }
+}
+
+/// The dense, immutable execution plan every flavour compiles to: the
+/// body shared by all of them, parameterized by its match-row source `R`
+/// (see the [module docs](self) for the four aliases).
+///
+/// A plan is self-contained (it does not borrow the source automaton),
+/// `Sync`, and intended to be shared: one compiled plan can drive any
+/// number of concurrent stream simulations.
+///
+/// # Examples
+///
+/// ```
+/// use cama_core::compiled::{CompiledAutomaton, ExecutionPlan};
+/// use cama_core::regex;
+///
+/// let nfa = regex::compile("(a|b)e*cd+")?;
+/// let plan = CompiledAutomaton::compile(&nfa);
+/// assert_eq!(plan.len(), nfa.len());
+/// // Every state whose class contains b'c' is in the match vector.
+/// let matched = plan.match_vector(b'c');
+/// assert_eq!(
+///     matched.iter().count(),
+///     nfa.stes().iter().filter(|s| s.class.contains(b'c')).count()
+/// );
+/// # Ok::<(), cama_core::Error>(())
+/// ```
+#[derive(Clone, Debug)]
+pub struct CompiledPlan<R> {
+    name: String,
+    len: usize,
+    /// CSR adjacency: successors of state `i` are
+    /// `successors[succ_offsets[i]..succ_offsets[i + 1]]`.
+    succ_offsets: Vec<u32>,
+    successors: Vec<u32>,
+    /// States enabled statically on every cycle (`all-input` starts).
+    all_input: BitSet,
+    /// States enabled only at cycle 0 (`start-of-data` starts).
+    start_of_data: BitSet,
+    /// Summary of `start_of_data`, one bit per 64-state word.
+    start_of_data_any: Vec<u64>,
+    reports: ReportTable,
+    rows: R,
+}
+
+/// The byte plan: rows indexed directly by the raw 8-bit symbol.
+pub type CompiledAutomaton = CompiledPlan<ByteRows<RawBytes>>;
+
+/// The encoding-aware byte plan: rows indexed by the codes of an
+/// encoding codebook (CAMA's remapped input alphabet), built with
+/// [`compile_with`](CompiledEncodedAutomaton::compile_with);
+/// `cama_encoding::EncodingPlan::compile` is the canonical caller.
+/// Symbols outside the codebook domain select the reserved row, and
+/// execution is bit-identical to the byte plan exactly when the encoding
+/// is exact (`verify_exact`) — which the differential harnesses in
+/// `tests/property.rs` assert for every scheme.
+pub type CompiledEncodedAutomaton = CompiledPlan<ByteRows<Codebook>>;
+
+/// The 2-stride plan compiled from a [`StridedNfa`]: a state accepts
+/// the pair `(a, b)` when its first class contains `a` and its second
+/// class contains `b`, so the pair match vector is `first[a] & second[b]`.
+pub type CompiledStridedAutomaton = CompiledPlan<PairRows<RawBytes>>;
+
+/// The encoding-aware 2-stride plan: each half of the pair datapath gets
+/// its own codebook, and a pair cycle ANDs the two halves' rows — the
+/// software form of CAMA's two-segment match CAM searching the
+/// concatenated per-half codes (cf. the banked arrays of Jarollahi et
+/// al.'s clustered low-power CAM). Built with
+/// [`compile_with`](CompiledEncodedStridedAutomaton::compile_with), one
+/// [`CodebookSpec`] per half; `cama_encoding::StridedEncoding::compile`
+/// is the canonical caller.
+pub type CompiledEncodedStridedAutomaton = CompiledPlan<PairRows<Codebook>>;
+
+/// The raw-byte match table of per-state classes: row `symbol` holds
+/// every state whose class contains it.
+fn class_table(len: usize, classes: impl Iterator<Item = SymbolClass>) -> Vec<BitSet> {
+    let mut table = vec![BitSet::new(len); ALPHABET];
+    for (state, class) in classes.enumerate() {
+        for symbol in class.iter() {
+            table[symbol as usize].insert(state);
+        }
+    }
+    table
+}
+
+impl<R> CompiledPlan<R> {
+    /// The one body builder. `state(i, successors)` appends state `i`'s
+    /// successors and returns its start kind and report (code, plus the
+    /// phase of a 2-stride state); `rows` builds the match-row source
+    /// given the `all-input` start mask.
+    fn build(
+        name: &str,
+        len: usize,
+        num_edges: usize,
+        state: impl Fn(usize, &mut Vec<u32>) -> (StartKind, Option<(u32, Option<ReportPhase>)>),
+        rows: impl FnOnce(&BitSet) -> R,
+    ) -> CompiledPlan<R> {
+        let mut all_input = BitSet::new(len);
+        let mut start_of_data = BitSet::new(len);
+        let mut mask = BitSet::new(len);
+        let (mut codes, mut phases) = (Vec::new(), Vec::new());
+        let mut succ_offsets = Vec::with_capacity(len + 1);
+        let mut successors = Vec::with_capacity(num_edges);
+        succ_offsets.push(0);
+        for i in 0..len {
+            let (start, report) = state(i, &mut successors);
+            succ_offsets.push(successors.len() as u32);
+            match start {
+                StartKind::AllInput => all_input.insert(i),
+                StartKind::StartOfData => start_of_data.insert(i),
+                StartKind::None => {}
+            }
+            if let Some((code, phase)) = report {
+                mask.insert(i);
+                codes.push(code);
+                phases.extend(phase);
+            }
+        }
+        let mut word_rank = Vec::with_capacity(mask.as_words().len());
+        let mut rank = 0u32;
+        for &word in mask.as_words() {
+            word_rank.push(rank);
+            rank += word.count_ones();
+        }
+        let mut start_of_data_any = vec![0u64; len.div_ceil(64).div_ceil(64)];
+        kernel::summarize(start_of_data.as_words(), &mut start_of_data_any);
+        let rows = rows(&all_input);
+        CompiledPlan {
+            name: name.to_string(),
+            len,
             succ_offsets,
             successors,
             all_input,
-            all_input_any: derived.all_input_any,
             start_of_data,
-            start_of_data_any: derived.start_of_data_any,
-            reports,
+            start_of_data_any,
+            reports: ReportTable {
+                mask,
+                word_rank,
+                codes,
+                phases,
+            },
+            rows,
         }
+    }
+
+    /// The body of `nfa`, around the row source `rows` builds.
+    fn of_nfa(nfa: &Nfa, rows: impl FnOnce(&BitSet) -> R) -> CompiledPlan<R> {
+        let state = |i: usize, successors: &mut Vec<u32>| {
+            let id = SteId(i as u32);
+            successors.extend(nfa.successors(id).iter().map(|s| s.0));
+            let ste = nfa.ste(id);
+            (ste.start, ste.report.map(|code| (code, None)))
+        };
+        Self::build(nfa.name(), nfa.len(), nfa.num_edges(), state, rows)
+    }
+
+    /// The body of a strided `nfa`, around the row source `rows` builds.
+    fn of_strided(nfa: &StridedNfa, rows: impl FnOnce(&BitSet) -> R) -> CompiledPlan<R> {
+        let state = |i: usize, successors: &mut Vec<u32>| {
+            successors.extend_from_slice(nfa.successors(i));
+            let state = nfa.state(i);
+            (
+                state.start,
+                state.report.map(|(code, phase)| (code, Some(phase))),
+            )
+        };
+        Self::build(nfa.name(), nfa.len(), nfa.num_edges(), state, rows)
     }
 
     /// Number of states.
@@ -500,7 +683,7 @@ impl CompiledAutomaton {
         self.len == 0
     }
 
-    /// The compiled automaton's name (inherited from the NFA).
+    /// The compiled automaton's name (inherited from its source).
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -510,326 +693,138 @@ impl CompiledAutomaton {
         self.successors.len()
     }
 
-    /// The match vector of `symbol`: every state accepting it, as a
-    /// contiguous row the SIMD kernels can stream.
-    pub fn match_vector(&self, symbol: u8) -> Row<'_> {
-        self.match_rows.row(symbol as usize)
-    }
-
-    /// The word-level summary of [`match_vector`](Self::match_vector):
-    /// bit `j` set iff word `j` of the match vector is nonzero.
-    pub fn match_any(&self, symbol: u8) -> &[u64] {
-        self.match_rows.summary(symbol as usize)
-    }
-
-    /// The statically matched start states for `symbol`:
-    /// `match_vector(symbol) & all_input_mask()`.
-    pub fn start_match(&self, symbol: u8) -> Row<'_> {
-        self.start_rows.row(symbol as usize)
-    }
-
-    /// The word-level summary of [`start_match`](Self::start_match).
-    pub fn start_match_any(&self, symbol: u8) -> &[u64] {
-        self.start_rows.summary(symbol as usize)
-    }
-
-    /// The word-level summary of [`all_input_mask`](Self::all_input_mask).
-    pub fn all_input_any(&self) -> &[u64] {
-        &self.all_input_any
-    }
-
-    /// The word-level summary of
-    /// [`start_of_data_mask`](Self::start_of_data_mask).
-    pub fn start_of_data_any(&self) -> &[u64] {
-        &self.start_of_data_any
-    }
-
-    /// CSR successor slice of `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range.
-    pub fn successors(&self, state: usize) -> &[u32] {
-        &self.successors[self.succ_offsets[state] as usize..self.succ_offsets[state + 1] as usize]
-    }
-
-    /// States statically enabled on every cycle (`all-input` starts).
-    pub fn all_input_mask(&self) -> &BitSet {
-        &self.all_input
-    }
-
-    /// States enabled only on the first cycle (`start-of-data` starts).
-    pub fn start_of_data_mask(&self) -> &BitSet {
-        &self.start_of_data
-    }
-
-    /// The mask of reporting states.
-    pub fn report_mask(&self) -> &BitSet {
-        self.reports.mask()
-    }
-
     /// The report code of `state`, or `None` if it does not report.
     pub fn report_code(&self, state: usize) -> Option<u32> {
-        self.reports.code_checked(state)
-    }
-
-    /// The report code of a state known to report (the fast path used
-    /// inside the cycle loop, O(1) via the packed rank directory).
-    ///
-    /// # Panics
-    ///
-    /// May panic or return an arbitrary code if `state` is not
-    /// reporting; callers must consult [`report_mask`](Self::report_mask)
-    /// first.
-    pub fn report_code_unchecked(&self, state: usize) -> u32 {
-        self.reports.code(state)
-    }
-
-    /// Computes one cycle's enable vector into `out`:
-    /// `dynamic ∪ all-input starts (if injecting) ∪ start-of-data starts
-    /// (if first cycle)` — all word-level. This is the materialized form
-    /// of the enable set for plan consumers; the engines in `cama-sim`
-    /// fuse the same union into their per-word visit loop instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacities differ from [`len`](Self::len).
-    pub fn enabled_into(
-        &self,
-        dynamic: &BitSet,
-        inject_starts: bool,
-        first_cycle: bool,
-        out: &mut BitSet,
-    ) {
-        out.copy_from(dynamic);
-        if inject_starts {
-            out.union_with(&self.all_input);
-        }
-        if first_cycle {
-            out.union_with(&self.start_of_data);
-        }
+        (state < self.len && self.reports.mask.contains(state))
+            .then(|| self.reports.codes[self.reports.rank(state)])
     }
 }
 
-impl PlanBase for CompiledAutomaton {
+impl<R: Sync> PlanBase for CompiledPlan<R> {
     fn len(&self) -> usize {
-        CompiledAutomaton::len(self)
-    }
-
-    fn num_edges(&self) -> usize {
-        CompiledAutomaton::num_edges(self)
-    }
-
-    fn all_input_mask(&self) -> &BitSet {
-        CompiledAutomaton::all_input_mask(self)
-    }
-
-    fn start_of_data_mask(&self) -> &BitSet {
-        CompiledAutomaton::start_of_data_mask(self)
-    }
-
-    fn start_of_data_any(&self) -> &[u64] {
-        CompiledAutomaton::start_of_data_any(self)
-    }
-
-    fn report_mask(&self) -> &BitSet {
-        CompiledAutomaton::report_mask(self)
-    }
-
-    fn successors(&self, state: usize) -> &[u32] {
-        CompiledAutomaton::successors(self, state)
-    }
-}
-
-impl ExecutionPlan for CompiledAutomaton {
-    fn match_vector(&self, symbol: u8) -> Row<'_> {
-        CompiledAutomaton::match_vector(self, symbol)
-    }
-
-    fn match_any(&self, symbol: u8) -> &[u64] {
-        CompiledAutomaton::match_any(self, symbol)
-    }
-
-    fn start_match(&self, symbol: u8) -> Row<'_> {
-        CompiledAutomaton::start_match(self, symbol)
-    }
-
-    fn start_match_any(&self, symbol: u8) -> &[u64] {
-        CompiledAutomaton::start_match_any(self, symbol)
-    }
-
-    fn report_code_unchecked(&self, state: usize) -> u32 {
-        CompiledAutomaton::report_code_unchecked(self, state)
-    }
-}
-
-/// The encoding-aware execution plan: match rows built from an encoding
-/// codebook instead of raw 8-bit symbols.
-///
-/// CAMA's datapath never matches raw bytes: the 256-entry input encoder
-/// maps each streaming symbol to a learned code, and the CAM arrays
-/// store per-state *entries* (possibly negated) matched against that
-/// code. This plan is the software form of exactly that datapath:
-///
-/// * `encoder` is the 256-entry symbol → code-row lookup (the input
-///   encoder image). Symbols outside the codebook domain map to the
-///   reserved out-of-domain row.
-/// * each match row is derived by evaluating every state's stored CAM
-///   entries — including the Negation Optimization inverter — against
-///   one code, at compile time (the CAM search result for that code);
-/// * everything else (CSR adjacency, packed report metadata,
-///   `start_match` rows, two-level word summaries, start masks) has the
-///   same shape as [`CompiledAutomaton`], so the identical word-level
-///   stepping loop executes it.
-///
-/// Construction is decoupled from any concrete encoding toolchain:
-/// [`compile_with`](CompiledEncodedAutomaton::compile_with) takes the
-/// codebook as closures. `cama_encoding::EncodingPlan::compile` is the
-/// canonical caller, handing in its codebook lookup and per-state
-/// [`EncodedState`] matchers; execution is then bit-identical to the
-/// byte plan exactly when the encoding is exact (`verify_exact`) —
-/// which is what the differential harnesses in `tests/property.rs`
-/// assert for every scheme.
-///
-/// [`EncodedState`]: https://docs.rs/cama_encoding
-#[derive(Clone, Debug)]
-pub struct CompiledEncodedAutomaton {
-    len: usize,
-    name: String,
-    /// Code length in bits (the width of the simulated search word).
-    code_len: usize,
-    /// Number of in-domain code rows; row `num_codes` is the reserved
-    /// out-of-domain row.
-    num_codes: usize,
-    /// Symbol → row index (the input-encoder image).
-    encoder: Vec<u16>,
-    /// `match_rows[row]`: all states whose CAM image matches the row's
-    /// code (rows `0..num_codes`), or the reserved word (last row).
-    match_rows: RowTable,
-    /// `start_rows[row] = match_rows[row] & all_input`.
-    start_rows: RowTable,
-    succ_offsets: Vec<u32>,
-    successors: Vec<u32>,
-    all_input: BitSet,
-    all_input_any: Vec<u64>,
-    start_of_data: BitSet,
-    start_of_data_any: Vec<u64>,
-    reports: ReportTable,
-    /// CAM entries stored per state (the quantity the energy model
-    /// charges for enabled states).
-    entries_of: Vec<u32>,
-    /// States whose row output is inverted (Negation Optimization).
-    negated: BitSet,
-}
-
-impl CompiledEncodedAutomaton {
-    /// Compiles `nfa` against a codebook described by closures:
-    ///
-    /// * `encode(symbol)` — the input-encoder lookup: the code row of a
-    ///   symbol (`0..num_codes`), or `None` for the reserved
-    ///   out-of-domain word;
-    /// * `matches(state, row)` — the CAM search outcome: whether the
-    ///   state's stored entries (inverter included) match the code of
-    ///   `row`, where `None` is the reserved word;
-    /// * `entries(state)` — CAM entries the state stores;
-    /// * `negated(state)` — whether the state's row output is inverted.
-    ///
-    /// `code_len` is the code width in bits (recorded for reporting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `encode` returns a row at or beyond `num_codes`, or if
-    /// `num_codes` exceeds `u16::MAX`.
-    pub fn compile_with(
-        nfa: &Nfa,
-        code_len: usize,
-        num_codes: usize,
-        encode: impl Fn(u8) -> Option<u16>,
-        matches: impl Fn(usize, Option<u16>) -> bool,
-        entries: impl Fn(usize) -> u32,
-        negated: impl Fn(usize) -> bool,
-    ) -> CompiledEncodedAutomaton {
-        assert!(num_codes < u16::MAX as usize, "too many codes");
-        let n = nfa.len();
-        let reserved = num_codes as u16;
-        let encoder: Vec<u16> = (0..ALPHABET)
-            .map(|symbol| match encode(symbol as u8) {
-                Some(row) => {
-                    assert!(
-                        (row as usize) < num_codes,
-                        "code row {row} out of range (num_codes {num_codes})"
-                    );
-                    row
-                }
-                None => reserved,
-            })
-            .collect();
-
-        let mut match_table = vec![BitSet::new(n); num_codes + 1];
-        let mut entries_of = Vec::with_capacity(n);
-        let mut negated_mask = BitSet::new(n);
-        for state in 0..n {
-            for (row, vector) in match_table.iter_mut().enumerate() {
-                let code = (row < num_codes).then_some(row as u16);
-                if matches(state, code) {
-                    vector.insert(state);
-                }
-            }
-            entries_of.push(entries(state));
-            if negated(state) {
-                negated_mask.insert(state);
-            }
-        }
-
-        let (all_input, start_of_data) = build_start_masks(nfa);
-        let (succ_offsets, successors) = build_csr(nfa);
-        let reports = build_reports(nfa);
-        let derived = derive_rows(&match_table, &all_input, &start_of_data);
-
-        CompiledEncodedAutomaton {
-            len: n,
-            name: nfa.name().to_string(),
-            code_len,
-            num_codes,
-            encoder,
-            match_rows: derived.match_rows,
-            start_rows: derived.start_rows,
-            succ_offsets,
-            successors,
-            all_input,
-            all_input_any: derived.all_input_any,
-            start_of_data,
-            start_of_data_any: derived.start_of_data_any,
-            reports,
-            entries_of,
-            negated: negated_mask,
-        }
-    }
-
-    /// Number of states.
-    pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Returns `true` if the plan has no states.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    fn num_edges(&self) -> usize {
+        self.successors.len()
     }
 
-    /// The compiled automaton's name (inherited from the NFA).
-    pub fn name(&self) -> &str {
-        &self.name
+    fn all_input_mask(&self) -> &BitSet {
+        &self.all_input
+    }
+
+    fn start_of_data_mask(&self) -> &BitSet {
+        &self.start_of_data
+    }
+
+    fn start_of_data_any(&self) -> &[u64] {
+        &self.start_of_data_any
+    }
+
+    fn report_mask(&self) -> &BitSet {
+        &self.reports.mask
+    }
+
+    fn successors(&self, state: usize) -> &[u32] {
+        &self.successors[self.succ_offsets[state] as usize..self.succ_offsets[state + 1] as usize]
+    }
+}
+
+impl<I: SymbolIndex> ExecutionPlan for CompiledPlan<ByteRows<I>> {
+    fn match_vector(&self, symbol: u8) -> Row<'_> {
+        self.rows.matches.row(self.rows.index.row(symbol))
+    }
+
+    fn match_any(&self, symbol: u8) -> &[u64] {
+        self.rows.matches.summary(self.rows.index.row(symbol))
+    }
+
+    fn start_match(&self, symbol: u8) -> Row<'_> {
+        self.rows.starts.row(self.rows.index.row(symbol))
+    }
+
+    fn start_match_any(&self, symbol: u8) -> &[u64] {
+        self.rows.starts.summary(self.rows.index.row(symbol))
+    }
+
+    fn report_code_unchecked(&self, state: usize) -> u32 {
+        self.reports.codes[self.reports.rank(state)]
+    }
+
+    fn row_of_symbol(&self, symbol: u8) -> u32 {
+        self.rows.index.row(symbol) as u32
+    }
+
+    fn alphabet_rows(&self) -> usize {
+        self.rows.index.num_rows()
+    }
+}
+
+impl<I: SymbolIndex> StridedPlan for CompiledPlan<PairRows<I>> {
+    fn first_vector(&self, a: u8) -> Row<'_> {
+        self.rows.first.row(self.rows.first_index.row(a))
+    }
+
+    fn first_any(&self, a: u8) -> &[u64] {
+        self.rows.first.summary(self.rows.first_index.row(a))
+    }
+
+    fn second_vector(&self, b: u8) -> Row<'_> {
+        self.rows.second.row(self.rows.second_index.row(b))
+    }
+
+    fn second_any(&self, b: u8) -> &[u64] {
+        self.rows.second.summary(self.rows.second_index.row(b))
+    }
+
+    fn first_start_match(&self, a: u8) -> Row<'_> {
+        self.rows.first_starts.row(self.rows.first_index.row(a))
+    }
+
+    fn first_start_match_any(&self, a: u8) -> &[u64] {
+        self.rows.first_starts.summary(self.rows.first_index.row(a))
+    }
+
+    fn report_pair_unchecked(&self, state: usize) -> (u32, ReportPhase) {
+        let rank = self.reports.rank(state);
+        (self.reports.codes[rank], self.reports.phases[rank])
+    }
+}
+
+impl CompiledAutomaton {
+    /// Compiles `nfa` into its dense execution plan.
+    pub fn compile(nfa: &Nfa) -> CompiledAutomaton {
+        Self::of_nfa(nfa, |all_input| {
+            let table = class_table(nfa.len(), nfa.stes().iter().map(|s| s.class));
+            ByteRows::new(RawBytes, &table, all_input)
+        })
+    }
+}
+
+impl CompiledEncodedAutomaton {
+    /// Compiles `nfa` against the codebook `spec` describes (see
+    /// [`CodebookSpec`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec.encode` returns a row at or beyond
+    /// `spec.num_codes`, or if `spec.num_codes` exceeds `u16::MAX`.
+    pub fn compile_with(nfa: &Nfa, spec: CodebookSpec<'_>) -> CompiledEncodedAutomaton {
+        Self::of_nfa(nfa, |all_input| {
+            let (codebook, table) = Codebook::build(nfa.len(), &spec);
+            ByteRows::new(codebook, &table, all_input)
+        })
     }
 
     /// The code length in bits.
     pub fn code_len(&self) -> usize {
-        self.code_len
+        self.rows.index.code_len
     }
 
     /// Number of distinct in-domain code rows (the reserved
     /// out-of-domain row is extra).
     pub fn num_codes(&self) -> usize {
-        self.num_codes
+        self.rows.index.num_codes
     }
 
     /// The input-encoder lookup: the code row `symbol` drives, or `None`
@@ -840,46 +835,8 @@ impl CompiledEncodedAutomaton {
     /// states a full 256-symbol domain, so there the reserved row is
     /// only ever selected when it is empty (the symbol matches nothing).
     pub fn encode(&self, symbol: u8) -> Option<u16> {
-        let row = self.encoder[symbol as usize];
-        ((row as usize) < self.num_codes).then_some(row)
-    }
-
-    /// The match row index `symbol` selects (the reserved row for
-    /// out-of-domain symbols) — the per-cycle encoder access.
-    pub fn row_of(&self, symbol: u8) -> usize {
-        self.encoder[symbol as usize] as usize
-    }
-
-    /// The match vector of one code row (`num_codes` selects the
-    /// reserved out-of-domain row).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    pub fn row_match_vector(&self, row: usize) -> Row<'_> {
-        self.match_rows.row(row)
-    }
-
-    /// CAM entries stored by `state` — taken from the actual encoded
-    /// image, which is what the energy model charges per enabled state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range.
-    pub fn entries_of(&self, state: usize) -> u32 {
-        self.entries_of[state]
-    }
-
-    /// Per-state slot weights for the architecture mapper/energy model:
-    /// the stored entry count, at least 1 (an empty image still occupies
-    /// a row).
-    pub fn entry_weights(&self) -> Vec<u32> {
-        self.entries_of.iter().map(|&e| e.max(1)).collect()
-    }
-
-    /// Total CAM entries across all states.
-    pub fn total_entries(&self) -> usize {
-        self.entries_of.iter().map(|&e| e as usize).sum()
+        let row = self.rows.index.encoder[symbol as usize];
+        ((row as usize) < self.num_codes()).then_some(row)
     }
 
     /// Whether `state`'s row output is inverted (Negation Optimization).
@@ -888,572 +845,28 @@ impl CompiledEncodedAutomaton {
     ///
     /// Panics if `state` is out of range.
     pub fn is_negated(&self, state: usize) -> bool {
-        self.negated.contains(state)
+        self.rows.index.negated.contains(state)
     }
 
     /// Number of states using the NO inverter.
     pub fn negated_states(&self) -> usize {
-        self.negated.iter().count()
+        self.rows.index.negated.count()
     }
-
-    /// Total number of activation edges.
-    pub fn num_edges(&self) -> usize {
-        self.successors.len()
-    }
-
-    /// The match vector of `symbol`, through the encoder lookup.
-    pub fn match_vector(&self, symbol: u8) -> Row<'_> {
-        self.match_rows.row(self.encoder[symbol as usize] as usize)
-    }
-
-    /// The word-level summary of [`match_vector`](Self::match_vector).
-    pub fn match_any(&self, symbol: u8) -> &[u64] {
-        self.match_rows
-            .summary(self.encoder[symbol as usize] as usize)
-    }
-
-    /// The statically matched start states for `symbol`.
-    pub fn start_match(&self, symbol: u8) -> Row<'_> {
-        self.start_rows.row(self.encoder[symbol as usize] as usize)
-    }
-
-    /// The word-level summary of [`start_match`](Self::start_match).
-    pub fn start_match_any(&self, symbol: u8) -> &[u64] {
-        self.start_rows
-            .summary(self.encoder[symbol as usize] as usize)
-    }
-
-    /// States statically enabled on every cycle (`all-input` starts).
-    pub fn all_input_mask(&self) -> &BitSet {
-        &self.all_input
-    }
-
-    /// The word-level summary of [`all_input_mask`](Self::all_input_mask).
-    pub fn all_input_any(&self) -> &[u64] {
-        &self.all_input_any
-    }
-
-    /// States enabled only on the first cycle (`start-of-data` starts).
-    pub fn start_of_data_mask(&self) -> &BitSet {
-        &self.start_of_data
-    }
-
-    /// The word-level summary of
-    /// [`start_of_data_mask`](Self::start_of_data_mask).
-    pub fn start_of_data_any(&self) -> &[u64] {
-        &self.start_of_data_any
-    }
-
-    /// The mask of reporting states.
-    pub fn report_mask(&self) -> &BitSet {
-        self.reports.mask()
-    }
-
-    /// The report code of `state`, or `None` if it does not report.
-    pub fn report_code(&self, state: usize) -> Option<u32> {
-        self.reports.code_checked(state)
-    }
-
-    /// The report code of a state known to report (O(1), packed).
-    ///
-    /// # Panics
-    ///
-    /// May panic or return an arbitrary code if `state` is not
-    /// reporting.
-    pub fn report_code_unchecked(&self, state: usize) -> u32 {
-        self.reports.code(state)
-    }
-
-    /// CSR successor slice of `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range.
-    pub fn successors(&self, state: usize) -> &[u32] {
-        &self.successors[self.succ_offsets[state] as usize..self.succ_offsets[state + 1] as usize]
-    }
-}
-
-impl PlanBase for CompiledEncodedAutomaton {
-    fn len(&self) -> usize {
-        CompiledEncodedAutomaton::len(self)
-    }
-
-    fn num_edges(&self) -> usize {
-        CompiledEncodedAutomaton::num_edges(self)
-    }
-
-    fn all_input_mask(&self) -> &BitSet {
-        CompiledEncodedAutomaton::all_input_mask(self)
-    }
-
-    fn start_of_data_mask(&self) -> &BitSet {
-        CompiledEncodedAutomaton::start_of_data_mask(self)
-    }
-
-    fn start_of_data_any(&self) -> &[u64] {
-        CompiledEncodedAutomaton::start_of_data_any(self)
-    }
-
-    fn report_mask(&self) -> &BitSet {
-        CompiledEncodedAutomaton::report_mask(self)
-    }
-
-    fn successors(&self, state: usize) -> &[u32] {
-        CompiledEncodedAutomaton::successors(self, state)
-    }
-}
-
-impl ExecutionPlan for CompiledEncodedAutomaton {
-    fn match_vector(&self, symbol: u8) -> Row<'_> {
-        CompiledEncodedAutomaton::match_vector(self, symbol)
-    }
-
-    fn match_any(&self, symbol: u8) -> &[u64] {
-        CompiledEncodedAutomaton::match_any(self, symbol)
-    }
-
-    fn start_match(&self, symbol: u8) -> Row<'_> {
-        CompiledEncodedAutomaton::start_match(self, symbol)
-    }
-
-    fn start_match_any(&self, symbol: u8) -> &[u64] {
-        CompiledEncodedAutomaton::start_match_any(self, symbol)
-    }
-
-    fn report_code_unchecked(&self, state: usize) -> u32 {
-        CompiledEncodedAutomaton::report_code_unchecked(self, state)
-    }
-
-    fn row_of_symbol(&self, symbol: u8) -> u32 {
-        u32::from(self.encoder[symbol as usize])
-    }
-
-    fn alphabet_rows(&self) -> usize {
-        // Codes 0..num_codes plus the reserved out-of-codebook row.
-        self.num_codes + 1
-    }
-}
-
-/// The dense execution plan compiled from a [`StridedNfa`].
-///
-/// A 2-stride state accepts the pair `(a, b)` when its first class
-/// contains `a` and its second class contains `b`, so the pair match
-/// vector factors into two 256-entry tables combined with one AND:
-/// `first_table[a] & second_table[b]`. This avoids the 64 Ki-entry
-/// squared-alphabet table while keeping the step word-level.
-///
-/// Like the byte plan, every table carries a one-bit-per-word summary
-/// hierarchy and the first half's start-match rows
-/// (`first_table[a] & all_input`) are precompiled, so the strided
-/// engines visit only 64-state words both halves *and* an enable source
-/// mark — the 2-stride form of CAMA's selective precharge
-/// ([`StridedPlan`] is the trait the engines consume).
-#[derive(Clone, Debug)]
-pub struct CompiledStridedAutomaton {
-    len: usize,
-    name: String,
-    /// Flat cache-blocked per-byte tables of the two halves, each row
-    /// carrying its one-bit-per-word nonzero summary.
-    first_rows: RowTable,
-    second_rows: RowTable,
-    /// `first_start_rows[a] = first_rows[a] & all_input`: the pair
-    /// cycle's start injection, pending the AND with `second_rows[b]`.
-    first_start_rows: RowTable,
-    succ_offsets: Vec<u32>,
-    successors: Vec<u32>,
-    all_input: BitSet,
-    all_input_any: Vec<u64>,
-    start_of_data: BitSet,
-    start_of_data_any: Vec<u64>,
-    reports: ReportTable,
-    /// Phase of each reporting state, rank-indexed like the codes.
-    phases: Vec<ReportPhase>,
 }
 
 impl CompiledStridedAutomaton {
     /// Compiles a strided automaton into its dense execution plan.
     pub fn compile(nfa: &StridedNfa) -> CompiledStridedAutomaton {
-        let n = nfa.len();
-        let mut first_table = vec![BitSet::new(n); ALPHABET];
-        let mut second_table = vec![BitSet::new(n); ALPHABET];
-        let mut all_input = BitSet::new(n);
-        let mut start_of_data = BitSet::new(n);
-        let mut phases = Vec::new();
-        for (i, state) in nfa.states().iter().enumerate() {
-            for symbol in state.first.iter() {
-                first_table[symbol as usize].insert(i);
-            }
-            for symbol in state.second.iter() {
-                second_table[symbol as usize].insert(i);
-            }
-            match state.start {
-                StartKind::AllInput => all_input.insert(i),
-                StartKind::StartOfData => start_of_data.insert(i),
-                StartKind::None => {}
-            }
-            if let Some((_, phase)) = state.report {
-                phases.push(phase);
-            }
-        }
-
-        let mut succ_offsets = Vec::with_capacity(n + 1);
-        let mut successors = Vec::with_capacity(nfa.num_edges());
-        succ_offsets.push(0);
-        for i in 0..n {
-            successors.extend_from_slice(nfa.successors(i));
-            succ_offsets.push(successors.len() as u32);
-        }
-
-        let reports = ReportTable::build(
-            n,
-            nfa.states()
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.report.map(|(code, _)| (i, code))),
-        );
-
-        // The first half gets the same derived acceleration rows as a
-        // byte plan (start-match rows + summaries); the second half only
-        // needs its rows and nonzero-word summaries.
-        let derived = derive_rows(&first_table, &all_input, &start_of_data);
-        let second_rows = RowTable::from_rows(n, &second_table);
-
-        CompiledStridedAutomaton {
-            len: n,
-            name: nfa.name().to_string(),
-            first_rows: derived.match_rows,
-            second_rows,
-            first_start_rows: derived.start_rows,
-            succ_offsets,
-            successors,
-            all_input,
-            all_input_any: derived.all_input_any,
-            start_of_data,
-            start_of_data_any: derived.start_of_data_any,
-            reports,
-            phases,
-        }
+        Self::of_strided(nfa, |all_input| {
+            let half = |class: fn(&StridedSte) -> SymbolClass| {
+                (
+                    RawBytes,
+                    class_table(nfa.len(), nfa.states().iter().map(class)),
+                )
+            };
+            PairRows::new(half(|s| s.first), half(|s| s.second), all_input)
+        })
     }
-
-    /// Number of strided states.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the plan has no states.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The compiled automaton's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Total number of activation edges.
-    pub fn num_edges(&self) -> usize {
-        self.successors.len()
-    }
-
-    /// The first-symbol match vector: states whose first class accepts
-    /// `symbol`.
-    pub fn first_table(&self, symbol: u8) -> Row<'_> {
-        self.first_rows.row(symbol as usize)
-    }
-
-    /// The second-symbol match vector: states whose second class accepts
-    /// `symbol`.
-    pub fn second_table(&self, symbol: u8) -> Row<'_> {
-        self.second_rows.row(symbol as usize)
-    }
-
-    /// The word-level summary of [`first_table`](Self::first_table).
-    pub fn first_table_any(&self, symbol: u8) -> &[u64] {
-        self.first_rows.summary(symbol as usize)
-    }
-
-    /// The word-level summary of [`second_table`](Self::second_table).
-    pub fn second_table_any(&self, symbol: u8) -> &[u64] {
-        self.second_rows.summary(symbol as usize)
-    }
-
-    /// The word-level summary of [`all_input_mask`](Self::all_input_mask).
-    pub fn all_input_any(&self) -> &[u64] {
-        &self.all_input_any
-    }
-
-    /// Computes the pair match vector `first_table[a] & second_table[b]`
-    /// into `out` — the materialized form for plan consumers; the
-    /// strided engine fuses the same AND into its per-word step.
-    ///
-    /// `out` may have any capacity: it is resized (reallocated) to
-    /// [`len`](Self::len) when it does not match, so plan consumers can
-    /// reuse one scratch set across plans of different sizes without a
-    /// panic surfacing from deep inside the step. Pass a correctly
-    /// sized set to keep the call allocation-free.
-    pub fn match_pair_into(&self, a: u8, b: u8, out: &mut BitSet) {
-        if out.len() != self.len {
-            *out = BitSet::new(self.len);
-        }
-        kernel::and2_into(
-            self.first_table(a).words(),
-            self.second_table(b).words(),
-            out.as_words_mut(),
-        );
-    }
-
-    /// Computes the pair cycle's *active* vector
-    /// `first_table[a] & second_table[b] & enabled` into `out` (the
-    /// materialized form of the engines' fused step, built on
-    /// [`BitSet::and3_into`]). `out` is resized like
-    /// [`match_pair_into`](Self::match_pair_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `enabled`'s capacity differs from [`len`](Self::len).
-    pub fn match_pair_enabled_into(&self, a: u8, b: u8, enabled: &BitSet, out: &mut BitSet) {
-        if out.len() != self.len {
-            *out = BitSet::new(self.len);
-        }
-        assert_eq!(enabled.len(), self.len, "bitset length mismatch");
-        kernel::and3_into(
-            self.first_table(a).words(),
-            self.second_table(b).words(),
-            enabled.as_words(),
-            out.as_words_mut(),
-        );
-    }
-
-    /// CSR successor slice of `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range.
-    pub fn successors(&self, state: usize) -> &[u32] {
-        &self.successors[self.succ_offsets[state] as usize..self.succ_offsets[state + 1] as usize]
-    }
-
-    /// Strided states statically enabled on every pair cycle.
-    pub fn all_input_mask(&self) -> &BitSet {
-        &self.all_input
-    }
-
-    /// Strided states enabled only on the first pair cycle.
-    pub fn start_of_data_mask(&self) -> &BitSet {
-        &self.start_of_data
-    }
-
-    /// The mask of reporting states.
-    pub fn report_mask(&self) -> &BitSet {
-        self.reports.mask()
-    }
-
-    /// The `(code, phase)` of a reporting state (O(1), packed).
-    ///
-    /// # Panics
-    ///
-    /// May panic or return arbitrary data if `state` is not reporting.
-    pub fn report_unchecked(&self, state: usize) -> (u32, ReportPhase) {
-        let rank = self.reports.rank(state);
-        (self.reports.codes[rank], self.phases[rank])
-    }
-}
-
-impl PlanBase for CompiledStridedAutomaton {
-    fn len(&self) -> usize {
-        CompiledStridedAutomaton::len(self)
-    }
-
-    fn num_edges(&self) -> usize {
-        CompiledStridedAutomaton::num_edges(self)
-    }
-
-    fn all_input_mask(&self) -> &BitSet {
-        CompiledStridedAutomaton::all_input_mask(self)
-    }
-
-    fn start_of_data_mask(&self) -> &BitSet {
-        CompiledStridedAutomaton::start_of_data_mask(self)
-    }
-
-    fn start_of_data_any(&self) -> &[u64] {
-        &self.start_of_data_any
-    }
-
-    fn report_mask(&self) -> &BitSet {
-        CompiledStridedAutomaton::report_mask(self)
-    }
-
-    fn successors(&self, state: usize) -> &[u32] {
-        CompiledStridedAutomaton::successors(self, state)
-    }
-}
-
-impl StridedPlan for CompiledStridedAutomaton {
-    fn first_vector(&self, a: u8) -> Row<'_> {
-        self.first_rows.row(a as usize)
-    }
-
-    fn first_any(&self, a: u8) -> &[u64] {
-        self.first_rows.summary(a as usize)
-    }
-
-    fn second_vector(&self, b: u8) -> Row<'_> {
-        self.second_rows.row(b as usize)
-    }
-
-    fn second_any(&self, b: u8) -> &[u64] {
-        self.second_rows.summary(b as usize)
-    }
-
-    fn first_start_match(&self, a: u8) -> Row<'_> {
-        self.first_start_rows.row(a as usize)
-    }
-
-    fn first_start_match_any(&self, a: u8) -> &[u64] {
-        self.first_start_rows.summary(a as usize)
-    }
-
-    fn report_pair_unchecked(&self, state: usize) -> (u32, ReportPhase) {
-        CompiledStridedAutomaton::report_unchecked(self, state)
-    }
-}
-
-/// One half of an encoded 2-stride codebook, described as closures —
-/// how [`CompiledEncodedStridedAutomaton::compile_with`] receives the
-/// encoding toolchain's output without `cama-core` depending on any
-/// concrete toolchain (mirroring
-/// [`CompiledEncodedAutomaton::compile_with`], once per half):
-///
-/// * `encode(symbol)` — the half's input-encoder lookup: the code row
-///   of a symbol (`0..num_codes`), or `None` for the reserved
-///   out-of-domain word;
-/// * `matches(state, row)` — the CAM search outcome of the half: does
-///   the state's stored entries for this half (inverter included)
-///   match the code of `row` (`None` = reserved word);
-/// * `entries(state)` — CAM entries the state stores for this half;
-/// * `negated(state)` — whether the half's row output is inverted.
-pub struct StridedHalfSpec<'a> {
-    /// Code width of this half in bits.
-    pub code_len: usize,
-    /// Number of in-domain code rows of this half.
-    pub num_codes: usize,
-    /// The input-encoder lookup.
-    pub encode: Box<dyn Fn(u8) -> Option<u16> + 'a>,
-    /// The per-(state, row) CAM search outcome.
-    pub matches: Box<dyn Fn(usize, Option<u16>) -> bool + 'a>,
-    /// Entries stored per state for this half.
-    pub entries: Box<dyn Fn(usize) -> u32 + 'a>,
-    /// Whether a state's row output is inverted for this half.
-    pub negated: Box<dyn Fn(usize) -> bool + 'a>,
-}
-
-/// One compiled half of a [`CompiledEncodedStridedAutomaton`]: the
-/// half's encoder image and its code-indexed match rows (last row
-/// reserved for out-of-domain symbols).
-#[derive(Clone, Debug)]
-struct EncodedStridedHalf {
-    code_len: usize,
-    num_codes: usize,
-    /// Symbol → row index (the half's input-encoder image).
-    encoder: Vec<u16>,
-    /// `match_rows[row]`: states whose stored entries for this half
-    /// match the row's code (rows `0..num_codes`), or the reserved word.
-    match_rows: RowTable,
-    entries_of: Vec<u32>,
-    negated: BitSet,
-}
-
-impl EncodedStridedHalf {
-    /// Builds the half, also returning the unpacked match rows so the
-    /// caller can derive the start-match table from the first half.
-    fn build(n: usize, spec: &StridedHalfSpec<'_>) -> (EncodedStridedHalf, Vec<BitSet>) {
-        assert!(spec.num_codes < u16::MAX as usize, "too many codes");
-        let reserved = spec.num_codes as u16;
-        let encoder: Vec<u16> = (0..ALPHABET)
-            .map(|symbol| match (spec.encode)(symbol as u8) {
-                Some(row) => {
-                    assert!(
-                        (row as usize) < spec.num_codes,
-                        "code row {row} out of range (num_codes {})",
-                        spec.num_codes
-                    );
-                    row
-                }
-                None => reserved,
-            })
-            .collect();
-        let mut match_table = vec![BitSet::new(n); spec.num_codes + 1];
-        let mut entries_of = Vec::with_capacity(n);
-        let mut negated = BitSet::new(n);
-        for state in 0..n {
-            for (row, vector) in match_table.iter_mut().enumerate() {
-                let code = (row < spec.num_codes).then_some(row as u16);
-                if (spec.matches)(state, code) {
-                    vector.insert(state);
-                }
-            }
-            entries_of.push((spec.entries)(state));
-            if (spec.negated)(state) {
-                negated.insert(state);
-            }
-        }
-        let half = EncodedStridedHalf {
-            code_len: spec.code_len,
-            num_codes: spec.num_codes,
-            encoder,
-            match_rows: RowTable::from_rows(n, &match_table),
-            entries_of,
-            negated,
-        };
-        (half, match_table)
-    }
-
-    fn row_of(&self, symbol: u8) -> usize {
-        self.encoder[symbol as usize] as usize
-    }
-}
-
-/// The encoding-aware 2-stride execution plan: each half of the pair
-/// datapath gets its own codebook (per-half input encoder and
-/// code-indexed match rows, with a reserved out-of-domain row per
-/// half), and a pair cycle ANDs the two halves' rows — the software
-/// form of CAMA's two-segment match CAM searching the concatenated
-/// per-half codes (cf. the banked arrays of Jarollahi et al.'s
-/// clustered low-power CAM).
-///
-/// Each half's rows are derived at compile time by searching that
-/// half's codes against every state's stored entries for the half —
-/// Negation Optimization inverters included — so the functional engine
-/// exercises exactly the per-half entry layout the energy model
-/// charges. Everything else (CSR adjacency, packed `(code, phase)`
-/// report metadata, precompiled first-half `start_match` rows, word
-/// summaries) has the same shape as [`CompiledStridedAutomaton`], so
-/// the identical paired stepping loop executes both — bit-identically
-/// whenever each half's encoding is exact, which the differential
-/// harnesses in `tests/property.rs` assert per scheme.
-///
-/// Construction is closure-based
-/// ([`compile_with`](CompiledEncodedStridedAutomaton::compile_with),
-/// one [`StridedHalfSpec`] per half);
-/// `cama_encoding::StridedEncoding::compile` is the canonical caller.
-#[derive(Clone, Debug)]
-pub struct CompiledEncodedStridedAutomaton {
-    len: usize,
-    name: String,
-    first: EncodedStridedHalf,
-    second: EncodedStridedHalf,
-    /// `first_start_rows[row] = first.match_rows[row] & all_input`.
-    first_start_rows: RowTable,
-    succ_offsets: Vec<u32>,
-    successors: Vec<u32>,
-    all_input: BitSet,
-    all_input_any: Vec<u64>,
-    start_of_data: BitSet,
-    start_of_data_any: Vec<u64>,
-    reports: ReportTable,
-    phases: Vec<ReportPhase>,
 }
 
 impl CompiledEncodedStridedAutomaton {
@@ -1465,105 +878,13 @@ impl CompiledEncodedStridedAutomaton {
     /// `num_codes`, or if a half has more than `u16::MAX` codes.
     pub fn compile_with(
         nfa: &StridedNfa,
-        first: StridedHalfSpec<'_>,
-        second: StridedHalfSpec<'_>,
+        first: CodebookSpec<'_>,
+        second: CodebookSpec<'_>,
     ) -> CompiledEncodedStridedAutomaton {
-        let n = nfa.len();
-        let (first, first_table) = EncodedStridedHalf::build(n, &first);
-        let (second, _) = EncodedStridedHalf::build(n, &second);
-
-        let mut all_input = BitSet::new(n);
-        let mut start_of_data = BitSet::new(n);
-        let mut phases = Vec::new();
-        for (i, state) in nfa.states().iter().enumerate() {
-            match state.start {
-                StartKind::AllInput => all_input.insert(i),
-                StartKind::StartOfData => start_of_data.insert(i),
-                StartKind::None => {}
-            }
-            if let Some((_, phase)) = state.report {
-                phases.push(phase);
-            }
-        }
-
-        let mut succ_offsets = Vec::with_capacity(n + 1);
-        let mut successors = Vec::with_capacity(nfa.num_edges());
-        succ_offsets.push(0);
-        for i in 0..n {
-            successors.extend_from_slice(nfa.successors(i));
-            succ_offsets.push(successors.len() as u32);
-        }
-
-        let reports = ReportTable::build(
-            n,
-            nfa.states()
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.report.map(|(code, _)| (i, code))),
-        );
-
-        let derived = derive_rows(&first_table, &all_input, &start_of_data);
-
-        CompiledEncodedStridedAutomaton {
-            len: n,
-            name: nfa.name().to_string(),
-            first,
-            second,
-            first_start_rows: derived.start_rows,
-            succ_offsets,
-            successors,
-            all_input,
-            all_input_any: derived.all_input_any,
-            start_of_data,
-            start_of_data_any: derived.start_of_data_any,
-            reports,
-            phases,
-        }
-    }
-
-    /// Number of strided states.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the plan has no states.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The compiled automaton's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Total number of activation edges.
-    pub fn num_edges(&self) -> usize {
-        self.successors.len()
-    }
-
-    /// The two halves' code lengths in bits (the simulated search word
-    /// is their concatenation).
-    pub fn code_lens(&self) -> (usize, usize) {
-        (self.first.code_len, self.second.code_len)
-    }
-
-    /// The two halves' in-domain code-row counts (each half has one
-    /// extra reserved out-of-domain row).
-    pub fn num_codes(&self) -> (usize, usize) {
-        (self.first.num_codes, self.second.num_codes)
-    }
-
-    /// The first half's input-encoder lookup: the code row `a` drives,
-    /// or `None` when `a` is outside the half's codebook domain.
-    pub fn encode_first(&self, a: u8) -> Option<u16> {
-        let row = self.first.encoder[a as usize];
-        ((row as usize) < self.first.num_codes).then_some(row)
-    }
-
-    /// The second half's input-encoder lookup.
-    pub fn encode_second(&self, b: u8) -> Option<u16> {
-        let row = self.second.encoder[b as usize];
-        ((row as usize) < self.second.num_codes).then_some(row)
+        Self::of_strided(nfa, |all_input| {
+            let first = Codebook::build(nfa.len(), &first);
+            PairRows::new(first, Codebook::build(nfa.len(), &second), all_input)
+        })
     }
 
     /// CAM entries stored by `state`, per half.
@@ -1572,153 +893,60 @@ impl CompiledEncodedStridedAutomaton {
     ///
     /// Panics if `state` is out of range.
     pub fn half_entries_of(&self, state: usize) -> (u32, u32) {
-        (self.first.entries_of[state], self.second.entries_of[state])
+        let rows = &self.rows;
+        (
+            rows.first_index.entries_of[state],
+            rows.second_index.entries_of[state],
+        )
     }
+}
 
-    /// CAM entries `state` occupies in the two-segment match CAM: one
-    /// concatenated entry per (first entry, second entry) combination,
-    /// capped at the 64-entry per-state budget the strided mapper packs
-    /// with (matching `cama_arch::strided_weights`).
+/// A match-row source indexed through learned codebooks: it knows how
+/// many CAM entries each state occupies, the quantity the energy model
+/// charges per enabled state. Implemented by both encoded sources.
+pub trait EncodedRows: Sync {
+    /// CAM entries `state` occupies in the match CAM.
+    fn entries_of(&self, state: usize) -> u32;
+}
+
+impl EncodedRows for ByteRows<Codebook> {
+    fn entries_of(&self, state: usize) -> u32 {
+        self.index.entries_of[state]
+    }
+}
+
+impl EncodedRows for PairRows<Codebook> {
+    /// One concatenated entry per (first entry, second entry)
+    /// combination, capped by [`paired_entries`].
+    fn entries_of(&self, state: usize) -> u32 {
+        paired_entries(
+            self.first_index.entries_of[state] as usize,
+            self.second_index.entries_of[state] as usize,
+        )
+    }
+}
+
+impl<R: EncodedRows> CompiledPlan<R> {
+    /// CAM entries `state` occupies, taken from the actual encoded image
+    /// (for 2-stride plans, the capped pair product of
+    /// [`paired_entries`]).
     ///
     /// # Panics
     ///
     /// Panics if `state` is out of range.
     pub fn entries_of(&self, state: usize) -> u32 {
-        let (f, s) = self.half_entries_of(state);
-        (f.max(1) * s.max(1)).min(64)
+        self.rows.entries_of(state)
     }
 
-    /// Per-state slot weights for the strided mapper/energy model: the
-    /// paired entry count of [`entries_of`](Self::entries_of), at least
-    /// 1 per state.
+    /// Per-state slot weights for the mapper/energy model: the stored
+    /// entry count, at least 1 (an empty image still occupies a row).
     pub fn entry_weights(&self) -> Vec<u32> {
         (0..self.len).map(|s| self.entries_of(s).max(1)).collect()
     }
 
-    /// Total paired CAM entries across all states.
+    /// Total CAM entries across all states.
     pub fn total_entries(&self) -> usize {
         (0..self.len).map(|s| self.entries_of(s) as usize).sum()
-    }
-
-    /// Number of states whose row output is inverted, per half.
-    pub fn negated_states(&self) -> (usize, usize) {
-        (
-            self.first.negated.iter().count(),
-            self.second.negated.iter().count(),
-        )
-    }
-
-    /// Computes the pair match vector into `out`, resizing it like
-    /// [`CompiledStridedAutomaton::match_pair_into`] — both halves run
-    /// through their encoder lookups first.
-    pub fn match_pair_into(&self, a: u8, b: u8, out: &mut BitSet) {
-        if out.len() != self.len {
-            *out = BitSet::new(self.len);
-        }
-        kernel::and2_into(
-            self.first.match_rows.row(self.first.row_of(a)).words(),
-            self.second.match_rows.row(self.second.row_of(b)).words(),
-            out.as_words_mut(),
-        );
-    }
-
-    /// CSR successor slice of `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range.
-    pub fn successors(&self, state: usize) -> &[u32] {
-        &self.successors[self.succ_offsets[state] as usize..self.succ_offsets[state + 1] as usize]
-    }
-
-    /// Strided states statically enabled on every pair cycle.
-    pub fn all_input_mask(&self) -> &BitSet {
-        &self.all_input
-    }
-
-    /// The word-level summary of [`all_input_mask`](Self::all_input_mask).
-    pub fn all_input_any(&self) -> &[u64] {
-        &self.all_input_any
-    }
-
-    /// Strided states enabled only on the first pair cycle.
-    pub fn start_of_data_mask(&self) -> &BitSet {
-        &self.start_of_data
-    }
-
-    /// The mask of reporting states.
-    pub fn report_mask(&self) -> &BitSet {
-        self.reports.mask()
-    }
-
-    /// The `(code, phase)` of a reporting state (O(1), packed).
-    ///
-    /// # Panics
-    ///
-    /// May panic or return arbitrary data if `state` is not reporting.
-    pub fn report_unchecked(&self, state: usize) -> (u32, ReportPhase) {
-        let rank = self.reports.rank(state);
-        (self.reports.codes[rank], self.phases[rank])
-    }
-}
-
-impl PlanBase for CompiledEncodedStridedAutomaton {
-    fn len(&self) -> usize {
-        CompiledEncodedStridedAutomaton::len(self)
-    }
-
-    fn num_edges(&self) -> usize {
-        CompiledEncodedStridedAutomaton::num_edges(self)
-    }
-
-    fn all_input_mask(&self) -> &BitSet {
-        CompiledEncodedStridedAutomaton::all_input_mask(self)
-    }
-
-    fn start_of_data_mask(&self) -> &BitSet {
-        CompiledEncodedStridedAutomaton::start_of_data_mask(self)
-    }
-
-    fn start_of_data_any(&self) -> &[u64] {
-        &self.start_of_data_any
-    }
-
-    fn report_mask(&self) -> &BitSet {
-        CompiledEncodedStridedAutomaton::report_mask(self)
-    }
-
-    fn successors(&self, state: usize) -> &[u32] {
-        CompiledEncodedStridedAutomaton::successors(self, state)
-    }
-}
-
-impl StridedPlan for CompiledEncodedStridedAutomaton {
-    fn first_vector(&self, a: u8) -> Row<'_> {
-        self.first.match_rows.row(self.first.row_of(a))
-    }
-
-    fn first_any(&self, a: u8) -> &[u64] {
-        self.first.match_rows.summary(self.first.row_of(a))
-    }
-
-    fn second_vector(&self, b: u8) -> Row<'_> {
-        self.second.match_rows.row(self.second.row_of(b))
-    }
-
-    fn second_any(&self, b: u8) -> &[u64] {
-        self.second.match_rows.summary(self.second.row_of(b))
-    }
-
-    fn first_start_match(&self, a: u8) -> Row<'_> {
-        self.first_start_rows.row(self.first.row_of(a))
-    }
-
-    fn first_start_match_any(&self, a: u8) -> &[u64] {
-        self.first_start_rows.summary(self.first.row_of(a))
-    }
-
-    fn report_pair_unchecked(&self, state: usize) -> (u32, ReportPhase) {
-        CompiledEncodedStridedAutomaton::report_unchecked(self, state)
     }
 }
 
@@ -2357,20 +1585,13 @@ impl ShardedAutomaton {
     /// never split across shards, so asking for more shards than
     /// components yields one shard per component.
     pub fn compile(nfa: &Nfa, num_shards: usize) -> ShardedAutomaton {
-        let ccs = connected_components(nfa);
-        let num_shards = num_shards.clamp(1, ccs.len().max(1));
-        let mut loads = vec![0usize; num_shards];
-        let mut order: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
-        for cc in &ccs {
-            let lightest = loads
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &load)| load)
-                .map(|(i, _)| i)
-                .unwrap();
-            loads[lightest] += cc.len();
-            order[lightest].extend(cc.states.iter().map(|s| s.0));
-        }
+        // Members keep `connected_components`' BFS order, which is each
+        // shard's local layout.
+        let ccs = connected_components(nfa)
+            .into_iter()
+            .map(|cc| cc.states.iter().map(|s| s.0).collect())
+            .collect();
+        let order = balance_components(ccs, num_shards);
         Self::build(nfa, order, |local, _| CompiledAutomaton::compile(local))
     }
 
@@ -2399,7 +1620,7 @@ impl ShardedAutomaton {
     }
 }
 
-impl ShardedAutomaton<CompiledEncodedAutomaton> {
+impl<R: EncodedRows> ShardedAutomaton<CompiledPlan<R>> {
     /// Per-state slot weights taken from the actual encoded shard plans
     /// (`entries_of`, at least 1 per state), indexed by *global* state
     /// id — what the energy model charges per enabled state.
@@ -2447,28 +1668,15 @@ fn order_of_assignment(assignment: &[u32]) -> Vec<Vec<u32>> {
     order
 }
 
-/// Balances components over at most `num_shards` per-shard state lists
-/// (largest component first, onto the least-loaded shard), given each
-/// state's component id numbered largest-component-first.
-fn balance_components(
-    component_of: &[u32],
-    num_components: usize,
-    num_shards: usize,
-) -> Vec<Vec<u32>> {
-    let num_shards = num_shards.clamp(1, num_components.max(1));
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); num_components];
-    for (state, &c) in component_of.iter().enumerate() {
-        members[c as usize].push(state as u32);
-    }
+/// Balances components — ordered member lists, largest first — over at
+/// most `num_shards` per-shard state lists: each component goes whole
+/// onto the least-loaded shard, keeping its member order.
+fn balance_components(components: Vec<Vec<u32>>, num_shards: usize) -> Vec<Vec<u32>> {
+    let num_shards = num_shards.clamp(1, components.len().max(1));
     let mut loads = vec![0usize; num_shards];
     let mut order: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
-    for cc in members {
-        let lightest = loads
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &load)| load)
-            .map(|(i, _)| i)
-            .unwrap();
+    for cc in components {
+        let lightest = (0..num_shards).min_by_key(|&i| loads[i]).unwrap();
         loads[lightest] += cc.len();
         order[lightest].extend(cc);
     }
@@ -2652,8 +1860,10 @@ impl ShardedAutomaton<CompiledStridedAutomaton> {
     /// balancing connected components, mirroring
     /// [`compile`](ShardedAutomaton::compile).
     pub fn compile_strided(nfa: &StridedNfa, num_shards: usize) -> ShardedStridedAutomaton {
-        let (ids, count) = nfa.component_ids();
-        let order = balance_components(&ids, count, num_shards);
+        // Component ids are numbered largest first, so grouping states
+        // by id lists the components in balancing order.
+        let (ids, _) = nfa.component_ids();
+        let order = balance_components(order_of_assignment(&ids), num_shards);
         Self::build_strided(nfa, order, |local, _| {
             CompiledStridedAutomaton::compile(local)
         })
@@ -2679,22 +1889,6 @@ impl ShardedAutomaton<CompiledStridedAutomaton> {
         Self::compile_strided_shards_with(nfa, assignment, |local, _| {
             CompiledStridedAutomaton::compile(local)
         })
-    }
-}
-
-impl ShardedAutomaton<CompiledEncodedStridedAutomaton> {
-    /// Per-state slot weights taken from the actual encoded strided
-    /// shard plans (paired entry counts, at least 1 per state), indexed
-    /// by *global* state id — what the strided energy model charges per
-    /// enabled state.
-    pub fn entry_weights(&self) -> Vec<u32> {
-        let mut weights = vec![1u32; self.len];
-        for shard in &self.shards {
-            for (local, &global) in shard.global_states().iter().enumerate() {
-                weights[global as usize] = shard.plan().entries_of(local).max(1);
-            }
-        }
-        weights
     }
 }
 
@@ -2985,26 +2179,13 @@ mod tests {
     }
 
     #[test]
-    fn enabled_into_combines_sources() {
-        let nfa = regex::compile("ab").unwrap();
-        let plan = CompiledAutomaton::compile(&nfa);
-        let mut dynamic = BitSet::new(plan.len());
-        dynamic.insert(1);
-        let mut out = BitSet::new(plan.len());
-        plan.enabled_into(&dynamic, false, false, &mut out);
-        assert_eq!(out.iter().collect::<Vec<_>>(), vec![1]);
-        plan.enabled_into(&dynamic, true, false, &mut out);
-        assert!(out.contains(0), "all-input start joins when injecting");
-    }
-
-    #[test]
     fn strided_pair_match_factorizes() {
         let nfa = regex::compile("ab+c").unwrap();
         let strided = StridedNfa::from_nfa(&nfa);
         let plan = CompiledStridedAutomaton::compile(&strided);
-        let mut out = BitSet::new(plan.len());
         for &(a, b) in &[(b'a', b'b'), (b'b', b'c'), (b'z', b'z'), (b'a', b'a')] {
-            plan.match_pair_into(a, b, &mut out);
+            let mut out = plan.first_vector(a).to_bitset();
+            out.intersect_with(&plan.second_vector(b).to_bitset());
             let expected: Vec<usize> = strided
                 .states()
                 .iter()
@@ -3017,46 +2198,14 @@ mod tests {
     }
 
     #[test]
-    fn match_pair_into_resizes_any_capacity() {
-        let nfa = regex::compile("ab+c").unwrap();
-        let strided = StridedNfa::from_nfa(&nfa);
-        let plan = CompiledStridedAutomaton::compile(&strided);
-        // Wrong capacity in both directions: resized, never a panic.
-        for wrong in [0usize, 1, plan.len() + 100] {
-            let mut out = BitSet::new(wrong);
-            plan.match_pair_into(b'a', b'b', &mut out);
-            assert_eq!(out.len(), plan.len());
-            let mut expected = plan.first_table(b'a').to_bitset();
-            expected.intersect_with(&plan.second_table(b'b').to_bitset());
-            assert_eq!(out, expected);
-        }
-    }
-
-    #[test]
-    fn match_pair_enabled_into_is_the_three_way_and() {
-        let nfa = regex::compile("ab+c").unwrap();
-        let strided = StridedNfa::from_nfa(&nfa);
-        let plan = CompiledStridedAutomaton::compile(&strided);
-        let enabled = BitSet::full(plan.len());
-        let mut out = BitSet::new(0);
-        plan.match_pair_enabled_into(b'a', b'b', &enabled, &mut out);
-        let mut pair = BitSet::new(plan.len());
-        plan.match_pair_into(b'a', b'b', &mut pair);
-        assert_eq!(out, pair, "full enable vector leaves the pair row");
-        let empty = BitSet::new(plan.len());
-        plan.match_pair_enabled_into(b'a', b'b', &empty, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn strided_summaries_track_tables() {
         let nfa = regex::compile_set(&["ab+c", "x[0-9]+y"]).unwrap();
         let strided = StridedNfa::from_nfa(&nfa);
         let plan = CompiledStridedAutomaton::compile(&strided);
         for sym in [b'a', b'b', b'x', b'0', b'z', 0u8, 255u8] {
             for (words, any) in [
-                (plan.first_table(sym).words(), plan.first_table_any(sym)),
-                (plan.second_table(sym).words(), plan.second_table_any(sym)),
+                (plan.first_vector(sym).words(), plan.first_any(sym)),
+                (plan.second_vector(sym).words(), plan.second_any(sym)),
                 (
                     StridedPlan::first_start_match(&plan, sym).words(),
                     StridedPlan::first_start_match_any(&plan, sym),
@@ -3070,8 +2219,8 @@ mod tests {
                     );
                 }
             }
-            // The start rows are first_table & all_input, exactly.
-            let mut expected = plan.first_table(sym).to_bitset();
+            // The start rows are first_vector & all_input, exactly.
+            let mut expected = plan.first_vector(sym).to_bitset();
             expected.intersect_with(plan.all_input_mask());
             assert_eq!(StridedPlan::first_start_match(&plan, sym), expected);
         }
@@ -3084,36 +2233,10 @@ mod tests {
         first_domain: &[u8],
         second_domain: &[u8],
     ) -> CompiledEncodedStridedAutomaton {
-        let half = |domain: &'static [u8], second: bool| StridedHalfSpec {
-            code_len: domain.len(),
-            num_codes: domain.len(),
-            encode: Box::new(move |symbol| {
-                domain
-                    .iter()
-                    .position(|&d| d == symbol)
-                    .map(|row| row as u16)
-            }),
-            matches: {
-                let states = nfa.states().to_vec();
-                Box::new(move |state, row| {
-                    row.is_some_and(|row| {
-                        let class = if second {
-                            &states[state].second
-                        } else {
-                            &states[state].first
-                        };
-                        class.contains(domain[row as usize])
-                    })
-                })
-            },
-            entries: Box::new(|_| 1),
-            negated: Box::new(|_| false),
-        };
-        // Domains are static in the tests below; leak-free via 'static.
         CompiledEncodedStridedAutomaton::compile_with(
             nfa,
-            half(Box::leak(first_domain.to_vec().into_boxed_slice()), false),
-            half(Box::leak(second_domain.to_vec().into_boxed_slice()), true),
+            identity_spec(first_domain, |state| nfa.state(state).first),
+            identity_spec(second_domain, |state| nfa.state(state).second),
         )
     }
 
@@ -3149,8 +2272,8 @@ mod tests {
             assert_eq!(encoded.successors(state), byte.successors(state));
             if byte.report_mask().contains(state) {
                 assert_eq!(
-                    encoded.report_unchecked(state),
-                    byte.report_unchecked(state)
+                    encoded.report_pair_unchecked(state),
+                    byte.report_pair_unchecked(state)
                 );
             }
         }
@@ -3161,7 +2284,7 @@ mod tests {
         let nfa = regex::compile("ab").unwrap();
         let strided = StridedNfa::from_nfa(&nfa);
         let n = strided.len();
-        let spec = |entries_per_state: u32| StridedHalfSpec {
+        let spec = |entries_per_state: u32| CodebookSpec {
             code_len: 8,
             num_codes: 256,
             encode: Box::new(|symbol| Some(symbol as u16)),
@@ -3170,8 +2293,9 @@ mod tests {
             negated: Box::new(|state| state == 0),
         };
         let encoded = CompiledEncodedStridedAutomaton::compile_with(&strided, spec(10), spec(9));
-        assert_eq!(encoded.code_lens(), (8, 8));
-        assert_eq!(encoded.num_codes(), (256, 256));
+        let (first, second) = (&encoded.rows.first_index, &encoded.rows.second_index);
+        assert_eq!((first.code_len, second.code_len), (8, 8));
+        assert_eq!((first.num_codes, second.num_codes), (256, 256));
         for state in 0..n {
             assert_eq!(encoded.half_entries_of(state), (10, 9));
             // 10 × 9 = 90, capped at the 64-entry per-state budget.
@@ -3179,7 +2303,7 @@ mod tests {
         }
         assert_eq!(encoded.entry_weights(), vec![64; n]);
         assert_eq!(encoded.total_entries(), 64 * n);
-        assert_eq!(encoded.negated_states(), (1, 1));
+        assert_eq!((first.negated.count(), second.negated.count()), (1, 1));
     }
 
     #[test]
@@ -3247,7 +2371,7 @@ mod tests {
         for (i, state) in strided.states().iter().enumerate() {
             if let Some((code, phase)) = state.report {
                 assert!(plan.report_mask().contains(i));
-                assert_eq!(plan.report_unchecked(i), (code, phase));
+                assert_eq!(plan.report_pair_unchecked(i), (code, phase));
             } else {
                 assert!(!plan.report_mask().contains(i));
             }
@@ -3375,27 +2499,33 @@ mod tests {
     /// `i` stands for `domain[i]`, and a state matches a row iff its
     /// class contains that symbol — the smallest exact encoding.
     fn identity_encoded(nfa: &Nfa, domain: &[u8]) -> CompiledEncodedAutomaton {
-        let row_of = |symbol: u8| {
-            domain
-                .iter()
-                .position(|&d| d == symbol)
-                .map(|row| row as u16)
-        };
         CompiledEncodedAutomaton::compile_with(
             nfa,
-            domain.len(),
-            domain.len(),
-            row_of,
-            |state, row| {
-                row.is_some_and(|row| {
-                    nfa.ste(SteId(state as u32))
-                        .class
-                        .contains(domain[row as usize])
-                })
-            },
-            |_| 1,
-            |_| false,
+            identity_spec(domain, |state| nfa.ste(SteId(state as u32)).class),
         )
+    }
+
+    /// The [`CodebookSpec`] of the identity codebook over `domain`, for
+    /// states whose classes `class_of` returns.
+    fn identity_spec<'a>(
+        domain: &'a [u8],
+        class_of: impl Fn(usize) -> SymbolClass + 'a,
+    ) -> CodebookSpec<'a> {
+        CodebookSpec {
+            code_len: domain.len(),
+            num_codes: domain.len(),
+            encode: Box::new(move |symbol| {
+                domain
+                    .iter()
+                    .position(|&d| d == symbol)
+                    .map(|row| row as u16)
+            }),
+            matches: Box::new(move |state, row| {
+                row.is_some_and(|row| class_of(state).contains(domain[row as usize]))
+            }),
+            entries: Box::new(|_| 1),
+            negated: Box::new(|_| false),
+        }
     }
 
     #[test]
@@ -3431,11 +2561,11 @@ mod tests {
         let nfa = regex::compile("ab").unwrap();
         let encoded = identity_encoded(&nfa, b"ab");
         assert_eq!(encoded.encode(b'z'), None);
-        assert_eq!(encoded.row_of(b'z'), encoded.num_codes());
+        assert_eq!(encoded.row_of_symbol(b'z') as usize, encoded.num_codes());
         assert!(encoded.match_vector(b'z').is_empty());
         assert!(encoded.start_match(b'z').is_empty());
         // The reserved row is shared by every out-of-domain symbol.
-        assert_eq!(encoded.row_of(b'z'), encoded.row_of(b'q'));
+        assert_eq!(encoded.row_of_symbol(b'z'), encoded.row_of_symbol(b'q'));
     }
 
     #[test]
@@ -3443,12 +2573,15 @@ mod tests {
         let nfa = regex::compile("ab").unwrap();
         let encoded = CompiledEncodedAutomaton::compile_with(
             &nfa,
-            16,
-            2,
-            |s| (s == b'a').then_some(0).or((s == b'b').then_some(1)),
-            |state, row| row == Some(state as u16),
-            |state| state as u32, // state 0 stores 0 entries, state 1 one
-            |state| state == 0,
+            CodebookSpec {
+                code_len: 16,
+                num_codes: 2,
+                encode: Box::new(|s| (s == b'a').then_some(0).or((s == b'b').then_some(1))),
+                matches: Box::new(|state, row| row == Some(state as u16)),
+                // State 0 stores 0 entries, state 1 one.
+                entries: Box::new(|state| state as u32),
+                negated: Box::new(|state| state == 0),
+            },
         );
         assert_eq!(encoded.code_len(), 16);
         assert_eq!(encoded.entries_of(0), 0);
@@ -3468,27 +2601,8 @@ mod tests {
         let sharded: ShardedEncodedAutomaton =
             ShardedAutomaton::compile_shards_with(&nfa, &assignment, |local, globals| {
                 // Reuse the global classes through the handed-in table.
-                let row_of = |symbol: u8| {
-                    domain
-                        .iter()
-                        .position(|&d| d == symbol)
-                        .map(|row| row as u16)
-                };
-                CompiledEncodedAutomaton::compile_with(
-                    local,
-                    domain.len(),
-                    domain.len(),
-                    row_of,
-                    |state, row| {
-                        row.is_some_and(|row| {
-                            nfa.ste(SteId(globals[state]))
-                                .class
-                                .contains(domain[row as usize])
-                        })
-                    },
-                    |_| 1,
-                    |_| false,
-                )
+                let class_of = |state: usize| nfa.ste(SteId(globals[state])).class;
+                CompiledEncodedAutomaton::compile_with(local, identity_spec(&domain, class_of))
             });
         assert_eq!(sharded.num_shards(), 2);
         assert_eq!(sharded.len(), nfa.len());

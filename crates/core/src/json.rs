@@ -5,6 +5,7 @@
 //! read and write those documents without extra dependencies.
 
 use crate::error::{Error, Result};
+use crate::MAX_NESTING;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -156,11 +157,13 @@ fn write_json_string(out: &mut String, s: &str) {
 ///
 /// # Errors
 ///
-/// Returns [`Error::MnrlSyntax`] with a byte offset on malformed input.
+/// Returns [`Error::MnrlSyntax`] with a byte offset on malformed input,
+/// including arrays and objects nested deeper than [`MAX_NESTING`].
 pub fn parse(input: &str) -> Result<JsonValue> {
     let mut parser = Parser {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.value()?;
@@ -174,6 +177,8 @@ pub fn parse(input: &str) -> Result<JsonValue> {
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -205,8 +210,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(JsonValue::String),
             Some(b't') => self.keyword(b"true", JsonValue::Bool(true)),
             Some(b'f') => self.keyword(b"false", JsonValue::Bool(false)),
@@ -214,6 +219,17 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object a level deeper, within [`MAX_NESTING`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<JsonValue>) -> Result<JsonValue> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn keyword(&mut self, word: &[u8], value: JsonValue) -> Result<JsonValue> {
@@ -391,6 +407,19 @@ mod tests {
         assert!(parse("tru").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"abc").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_NESTING)).is_ok());
+        assert!(matches!(
+            parse(&nested(MAX_NESTING + 1)),
+            Err(Error::MnrlSyntax { offset, .. }) if offset == MAX_NESTING
+        ));
+        assert!(parse(&nested(100_000)).is_err());
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

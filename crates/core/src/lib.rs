@@ -59,3 +59,10 @@ pub use compiled::{CompiledAutomaton, CompiledEncodedStridedAutomaton, CompiledS
 pub use error::{Error, Result};
 pub use nfa::{BuildOptions, Nfa, NfaBuilder, StartKind, Ste, SteId};
 pub use symbol::{SymbolClass, ALPHABET};
+
+/// The deepest nesting the recursive-descent parsers accept: regex
+/// groups plus stacked quantifiers ([`regex::parse`]), JSON arrays and
+/// objects ([`json::parse`]), and XML elements
+/// ([`xml::parse_document`]). Deeper input is untrusted and returns the
+/// parser's syntax error instead of overflowing the stack.
+pub const MAX_NESTING: usize = 256;

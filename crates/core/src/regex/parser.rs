@@ -3,6 +3,7 @@
 use super::ast::Ast;
 use crate::error::{Error, Result};
 use crate::symbol::SymbolClass;
+use crate::MAX_NESTING;
 
 /// Hard ceiling on positions created by desugaring counted repetitions;
 /// prevents `a{1000}{1000}` style blowups.
@@ -12,9 +13,10 @@ pub const DEFAULT_REPEAT_BUDGET: usize = 1 << 16;
 ///
 /// # Errors
 ///
-/// Returns [`Error::RegexSyntax`] with a byte offset for malformed input,
-/// or [`Error::RegexTooLarge`] when counted repetitions expand beyond
-/// [`DEFAULT_REPEAT_BUDGET`] positions.
+/// Returns [`Error::RegexSyntax`] with a byte offset for malformed input
+/// (including groups and stacked quantifiers nested deeper than
+/// [`MAX_NESTING`]), or [`Error::RegexTooLarge`] when counted
+/// repetitions expand beyond [`DEFAULT_REPEAT_BUDGET`] positions.
 ///
 /// # Examples
 ///
@@ -29,8 +31,9 @@ pub fn parse(pattern: &str) -> Result<Ast> {
     let mut parser = Parser {
         input: pattern.as_bytes(),
         pos: 0,
+        groups: 0,
     };
-    let ast = parser.alternation()?;
+    let (ast, _) = parser.alternation()?;
     if parser.pos != parser.input.len() {
         return Err(parser.error("unexpected trailing input"));
     }
@@ -45,7 +48,14 @@ pub fn parse(pattern: &str) -> Result<Ast> {
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Groups open at `pos`.
+    groups: usize,
 }
+
+/// A parsed subtree with its nesting: the most groups and stacked
+/// quantifiers on any path from its root. Open groups plus the nesting
+/// of the subtree being parsed never exceed [`MAX_NESTING`].
+type Nested = (Ast, usize);
 
 impl Parser<'_> {
     fn error(&self, message: &str) -> Error {
@@ -76,29 +86,42 @@ impl Parser<'_> {
         }
     }
 
-    fn alternation(&mut self) -> Result<Ast> {
-        let mut ast = self.concatenation()?;
-        while self.eat(b'|') {
-            let rhs = self.concatenation()?;
-            ast = Ast::alternate(ast, rhs);
+    /// Fails once `nesting` more levels under the open groups would
+    /// exceed [`MAX_NESTING`].
+    fn check_nesting(&self, nesting: usize) -> Result<()> {
+        if self.groups + nesting > MAX_NESTING {
+            return Err(self.error(&format!(
+                "groups and quantifiers nested deeper than {MAX_NESTING} levels"
+            )));
         }
-        Ok(ast)
+        Ok(())
     }
 
-    fn concatenation(&mut self) -> Result<Ast> {
-        let mut ast = Ast::Empty;
+    fn alternation(&mut self) -> Result<Nested> {
+        let (mut ast, mut nesting) = self.concatenation()?;
+        while self.eat(b'|') {
+            let (rhs, rhs_nesting) = self.concatenation()?;
+            ast = Ast::alternate(ast, rhs);
+            nesting = nesting.max(rhs_nesting);
+        }
+        Ok((ast, nesting))
+    }
+
+    fn concatenation(&mut self) -> Result<Nested> {
+        let (mut ast, mut nesting) = (Ast::Empty, 0);
         while let Some(b) = self.peek() {
             if b == b'|' || b == b')' {
                 break;
             }
-            let atom = self.repetition()?;
+            let (atom, atom_nesting) = self.repetition()?;
             ast = Ast::concat(ast, atom);
+            nesting = nesting.max(atom_nesting);
         }
-        Ok(ast)
+        Ok((ast, nesting))
     }
 
-    fn repetition(&mut self) -> Result<Ast> {
-        let mut ast = self.atom()?;
+    fn repetition(&mut self) -> Result<Nested> {
+        let (mut ast, mut nesting) = self.atom()?;
         loop {
             match self.peek() {
                 Some(b'*') => {
@@ -120,8 +143,10 @@ impl Parser<'_> {
                 }
                 _ => break,
             }
+            nesting += 1;
+            self.check_nesting(nesting)?;
         }
-        Ok(ast)
+        Ok((ast, nesting))
     }
 
     fn counted_bounds(&mut self) -> Result<(u32, Option<u32>)> {
@@ -160,35 +185,41 @@ impl Parser<'_> {
             .map_err(|_| self.error("repetition count overflows"))
     }
 
-    fn atom(&mut self) -> Result<Ast> {
-        match self.bump() {
+    fn atom(&mut self) -> Result<Nested> {
+        let class = match self.bump() {
             Some(b'(') => {
-                let inner = self.alternation()?;
+                self.groups += 1;
+                self.check_nesting(0)?;
+                let (inner, nesting) = self.alternation()?;
                 if !self.eat(b')') {
                     return Err(self.error("expected `)`"));
                 }
-                Ok(inner)
+                self.groups -= 1;
+                return Ok((inner, nesting + 1));
             }
-            Some(b'[') => self.class().map(Ast::Class),
-            Some(b'.') => Ok(Ast::Class(SymbolClass::FULL)),
-            Some(b'\\') => self.escape().map(Ast::Class),
+            Some(b'[') => self.class()?,
+            Some(b'.') => SymbolClass::FULL,
+            Some(b'\\') => self.escape()?,
             Some(b'*') | Some(b'+') | Some(b'?') | Some(b'{') => {
                 self.pos -= 1;
-                Err(self.error("quantifier with nothing to repeat"))
+                return Err(self.error("quantifier with nothing to repeat"));
             }
             Some(b')') => {
                 self.pos -= 1;
-                Err(self.error("unmatched `)`"))
+                return Err(self.error("unmatched `)`"));
             }
             Some(b'^') | Some(b'$') => {
                 // Anchors are handled by compile options (start-of-data
                 // start states); inline anchors are not supported.
                 self.pos -= 1;
-                Err(self.error("inline anchors are not supported; use CompileOptions::anchored"))
+                return Err(
+                    self.error("inline anchors are not supported; use CompileOptions::anchored")
+                );
             }
-            Some(literal) => Ok(Ast::Class(SymbolClass::singleton(literal))),
-            None => Err(self.error("unexpected end of pattern")),
-        }
+            Some(literal) => SymbolClass::singleton(literal),
+            None => return Err(self.error("unexpected end of pattern")),
+        };
+        Ok((Ast::Class(class), 0))
     }
 
     fn escape(&mut self) -> Result<SymbolClass> {
@@ -506,6 +537,30 @@ mod tests {
         assert!(parse("^a").is_err());
         assert!(parse("[z-a]").is_err());
         assert!(parse(r"[a-\d]").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let groups = |depth: usize| format!("{}a{}", "(".repeat(depth), ")".repeat(depth));
+        let quantifiers = |depth: usize| format!("a{}", "+".repeat(depth));
+        // At the limit, the whole pipeline fits a test thread's stack.
+        assert!(crate::regex::compile(&groups(MAX_NESTING)).is_ok());
+        assert!(crate::regex::compile(&quantifiers(MAX_NESTING)).is_ok());
+        // Groups and the quantifiers stacked on them share one budget.
+        let half = MAX_NESTING / 2;
+        let mixed = |extra: usize| format!("{}+{}", groups(half), "*".repeat(half - 1 + extra));
+        assert!(parse(&mixed(0)).is_ok());
+        assert!(parse(&mixed(1)).is_err());
+        assert!(matches!(
+            parse(&groups(MAX_NESTING + 1)),
+            Err(Error::RegexSyntax { offset, .. }) if offset == MAX_NESTING + 1
+        ));
+        assert!(matches!(
+            parse(&quantifiers(MAX_NESTING + 1)),
+            Err(Error::RegexSyntax { offset, .. }) if offset == MAX_NESTING + 2
+        ));
+        assert!(parse(&groups(100_000)).is_err());
+        assert!(parse(&quantifiers(100_000)).is_err());
     }
 
     #[test]

@@ -48,6 +48,26 @@ impl StridedSte {
     }
 }
 
+/// CAM entries one 2-stride state occupies in the two-segment match
+/// CAM, given each half's entry count: one concatenated entry per
+/// (first entry, second entry) combination, each half counting at least
+/// one, capped at the 64-entry per-state budget the strided mapper packs
+/// with. The one rule the executed plan, the encoding toolchain and the
+/// Figure 13 energy model all charge by.
+///
+/// # Examples
+///
+/// ```
+/// use cama_core::stride::paired_entries;
+///
+/// assert_eq!(paired_entries(3, 0), 3);
+/// assert_eq!(paired_entries(10, 9), 64);
+/// ```
+pub fn paired_entries(first: usize, second: usize) -> u32 {
+    const BUDGET: usize = 64;
+    first.max(1).saturating_mul(second.max(1)).min(BUDGET) as u32
+}
+
 /// A homogeneous NFA over the squared alphabet (pairs of bytes).
 #[derive(Clone, Debug)]
 pub struct StridedNfa {

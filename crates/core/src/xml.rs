@@ -6,6 +6,7 @@
 //! general-purpose XML parser (no namespaces, DTDs, or CDATA).
 
 use crate::error::{Error, Result};
+use crate::MAX_NESTING;
 use std::fmt::Write as _;
 
 /// One parsed XML element with its attributes and children.
@@ -89,14 +90,16 @@ pub fn escape(text: &str) -> String {
 /// # Errors
 ///
 /// Returns [`Error::AnmlSyntax`] (with a line number) for malformed
-/// input: mismatched tags, unterminated constructs, or missing root.
+/// input: mismatched tags, unterminated constructs, missing root, or
+/// elements nested deeper than [`MAX_NESTING`].
 pub fn parse_document(input: &str) -> Result<XmlElement> {
     let mut parser = Parser {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_prolog()?;
-    let root = parser.element()?;
+    let root = parser.nested_element()?;
     parser.skip_misc()?;
     if parser.pos != parser.input.len() {
         return Err(parser.error("content after the root element"));
@@ -107,6 +110,8 @@ pub fn parse_document(input: &str) -> Result<XmlElement> {
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Elements open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -189,6 +194,17 @@ impl Parser<'_> {
         Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
     }
 
+    /// Parses one element a level deeper, within [`MAX_NESTING`].
+    fn nested_element(&mut self) -> Result<XmlElement> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(&format!("elements nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let element = self.element();
+        self.depth -= 1;
+        element
+    }
+
     fn element(&mut self) -> Result<XmlElement> {
         self.skip_whitespace();
         if self.peek() != Some(b'<') {
@@ -257,7 +273,7 @@ impl Parser<'_> {
                 self.pos += 1;
                 return Ok(element);
             }
-            element.children.push(self.element()?);
+            element.children.push(self.nested_element()?);
         }
     }
 
@@ -373,6 +389,20 @@ mod tests {
         assert!(parse_document("<a></b>").is_err());
         assert!(parse_document("<a/><b/>").is_err());
         assert!(parse_document("<a v=1/>").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| {
+            let lines = "<a>\n".repeat(depth);
+            format!("{lines}{}", "</a>".repeat(depth))
+        };
+        assert!(parse_document(&nested(MAX_NESTING)).is_ok());
+        assert!(matches!(
+            parse_document(&nested(MAX_NESTING + 1)),
+            Err(Error::AnmlSyntax { line, .. }) if line == MAX_NESTING + 1
+        ));
+        assert!(parse_document(&"<a>".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -24,23 +24,56 @@
 
 use crate::code::Code;
 use crate::plan::EncodingPlan;
-use cama_core::compiled::{CompiledEncodedAutomaton, ShardedAutomaton, ShardedEncodedAutomaton};
+use cama_core::compiled::{
+    CodebookSpec, CompiledEncodedAutomaton, ShardedAutomaton, ShardedEncodedAutomaton,
+};
 use cama_core::{Nfa, ALPHABET};
 
-impl EncodingPlan {
-    /// Enumerates the codebook as dense rows: the code of row `i` plus
-    /// the symbol → row lookup (one row per in-domain symbol; codes are
-    /// unique per symbol by construction).
-    fn code_rows(&self) -> (Vec<Code>, Vec<Option<u16>>) {
+/// One encoding's codebook enumerated as dense rows — the code of row
+/// `i` plus the symbol → row lookup (one row per in-domain symbol; codes
+/// are unique per symbol by construction) — ready to be lent to the
+/// compiled plans as a [`CodebookSpec`]. Both encoded flavours use it:
+/// the 1-stride plan has one, each half of a 2-stride plan its own.
+pub(crate) struct CodeRows<'p> {
+    plan: &'p EncodingPlan,
+    codes: Vec<Code>,
+    symbol_row: Vec<Option<u16>>,
+}
+
+impl<'p> CodeRows<'p> {
+    pub(crate) fn of(plan: &'p EncodingPlan) -> CodeRows<'p> {
         let mut codes = Vec::new();
         let mut symbol_row = vec![None; ALPHABET];
-        for (symbol, code) in self.codebook().assignments() {
+        for (symbol, code) in plan.codebook().assignments() {
             symbol_row[symbol as usize] = Some(codes.len() as u16);
             codes.push(code);
         }
-        (codes, symbol_row)
+        CodeRows {
+            plan,
+            codes,
+            symbol_row,
+        }
     }
 
+    /// The closure bundle `compile_with` consumes. `global_of` maps the
+    /// compiled automaton's (possibly shard-local) state index back to
+    /// this encoding's state index.
+    pub(crate) fn spec<'a>(&'a self, global_of: &'a dyn Fn(usize) -> usize) -> CodebookSpec<'a> {
+        let state = move |local: usize| &self.plan.states()[global_of(local)];
+        CodebookSpec {
+            code_len: self.plan.code_len(),
+            num_codes: self.codes.len(),
+            encode: Box::new(move |symbol| self.symbol_row[symbol as usize]),
+            matches: Box::new(move |local, row| {
+                state(local).matches(row.map(|r| self.codes[r as usize]))
+            }),
+            entries: Box::new(move |local| state(local).num_entries() as u32),
+            negated: Box::new(move |local| state(local).negated),
+        }
+    }
+}
+
+impl EncodingPlan {
     /// Lowers this encoding into an executable
     /// [`CompiledEncodedAutomaton`]: the per-cycle input path is the
     /// codebook lookup, and every match row is built by searching the
@@ -54,6 +87,7 @@ impl EncodingPlan {
     /// # Examples
     ///
     /// ```
+    /// use cama_core::compiled::ExecutionPlan;
     /// use cama_core::regex;
     /// use cama_encoding::EncodingPlan;
     ///
@@ -79,16 +113,7 @@ impl EncodingPlan {
             self.states().len(),
             "the encoding plan does not cover this automaton"
         );
-        let (codes, symbol_row) = self.code_rows();
-        CompiledEncodedAutomaton::compile_with(
-            nfa,
-            self.code_len(),
-            codes.len(),
-            |symbol| symbol_row[symbol as usize],
-            |state, row| self.states()[state].matches(row.map(|r| codes[r as usize])),
-            |state| self.states()[state].num_entries() as u32,
-            |state| self.states()[state].negated,
-        )
+        CompiledEncodedAutomaton::compile_with(nfa, CodeRows::of(self).spec(&|state| state))
     }
 
     /// Lowers this encoding into a sharded executable plan: one
@@ -107,19 +132,10 @@ impl EncodingPlan {
             self.states().len(),
             "the encoding plan does not cover this automaton"
         );
-        let (codes, symbol_row) = self.code_rows();
+        let rows = CodeRows::of(self);
         ShardedAutomaton::compile_shards_with(nfa, assignment, |local_nfa, globals| {
-            CompiledEncodedAutomaton::compile_with(
-                local_nfa,
-                self.code_len(),
-                codes.len(),
-                |symbol| symbol_row[symbol as usize],
-                |local, row| {
-                    self.states()[globals[local] as usize].matches(row.map(|r| codes[r as usize]))
-                },
-                |local| self.states()[globals[local] as usize].num_entries() as u32,
-                |local| self.states()[globals[local] as usize].negated,
-            )
+            let global_of = |local: usize| globals[local] as usize;
+            CompiledEncodedAutomaton::compile_with(local_nfa, rows.spec(&global_of))
         })
     }
 }
@@ -127,7 +143,7 @@ impl EncodingPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cama_core::compiled::CompiledAutomaton;
+    use cama_core::compiled::{CompiledAutomaton, ExecutionPlan};
     use cama_core::graph;
     use cama_core::regex;
     use cama_core::{NfaBuilder, StartKind, SteId, SymbolClass};
@@ -184,7 +200,7 @@ mod tests {
         let compiled = encoding.compile(&nfa);
         // ...so the compiled encoder routes it to the reserved row,
         assert_eq!(compiled.encode(b'z'), None);
-        assert_eq!(compiled.row_of(b'z'), compiled.num_codes());
+        assert_eq!(compiled.row_of_symbol(b'z') as usize, compiled.num_codes());
         // ...which matches nothing (the plan has no negated states).
         assert!(compiled.match_vector(b'z').is_empty());
         assert!(compiled.start_match(b'z').is_empty());

@@ -18,13 +18,13 @@
 //! encoded strided plan is bit-identical to the byte strided plan —
 //! asserted differentially across every scheme in `tests/property.rs`.
 
+use crate::compile::CodeRows;
 use crate::plan::EncodingPlan;
 use crate::scheme::Scheme;
 use cama_core::compiled::{
     CompiledEncodedStridedAutomaton, ShardedAutomaton, ShardedEncodedStridedAutomaton,
-    StridedHalfSpec,
 };
-use cama_core::stride::StridedNfa;
+use cama_core::stride::{paired_entries, StridedNfa};
 use cama_core::SymbolClass;
 
 /// A complete 2-stride encoding: one [`EncodingPlan`] per half of the
@@ -82,17 +82,17 @@ impl StridedEncoding {
         self.first.code_len() + self.second.code_len()
     }
 
-    /// Per-state slot weights for the strided mapper/energy model: one
-    /// concatenated entry per (first entry, second entry) combination,
-    /// at least 1, capped at the 64-entry per-state budget (matching
-    /// `cama_arch::strided_weights`). Equal to the executed plan's
+    /// Per-state slot weights for the strided mapper/energy model: the
+    /// [`paired_entries`] of each state's two halves, the rule
+    /// `cama_arch::strided_weights` also charges by. Equal to the
+    /// executed plan's
     /// [`entry_weights`](CompiledEncodedStridedAutomaton::entry_weights).
     pub fn entry_weights(&self) -> Vec<u32> {
         self.first
             .states()
             .iter()
             .zip(self.second.states())
-            .map(|(f, s)| ((f.num_entries().max(1) * s.num_entries().max(1)).min(64) as u32).max(1))
+            .map(|(f, s)| paired_entries(f.num_entries(), s.num_entries()))
             .collect()
     }
 
@@ -125,8 +125,8 @@ impl StridedEncoding {
     /// counts differ).
     pub fn compile(&self, nfa: &StridedNfa) -> CompiledEncodedStridedAutomaton {
         self.assert_covers(nfa);
-        let first = HalfRows::of(&self.first);
-        let second = HalfRows::of(&self.second);
+        let first = CodeRows::of(&self.first);
+        let second = CodeRows::of(&self.second);
         CompiledEncodedStridedAutomaton::compile_with(
             nfa,
             first.spec(&|state| state),
@@ -150,8 +150,8 @@ impl StridedEncoding {
         assignment: &[u32],
     ) -> ShardedEncodedStridedAutomaton {
         self.assert_covers(nfa);
-        let first = HalfRows::of(&self.first);
-        let second = HalfRows::of(&self.second);
+        let first = CodeRows::of(&self.first);
+        let second = CodeRows::of(&self.second);
         ShardedAutomaton::compile_strided_shards_with(nfa, assignment, |local_nfa, globals| {
             let global_of = |local: usize| globals[local] as usize;
             CompiledEncodedStridedAutomaton::compile_with(
@@ -201,50 +201,6 @@ fn half_classes(nfa: &StridedNfa) -> (Vec<SymbolClass>, Vec<SymbolClass>) {
         nfa.states().iter().map(|s| s.first).collect(),
         nfa.states().iter().map(|s| s.second).collect(),
     )
-}
-
-/// One half's codebook enumerated as dense rows — the code of row `i`
-/// plus the symbol → row lookup — ready to be lent to
-/// [`CompiledEncodedStridedAutomaton::compile_with`] as a
-/// [`StridedHalfSpec`].
-struct HalfRows<'p> {
-    plan: &'p EncodingPlan,
-    codes: Vec<crate::code::Code>,
-    symbol_row: Vec<Option<u16>>,
-}
-
-impl<'p> HalfRows<'p> {
-    fn of(plan: &'p EncodingPlan) -> HalfRows<'p> {
-        let mut codes = Vec::new();
-        let mut symbol_row = vec![None; cama_core::ALPHABET];
-        for (symbol, code) in plan.codebook().assignments() {
-            symbol_row[symbol as usize] = Some(codes.len() as u16);
-            codes.push(code);
-        }
-        HalfRows {
-            plan,
-            codes,
-            symbol_row,
-        }
-    }
-
-    /// The closure bundle `compile_with` consumes for this half.
-    /// `global_of` maps the compiled automaton's (possibly shard-local)
-    /// state index back to this encoding's global state index.
-    fn spec<'a>(&'a self, global_of: &'a dyn Fn(usize) -> usize) -> StridedHalfSpec<'a> {
-        StridedHalfSpec {
-            code_len: self.plan.code_len(),
-            num_codes: self.codes.len(),
-            encode: Box::new(move |symbol| self.symbol_row[symbol as usize]),
-            matches: Box::new(move |state, row| {
-                self.plan.states()[global_of(state)].matches(row.map(|r| self.codes[r as usize]))
-            }),
-            entries: Box::new(move |state| {
-                self.plan.states()[global_of(state)].num_entries() as u32
-            }),
-            negated: Box::new(move |state| self.plan.states()[global_of(state)].negated),
-        }
-    }
 }
 
 #[cfg(test)]

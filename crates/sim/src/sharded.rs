@@ -58,68 +58,20 @@ use crate::result::{Report, RunResult};
 use crate::session::{FlowSession, Session, SuspendedFlow};
 use cama_core::bitset::BitSet;
 use cama_core::compiled::{
-    CompiledAutomaton, CompiledDfa, CompiledEncodedAutomaton, CompiledEncodedStridedAutomaton,
-    CompiledStridedAutomaton, ExecutionPlan, PlanBase, Shard, ShardedAutomaton, StridedPlan,
+    ByteRows, CompiledAutomaton, CompiledDfa, CompiledPlan, ExecutionPlan, PairRows, PlanBase,
+    Shard, ShardedAutomaton, StridedPlan, SymbolIndex,
 };
 use cama_core::{Nfa, SteId};
 
-/// The byte-plan idle probe: `true` when the shard can be skipped this
-/// cycle without changing results — nothing dynamically enabled, no
-/// start state matching this symbol (if starts inject), and no live
-/// start-of-data overlap on cycle 0.
-#[inline]
-fn byte_shard_idle<P: ExecutionPlan>(
-    shard: &Shard<P>,
-    lane: &ShardLane,
-    step: CycleStep,
-    first_cycle: bool,
-) -> bool {
-    let starts_matter = step.inject && shard.start_match_possible(step.a);
-    // Cycle 0 only: a shard whose start-of-data states share no bit
-    // with this symbol's match vector has nothing to fire.
-    let sod_matters = first_cycle
-        && shard.has_start_of_data()
-        && !shard
-            .plan()
-            .match_vector(step.a)
-            .is_disjoint(shard.plan().start_of_data_mask().as_row());
-    lane.dynamic_is_empty() && !starts_matter && !sod_matters
-}
-
-/// The strided idle probe: starts inject on every pair cycle; the
-/// precomputed pair probe answers exactly whether a statically enabled
-/// state matches `a` in its first half and `b` in its second, and a
-/// cycle-0 start-of-data state must match both halves to fire.
-#[inline]
-fn pair_shard_idle<P: StridedPlan>(
-    shard: &Shard<P>,
-    lane: &ShardLane,
-    step: CycleStep,
-    first_cycle: bool,
-) -> bool {
-    let starts_matter = shard.pair_start_possible(step.a, step.b);
-    let splan = shard.plan();
-    let sod_matters = first_cycle && shard.has_start_of_data() && {
-        let sod = splan.start_of_data_mask().as_words();
-        let first = splan.first_vector(step.a).words();
-        let second = splan.second_vector(step.b).words();
-        sod.iter()
-            .enumerate()
-            .any(|(w, &m)| m & first[w] & second[w] != 0)
-    };
-    lane.dynamic_is_empty() && !starts_matter && !sod_matters
-}
-
-/// The flavour half of every session: how a concrete plan type maps
+/// The flavour half of every session: how a plan's cycle shape maps
 /// input bytes onto engine cycles and which lane kernel steps them.
-/// Byte and encoded plans ([`CompiledAutomaton`],
-/// [`CompiledEncodedAutomaton`]) consume one symbol per cycle; strided
-/// plans ([`CompiledStridedAutomaton`],
-/// [`CompiledEncodedStridedAutomaton`]) consume a symbol pair per
-/// cycle, carrying a dangling odd byte across chunk boundaries and
-/// flushing it (zero-padded, pad reports suppressed) at finish.
+/// Plans over [`ByteRows`] (raw-byte and encoded) consume one symbol per
+/// cycle; plans over [`PairRows`] (2-stride, raw-byte and encoded)
+/// consume a symbol pair per cycle, carrying a dangling odd byte across
+/// chunk boundaries and flushing it (zero-padded, pad reports
+/// suppressed) at finish.
 ///
-/// Implemented per concrete plan type — the kernels stay generic over
+/// Implemented once per cycle shape — the kernels stay generic over
 /// [`ExecutionPlan`] / [`StridedPlan`]; this trait only selects them,
 /// which is what lets the flat [`FlatSession`](crate::FlatSession), the
 /// [`ShardedSession`], the worker pool, [`StreamPlan`](crate::StreamPlan)
@@ -184,104 +136,115 @@ pub trait ShardedExecution: PlanBase + Sized {
     ) -> StepOut;
 }
 
-/// The byte-plan hook set, shared by [`CompiledAutomaton`] and
-/// [`CompiledEncodedAutomaton`].
-macro_rules! byte_execution {
-    ($plan:ty) => {
-        impl ShardedExecution for $plan {
-            fn plan_steps(
-                chunk: &[u8],
-                _carry: &mut Option<u8>,
-                chain: usize,
-                start_cycle: usize,
-                cycle: impl FnMut(CycleStep),
-            ) {
-                byte_steps(chunk, chain, start_cycle, cycle);
-            }
+/// Byte cycles, on raw-byte and encoded rows alike.
+impl<I: SymbolIndex> ShardedExecution for CompiledPlan<ByteRows<I>> {
+    fn plan_steps(
+        chunk: &[u8],
+        _carry: &mut Option<u8>,
+        chain: usize,
+        start_cycle: usize,
+        cycle: impl FnMut(CycleStep),
+    ) {
+        byte_steps(chunk, chain, start_cycle, cycle);
+    }
 
-            #[inline]
-            fn shard_idle(
-                shard: &Shard<Self>,
-                lane: &ShardLane,
-                step: CycleStep,
-                first_cycle: bool,
-            ) -> bool {
-                byte_shard_idle(shard, lane, step, first_cycle)
-            }
+    /// Skippable when nothing is dynamically enabled, no start state
+    /// matches this symbol (if starts inject), and no start-of-data state
+    /// matches it on cycle 0.
+    // Forced: the shard loop probes every shard on every cycle, and the
+    // generic body is past the size the inliner takes on its own.
+    #[inline(always)]
+    fn shard_idle(
+        shard: &Shard<Self>,
+        lane: &ShardLane,
+        step: CycleStep,
+        first_cycle: bool,
+    ) -> bool {
+        let starts_matter = step.inject && shard.start_match_possible(step.a);
+        let plan = shard.plan();
+        let sod_matters = first_cycle
+            && shard.has_start_of_data()
+            && !plan
+                .match_vector(step.a)
+                .is_disjoint(plan.start_of_data_mask().as_row());
+        lane.dynamic_is_empty() && !starts_matter && !sod_matters
+    }
 
-            fn step_lane(
-                plan: &Self,
-                dfa: Option<&CompiledDfa>,
-                lane: &mut ShardLane,
-                step: CycleStep,
-                cycle: usize,
-                ctx: &mut impl LaneContext,
-            ) -> StepOut {
-                match dfa {
-                    Some(dfa) => step_shard_dfa(plan, dfa, lane, step, cycle, ctx),
-                    None => step_shard_byte(plan, lane, step, cycle, ctx),
-                }
-            }
+    fn step_lane(
+        plan: &Self,
+        dfa: Option<&CompiledDfa>,
+        lane: &mut ShardLane,
+        step: CycleStep,
+        cycle: usize,
+        ctx: &mut impl LaneContext,
+    ) -> StepOut {
+        match dfa {
+            Some(dfa) => step_shard_dfa(plan, dfa, lane, step, cycle, ctx),
+            None => step_shard_byte(plan, lane, step, cycle, ctx),
         }
-    };
+    }
 }
 
-/// The strided-plan hook set, shared by [`CompiledStridedAutomaton`]
-/// and [`CompiledEncodedStridedAutomaton`].
-macro_rules! pair_execution {
-    ($plan:ty) => {
-        impl ShardedExecution for $plan {
-            fn plan_steps(
-                chunk: &[u8],
-                carry: &mut Option<u8>,
-                chain: usize,
-                _start_cycle: usize,
-                cycle: impl FnMut(CycleStep),
-            ) {
-                pair_steps(chunk, carry, chain, cycle);
-            }
+/// Pair cycles, on raw-byte and encoded halves alike.
+impl<I: SymbolIndex> ShardedExecution for CompiledPlan<PairRows<I>> {
+    fn plan_steps(
+        chunk: &[u8],
+        carry: &mut Option<u8>,
+        chain: usize,
+        _start_cycle: usize,
+        cycle: impl FnMut(CycleStep),
+    ) {
+        pair_steps(chunk, carry, chain, cycle);
+    }
 
-            fn flush_step(carry: &mut Option<u8>, fed: usize) -> Option<CycleStep> {
-                pair_flush(carry, fed)
-            }
+    fn flush_step(carry: &mut Option<u8>, fed: usize) -> Option<CycleStep> {
+        pair_flush(carry, fed)
+    }
 
-            fn sort_reports(reports: &mut Vec<Report>) {
-                reports.sort_by_key(|r| (r.offset, r.ste));
-            }
+    fn sort_reports(reports: &mut Vec<Report>) {
+        reports.sort_by_key(|r| (r.offset, r.ste));
+    }
 
-            #[inline]
-            fn shard_idle(
-                shard: &Shard<Self>,
-                lane: &ShardLane,
-                step: CycleStep,
-                first_cycle: bool,
-            ) -> bool {
-                pair_shard_idle(shard, lane, step, first_cycle)
-            }
+    /// Starts inject on every pair cycle; the precomputed pair probe
+    /// answers exactly whether a statically enabled state matches `a` in
+    /// its first half and `b` in its second, and a cycle-0
+    /// start-of-data state must match both halves to fire.
+    #[inline]
+    fn shard_idle(
+        shard: &Shard<Self>,
+        lane: &ShardLane,
+        step: CycleStep,
+        first_cycle: bool,
+    ) -> bool {
+        let starts_matter = shard.pair_start_possible(step.a, step.b);
+        let plan = shard.plan();
+        let sod_matters = first_cycle && shard.has_start_of_data() && {
+            let sod = plan.start_of_data_mask().as_words();
+            let first = plan.first_vector(step.a).words();
+            let second = plan.second_vector(step.b).words();
+            sod.iter()
+                .enumerate()
+                .any(|(w, &m)| m & first[w] & second[w] != 0)
+        };
+        lane.dynamic_is_empty() && !starts_matter && !sod_matters
+    }
 
-            fn step_lane(
-                plan: &Self,
-                dfa: Option<&CompiledDfa>,
-                lane: &mut ShardLane,
-                step: CycleStep,
-                cycle: usize,
-                ctx: &mut impl LaneContext,
-            ) -> StepOut {
-                debug_assert!(dfa.is_none(), "strided shards carry no DFA");
-                if lane.precharge_all {
-                    step_pair_naive(plan, lane, step, cycle, ctx)
-                } else {
-                    step_shard_pair(plan, lane, step, cycle, ctx)
-                }
-            }
+    fn step_lane(
+        plan: &Self,
+        dfa: Option<&CompiledDfa>,
+        lane: &mut ShardLane,
+        step: CycleStep,
+        cycle: usize,
+        ctx: &mut impl LaneContext,
+    ) -> StepOut {
+        debug_assert!(dfa.is_none(), "strided shards carry no DFA");
+        if lane.precharge_all {
+            step_pair_naive(plan, lane, step, cycle, ctx)
+        } else {
+            step_shard_pair(plan, lane, step, cycle, ctx)
         }
-    };
+    }
 }
-
-byte_execution!(CompiledAutomaton);
-byte_execution!(CompiledEncodedAutomaton);
-pair_execution!(CompiledStridedAutomaton);
-pair_execution!(CompiledEncodedStridedAutomaton);
 
 /// One shard's [`LaneContext`]: reports carry global ids, every
 /// activation counts in the per-state heat histogram, and cross-shard
@@ -492,9 +455,11 @@ impl ShardSinks {
 /// execution is supported through `chain`, exactly as in
 /// [`ByteSession`](crate::ByteSession). Like the flat session, it is
 /// generic over the per-shard plan flavour: byte plans by default, or
-/// [`CompiledEncodedAutomaton`] / [`CompiledStridedAutomaton`] /
-/// [`CompiledEncodedStridedAutomaton`] shards for encoding-aware,
-/// 2-stride, and encoded 2-stride sharded execution.
+/// [`CompiledEncodedAutomaton`](cama_core::compiled::CompiledEncodedAutomaton)
+/// / [`CompiledStridedAutomaton`](cama_core::compiled::CompiledStridedAutomaton)
+/// / [`CompiledEncodedStridedAutomaton`](cama_core::compiled::CompiledEncodedStridedAutomaton)
+/// shards for encoding-aware, 2-stride, and encoded 2-stride sharded
+/// execution.
 ///
 /// # Examples
 ///
