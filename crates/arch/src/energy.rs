@@ -6,8 +6,9 @@
 //! 2.67–16.78 pJ per CAM sub-array), the number of *active rows* driven
 //! into each local switch, and the dynamic transitions between
 //! partitions (global switch + wire energy). An [`EnergyObserver`]
-//! attaches to the functional simulator and accumulates all four, plus
-//! the input-encoder access and every array's leakage.
+//! attaches to any functional session through the one observer protocol
+//! ([`ShardObserver`]) and accumulates all four, plus the input-encoder
+//! access and every array's leakage.
 //!
 //! The enable vector splits into a static part (`all-input` start
 //! states, whose match energy is a per-cycle constant computed once) and
@@ -46,9 +47,7 @@ use crate::timing::timing_report;
 use cama_core::{Nfa, StartKind};
 use cama_mem::models::{ArrayKind, CircuitLibrary};
 use cama_mem::{Delay, Energy};
-use cama_sim::{
-    CycleView, DfaShardCycleView, Observer, ShardCycleSummary, ShardCycleView, ShardObserver,
-};
+use cama_sim::{DfaShardCycleView, ShardCycleSummary, ShardCycleView, ShardObserver};
 
 /// Wire energy per global-switch hop for CA, scaled to other designs by
 /// their state-match area exactly as the wire delay is (§VIII.A). A
@@ -201,7 +200,15 @@ impl SwapEpochEnergy {
     }
 }
 
-/// A [`cama_sim::Observer`] that accumulates an [`EnergyBreakdown`].
+/// A [`ShardObserver`] that accumulates an [`EnergyBreakdown`].
+///
+/// Every state a cycle view reports is charged to its mapped partition
+/// (`mapping.partition_of`), whatever shard layout produced the view:
+/// a flat session (its lane is shard 0), a sharded session whose shards
+/// are the mapping's partitions (`evaluate_serving`'s layout, where
+/// powered-down shards are never scanned) or any other sharding charge
+/// the same activity. Skipped shards cost exactly their precomputed
+/// static and leakage terms.
 #[derive(Debug)]
 pub struct EnergyObserver<'a> {
     design: DesignKind,
@@ -213,8 +220,6 @@ pub struct EnergyObserver<'a> {
     /// instead, so the activity being charged and the activity being
     /// simulated come from the same CAM image.
     weight_of: Vec<u32>,
-    /// Symbols consumed per observed cycle (2 for strided designs).
-    symbols_per_cycle: f64,
 
     // Per-access energies.
     match_floor: Energy,
@@ -241,9 +246,7 @@ pub struct EnergyObserver<'a> {
     static_switch_energy: Energy,
     cross_source: Vec<bool>,
 
-    // Scratch accumulated within a cycle (from a flat [`CycleView`] or
-    // from per-shard [`ShardCycleView`]s) and consumed by
-    // `account_cycle`.
+    // Scratch the cycle's shard views fill and `account_cycle` consumes.
     dyn_entries: Vec<u32>,
     active_entries: Vec<u32>,
     touched_dynamic: Vec<u32>,
@@ -255,31 +258,14 @@ pub struct EnergyObserver<'a> {
 }
 
 impl<'a> EnergyObserver<'a> {
-    /// Prepares an observer for one (design, automaton, mapping) triple.
-    ///
-    /// `starts_all_input` flags the statically enabled states; for plain
-    /// NFAs use [`EnergyObserver::for_nfa`].
-    pub fn new(
-        design: DesignKind,
-        mapping: &'a Mapping,
-        lib: &CircuitLibrary,
-        starts_all_input: &[bool],
-    ) -> Self {
-        Self::with_weights(
-            design,
-            mapping,
-            lib,
-            starts_all_input,
-            mapping.weight_of.clone(),
-        )
-    }
-
-    /// [`new`](Self::new) with explicit per-state slot weights replacing
-    /// the mapping's. The encoded-engine path passes
-    /// `CompiledEncodedAutomaton::entry_weights()` (or the sharded
-    /// equivalent) so enabled-entry counts are taken from the actual
-    /// encoded match rows being executed, not re-derived from the
-    /// encoding toolchain.
+    /// Prepares an observer for one (design, mapping) pair:
+    /// `starts_all_input` flags the statically enabled states (see
+    /// [`for_nfa`](Self::for_nfa)), and `weight_of` gives the slots (CAM
+    /// entries / rectangles / states) charged per enabled state — the
+    /// mapping's own `weight_of`, or the entry weights of the executed
+    /// encoded plan (`entry_weights()` of a flat or sharded encoded
+    /// plan), so enabled-entry counts are taken from the match rows
+    /// being executed, not re-derived from the encoding toolchain.
     ///
     /// # Panics
     ///
@@ -386,12 +372,10 @@ impl<'a> EnergyObserver<'a> {
                 .max(1) as f64;
         let wire_per_hop = Energy(CA_WIRE_ENERGY_PJ * (match_area / ca_area));
 
-        let symbols_per_cycle = design.bytes_per_cycle();
         EnergyObserver {
             design,
             mapping,
             weight_of,
-            symbols_per_cycle,
             match_floor,
             match_slope,
             match_full,
@@ -401,7 +385,7 @@ impl<'a> EnergyObserver<'a> {
             global_full: lib.model(ArrayKind::Sram8T, 256, 256).energy,
             wire_per_hop,
             encoder_access: if design.is_cama() {
-                lib.model(ArrayKind::Sram6T, 256, 32).energy * symbols_per_cycle
+                lib.model(ArrayKind::Sram6T, 256, 32).energy * design.bytes_per_cycle()
             } else {
                 Energy::ZERO
             },
@@ -421,24 +405,21 @@ impl<'a> EnergyObserver<'a> {
         }
     }
 
-    /// Convenience constructor extracting start flags from an [`Nfa`].
+    /// [`with_weights`](Self::with_weights) with the start flags of an
+    /// [`Nfa`] and the mapping's weights.
     pub fn for_nfa(
         design: DesignKind,
         mapping: &'a Mapping,
         lib: &CircuitLibrary,
         nfa: &Nfa,
     ) -> Self {
-        let starts: Vec<bool> = nfa
-            .stes()
-            .iter()
-            .map(|s| s.start == StartKind::AllInput)
-            .collect();
-        Self::new(design, mapping, lib, &starts)
+        Self::for_encoded(design, mapping, lib, nfa, mapping.weight_of.clone())
     }
 
-    /// Convenience constructor for the encoded-engine path: start flags
-    /// from the [`Nfa`], slot weights from the executed encoded plan
-    /// (`entry_weights()` of the flat or sharded
+    /// [`with_weights`](Self::with_weights) with the start flags of an
+    /// [`Nfa`]: the encoded-engine path, whose slot weights come from
+    /// the executed encoded plan (`entry_weights()` of the flat or
+    /// sharded
     /// [`CompiledEncodedAutomaton`](cama_core::compiled::CompiledEncodedAutomaton)).
     ///
     /// # Panics
@@ -451,37 +432,7 @@ impl<'a> EnergyObserver<'a> {
         nfa: &Nfa,
         entry_weights: Vec<u32>,
     ) -> Self {
-        let starts: Vec<bool> = nfa
-            .stes()
-            .iter()
-            .map(|s| s.start == StartKind::AllInput)
-            .collect();
-        Self::with_weights(design, mapping, lib, &starts, entry_weights)
-    }
-
-    /// Convenience constructor for the encoded 2-stride path: start
-    /// flags from the [`StridedNfa`](cama_core::stride::StridedNfa),
-    /// slot weights from the executed encoded strided plan (`entry_weights()` of the flat or sharded
-    /// [`CompiledEncodedStridedAutomaton`](cama_core::compiled::CompiledEncodedStridedAutomaton)),
-    /// so per-half entry visits are charged off exactly the per-half
-    /// codebook image the functional engine searches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entry_weights` does not cover every mapped strided
-    /// state.
-    pub fn for_encoded_strided(
-        design: DesignKind,
-        mapping: &'a Mapping,
-        lib: &CircuitLibrary,
-        strided: &cama_core::stride::StridedNfa,
-        entry_weights: Vec<u32>,
-    ) -> Self {
-        let starts: Vec<bool> = strided
-            .states()
-            .iter()
-            .map(|s| s.start == StartKind::AllInput)
-            .collect();
+        let starts = all_input(nfa.stes().iter().map(|s| s.start));
         Self::with_weights(design, mapping, lib, &starts, entry_weights)
     }
 
@@ -491,7 +442,8 @@ impl<'a> EnergyObserver<'a> {
 
     /// Folds one dynamically enabled state into the cycle scratch.
     #[inline]
-    fn add_dynamic(&mut self, state: usize, partition: usize) {
+    fn add_dynamic(&mut self, state: usize) {
+        let partition = self.mapping.partition_of[state] as usize;
         if self.dyn_entries[partition] == 0 {
             self.touched_dynamic.push(partition as u32);
         }
@@ -500,7 +452,8 @@ impl<'a> EnergyObserver<'a> {
 
     /// Folds one active state into the cycle scratch.
     #[inline]
-    fn add_active(&mut self, state: usize, partition: usize) {
+    fn add_active(&mut self, state: usize) {
+        let partition = self.mapping.partition_of[state] as usize;
         if self.active_entries[partition] == 0 {
             self.touched_active.push(partition as u32);
         }
@@ -510,10 +463,8 @@ impl<'a> EnergyObserver<'a> {
         }
     }
 
-    /// Converts the accumulated cycle scratch into energy and clears it
-    /// — shared by the flat [`Observer`] path (which fills the scratch
-    /// from one global enable vector) and the [`ShardObserver`] path
-    /// (which fills it from each visited shard's local activity).
+    /// Converts the cycle scratch the visited shards filled into energy
+    /// and clears it.
     fn account_cycle(&mut self) {
         let selective = self.design.selective_precharge();
         let mut match_energy = self.static_match_energy;
@@ -580,7 +531,6 @@ impl<'a> EnergyObserver<'a> {
         self.breakdown.switch_wire += switch_energy + self.leak_switch;
         self.breakdown.encoder += self.encoder_access + self.leak_encoder;
         self.breakdown.cycles += 1;
-        let _ = self.symbols_per_cycle;
     }
 }
 
@@ -672,7 +622,7 @@ impl HybridShardEnergy {
 
 impl ShardObserver for HybridShardEnergy {
     fn on_shard_cycle(&mut self, view: &ShardCycleView<'_>) {
-        let words = view.global_states.len().div_ceil(64);
+        let words = view.num_states().div_ceil(64);
         self.charge(view.shard, self.word_energy * words as f64);
         self.nfa_shard_cycles += 1;
     }
@@ -697,45 +647,18 @@ fn switch_factor(design: DesignKind, partition: &crate::mapping::Partition) -> f
     }
 }
 
-impl Observer for EnergyObserver<'_> {
-    fn on_cycle(&mut self, view: &CycleView<'_>) {
-        for state in view.dynamic_enabled.iter() {
-            let p = self.mapping.partition_of[state] as usize;
-            self.add_dynamic(state, p);
-        }
-        for state in view.active.iter() {
-            let p = self.mapping.partition_of[state] as usize;
-            self.add_active(state, p);
-        }
-        self.account_cycle();
-    }
+/// Flags the statically enabled (`all-input`) states among `starts`.
+pub(crate) fn all_input(starts: impl Iterator<Item = StartKind>) -> Vec<bool> {
+    starts.map(|start| start == StartKind::AllInput).collect()
 }
 
-/// The per-shard observation path: when the sharded engine's shards
-/// were built from this observer's mapping
-/// (`ShardedAutomaton::compile_with_assignment(nfa,
-/// &mapping.partition_of)`), shard indices *are* partition indices, so
-/// each visited shard's activity is charged to its partition directly —
-/// no flat enable vector is scanned, and skipped (powered-down) shards
-/// cost exactly their precomputed static/leakage terms.
-///
-/// The shard ↔ partition correspondence is the caller's contract
-/// (`evaluate_serving` constructs it); it is debug-asserted per state.
 impl ShardObserver for EnergyObserver<'_> {
     fn on_shard_cycle(&mut self, view: &ShardCycleView<'_>) {
-        let p = view.shard;
-        debug_assert!(
-            p < self.mapping.partitions.len(),
-            "shard {p} has no matching partition (shards must come from this mapping)"
-        );
         for local in view.dynamic_enabled.iter() {
-            let state = view.global_states[local] as usize;
-            debug_assert_eq!(self.mapping.partition_of[state] as usize, p);
-            self.add_dynamic(state, p);
+            self.add_dynamic(view.global_state(local));
         }
         for local in view.active.iter() {
-            let state = view.global_states[local] as usize;
-            self.add_active(state, p);
+            self.add_active(view.global_state(local));
         }
     }
 
@@ -993,9 +916,9 @@ mod tests {
         let (nfa_plan, _) = compile_ruleset(&nfa, 8, &mut cache);
         let (hybrid, _) = compile_hybrid_ruleset(&nfa, 8, &mut cache, &DfaPolicy::default());
 
-        // The flat-observer compatibility path: per-shard activity is
-        // scattered into global cycle views (DFA shards through the
-        // defaulted forwarding hook), so the observer never needs the
+        // These shards are not the mapping's partitions: the observer
+        // charges each state to its mapped partition (DFA shards through
+        // the defaulted forwarding hook), so it never needs the
         // shard ↔ partition correspondence.
         let measure = |sharded| {
             let mut observer = EnergyObserver::for_nfa(design, &mapping, &lib, &nfa);

@@ -12,11 +12,14 @@
 //! * [`resources`] / [`area`] — the array inventory and chip area
 //!   (Figure 10);
 //! * [`energy`] — the per-cycle activity-driven energy model
-//!   (Figures 11b, 11c, 12);
+//!   (Figures 11b, 11c, 12), observing any `cama_sim` session through
+//!   its one observer protocol (`ShardObserver`; a flat run is shard 0);
 //! * [`hardware`] — a functional model of the mapped hardware, tested
 //!   report-equivalent to the plain simulator;
 //! * [`report`] — per-(benchmark, design) rollups, including the strided
-//!   designs of Figure 13;
+//!   designs of Figure 13, and serving: one setup and one serving loop
+//!   behind [`evaluate_serving`], [`evaluate_serving_parallel`] and
+//!   [`evaluate_serving_by_tenant`], for 1- and 2-stride designs alike;
 //! * [`tenant`] — per-tenant accounting for serving: a tenant-demuxing
 //!   observer over the energy model whose slices sum to the table-wide
 //!   breakdown, plus [`evaluate_serving_by_tenant`].
@@ -53,12 +56,8 @@ pub use mapping::{
     map_design, map_design_profiled, map_strided, Mapping, Partition, PartitionMode,
 };
 pub use report::{
-    evaluate, evaluate_serving, evaluate_serving_parallel, evaluate_serving_strided,
-    evaluate_serving_strided_parallel, evaluate_strided, strided_weights, DesignReport,
-    ServingReport,
+    evaluate, evaluate_serving, evaluate_serving_parallel, evaluate_strided, strided_weights,
+    DesignReport, ServingReport,
 };
-pub use tenant::{
-    evaluate_serving_by_tenant, evaluate_serving_strided_by_tenant, TenantAccountant, TenantEnergy,
-    TenantServingReport,
-};
+pub use tenant::{evaluate_serving_by_tenant, TenantAccountant, TenantEnergy, TenantServingReport};
 pub use timing::{stage_delays, timing_report, StageDelays, TimingReport};

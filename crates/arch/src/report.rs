@@ -1,16 +1,26 @@
 //! Per-(benchmark, design) evaluation rollups — the quantities plotted
 //! in Figures 10–13 and tabulated in Tables IV/V.
 
+use std::collections::BTreeMap;
+use std::sync::Mutex;
+
 use crate::area::{area_report, AreaReport};
 use crate::designs::DesignKind;
-use crate::energy::{EnergyBreakdown, EnergyObserver};
+use crate::energy::{all_input, EnergyBreakdown, EnergyObserver};
 use crate::mapping::{map_design, map_strided, Mapping};
+use crate::tenant::{TenantAccountant, TenantEnergy};
 use crate::timing::timing_report;
+use cama_core::compile::work_steal;
+use cama_core::compiled::ShardedAutomaton;
 use cama_core::stride::StridedNfa;
-use cama_core::{Nfa, StartKind};
+use cama_core::Nfa;
 use cama_encoding::{EncodingPlan, StridedEncoding};
 use cama_mem::models::CircuitLibrary;
-use cama_sim::{EncodedSession, EncodedStridedSession, Session, Simulator, StridedSimulator};
+use cama_sim::control::TenantId;
+use cama_sim::{
+    worker_count, BatchSimulator, EncodedSession, EncodedStridedSession, RunResult, Session,
+    ShardObserver, ShardedExecution, Simulator, StreamId, StridedSimulator,
+};
 
 /// Everything measured for one design on one workload.
 #[derive(Clone, Debug)]
@@ -30,6 +40,25 @@ pub struct DesignReport {
 }
 
 impl DesignReport {
+    /// Rolls one run up: area and frequency of `design` mapped as
+    /// `mapping`, with the run's energy and report count.
+    fn rollup(
+        design: DesignKind,
+        mapping: Mapping,
+        lib: &CircuitLibrary,
+        energy: EnergyBreakdown,
+        reports: usize,
+    ) -> Self {
+        DesignReport {
+            design,
+            area: area_report(&mapping, lib),
+            energy,
+            frequency_ghz: timing_report(design, lib).operated_frequency_ghz,
+            reports,
+            mapping,
+        }
+    }
+
     /// Throughput in Gbit/s: frequency × bits consumed per cycle.
     pub fn throughput_gbps(&self) -> f64 {
         self.frequency_ghz * 8.0 * self.design.bytes_per_cycle()
@@ -80,9 +109,6 @@ pub fn evaluate_with_plan(
 ) -> DesignReport {
     let lib = CircuitLibrary::tsmc28();
     let mapping = map_design(design, nfa, plan);
-    let area = area_report(&mapping, &lib);
-    let timing = timing_report(design, &lib);
-
     let encoded = design.is_cama().then(|| {
         plan.expect("CAMA evaluation requires an encoding plan")
             .compile(nfa)
@@ -101,15 +127,8 @@ pub fn evaluate_with_plan(
         }
         None => Simulator::new(nfa).run_with(input, &mut observer),
     };
-
-    DesignReport {
-        design,
-        area,
-        energy: observer.breakdown,
-        frequency_ghz: timing.operated_frequency_ghz,
-        reports: result.reports.len(),
-        mapping,
-    }
+    let energy = observer.breakdown;
+    DesignReport::rollup(design, mapping, &lib, energy, result.reports.len())
 }
 
 /// Evaluates a 2-stride design (Figure 13) on a strided workload.
@@ -124,9 +143,8 @@ pub fn evaluate_with_plan(
 /// are bit-identical either way. Energy is charged against the
 /// caller's `weights` in both cases — the Figure 13 convention, which
 /// keeps design columns comparable under one estimate; use
-/// [`evaluate_serving`] (or [`evaluate_serving_strided`]) when charges
-/// should come off the *executed* encoded plan's entry weights
-/// ([`EnergyObserver::for_encoded_strided`]).
+/// [`evaluate_serving`] when charges should come off the *executed*
+/// encoded plan's entry weights.
 pub fn evaluate_strided(
     design: DesignKind,
     strided: &StridedNfa,
@@ -135,15 +153,9 @@ pub fn evaluate_strided(
 ) -> DesignReport {
     let lib = CircuitLibrary::tsmc28();
     let mapping = map_strided(design, strided, weights);
-    let area = area_report(&mapping, &lib);
-    let timing = timing_report(design, &lib);
-
-    let starts: Vec<bool> = strided
-        .states()
-        .iter()
-        .map(|s| s.start == StartKind::AllInput)
-        .collect();
-    let mut observer = EnergyObserver::new(design, &mapping, &lib, &starts);
+    let starts = all_input(strided.states().iter().map(|s| s.start));
+    let weights = mapping.weight_of.clone();
+    let mut observer = EnergyObserver::with_weights(design, &mapping, &lib, &starts, weights);
     let result = if design.is_cama() {
         let compiled = EncodingPlan::compile_strided(strided);
         let mut session = EncodedStridedSession::new(&compiled);
@@ -152,15 +164,8 @@ pub fn evaluate_strided(
     } else {
         StridedSimulator::new(strided).run_with(input, &mut observer)
     };
-
-    DesignReport {
-        design,
-        area,
-        energy: observer.breakdown,
-        frequency_ghz: timing.operated_frequency_ghz,
-        reports: result.reports.len(),
-        mapping,
-    }
+    let energy = observer.breakdown;
+    DesignReport::rollup(design, mapping, &lib, energy, result.reports.len())
 }
 
 /// Aggregate evaluation of one design serving a *batch* of independent
@@ -194,151 +199,45 @@ impl ServingReport {
 }
 
 /// Evaluates a design serving many streams: compiles the automaton
-/// into a [`ShardedAutomaton`](cama_core::compiled::ShardedAutomaton)
-/// whose shards *are* the mapping's partitions (one simulated CAM array
-/// per partition), then feeds every stream through one
-/// [`BatchSimulator`](cama_sim::BatchSimulator) stream table with a
-/// single energy observer accumulating over the whole batch. The
-/// observer consumes each shard's activity directly
-/// ([`ShardObserver`](cama_sim::ShardObserver)): partitions whose
-/// arrays stayed idle are never scanned, and each stream is an
-/// open→feed→close session, so the same rollup applies to incrementally
-/// arriving flows.
+/// into a [`ShardedAutomaton`] whose shards *are* the mapping's
+/// partitions (one simulated CAM array per partition), then serves each
+/// stream open→feed→close through one [`BatchSimulator`] stream table,
+/// a single energy observer accumulating over the whole batch. Only the
+/// arrays a cycle powered up are scanned.
 ///
-/// For CAMA designs the per-shard plans are
-/// [`CompiledEncodedAutomaton`](cama_core::compiled::CompiledEncodedAutomaton)s
-/// compiled from the encoding plan's codebook
-/// ([`EncodingPlan::compile_sharded`]): the activity stream being
-/// charged comes from the encoded engine, with entry-visit weights read
-/// off the executed encoded match rows. The energy breakdown is
-/// unchanged (to floating-point summation order) relative to the byte
-/// engine, because execution is bit-identical — asserted to 1e-9 in
-/// this module's tests.
+/// CAMA designs run encoded shards compiled from the encoding plan's
+/// codebook ([`EncodingPlan::compile_sharded`]), charged with entry
+/// weights read off the executed match rows; execution is bit-identical
+/// to the byte engine, so the breakdown matches it to summation order
+/// (1e-9, asserted in this module's tests). 2-stride designs serve the
+/// strided automaton on the strided mapper's partitions — 2-stride CAMA
+/// on encoded strided shards ([`StridedEncoding::compile_sharded`]),
+/// 4-stride Impala on byte-pair shards with the [`strided_weights`]
+/// estimates — and ignore the 1-stride plan. Reports equal the 1-stride
+/// engines' on the same streams.
 ///
 /// # Panics
 ///
-/// Panics if a CAMA design is evaluated without a plan.
+/// Panics if a 1-stride CAMA design is evaluated without a plan.
 pub fn evaluate_serving(
     design: DesignKind,
     nfa: &Nfa,
     streams: &[&[u8]],
     plan: Option<&EncodingPlan>,
 ) -> ServingReport {
-    if design.bytes_per_cycle() == 2.0 {
-        // 2-stride designs serve through the strided sharded engines;
-        // the 1-stride encoding plan (if any) is not consulted — the
-        // per-half strided encodings are derived from the strided
-        // automaton itself.
-        return evaluate_serving_strided(design, &StridedNfa::from_nfa(nfa), streams);
-    }
-    let lib = CircuitLibrary::tsmc28();
-    let mapping = map_design(design, nfa, plan);
-    let area = area_report(&mapping, &lib);
-    let timing = timing_report(design, &lib);
-
-    let (results, energy) = if design.is_cama() {
-        let encoding = plan.expect("CAMA serving requires an encoding plan");
-        let compiled = encoding.compile_sharded(nfa, &mapping.partition_of);
-        let mut observer =
-            EnergyObserver::for_encoded(design, &mapping, &lib, nfa, compiled.entry_weights());
-        let mut batch = cama_sim::BatchSimulator::new(&compiled);
-        let results = serve(&mut batch, streams, &mut observer);
-        (results, observer.breakdown)
-    } else {
-        let compiled = cama_core::compiled::ShardedAutomaton::compile_with_assignment(
-            nfa,
-            &mapping.partition_of,
-        );
-        let mut observer = EnergyObserver::for_nfa(design, &mapping, &lib, nfa);
-        let mut batch = cama_sim::ShardedBatch::new(&compiled);
-        let results = serve(&mut batch, streams, &mut observer);
-        (results, observer.breakdown)
-    };
-
-    rollup(design, mapping, area, timing, results, energy, streams)
-}
-
-/// Streams every flow through the table as an open→feed→close session,
-/// energy accumulating across the whole batch (close-side flush cycles
-/// included — a strided flow's zero-padded final pair is charged like
-/// any other cycle).
-pub(crate) fn serve<P>(
-    batch: &mut cama_sim::BatchSimulator<'_, cama_core::compiled::ShardedAutomaton<P>>,
-    streams: &[&[u8]],
-    observer: &mut impl cama_sim::ShardObserver,
-) -> Vec<cama_sim::RunResult>
-where
-    P: cama_sim::ShardedExecution + Clone + std::fmt::Debug,
-{
-    streams
-        .iter()
-        .enumerate()
-        .map(|(id, stream)| {
-            let id = id as cama_sim::StreamId;
-            batch.open(id);
-            batch.feed_sharded_with(id, stream, observer);
-            batch.close_sharded_with(id, observer)
-        })
-        .collect()
-}
-
-/// The multi-core counterpart of [`serve`]: `workers` threads claim
-/// streams by work-stealing ([`cama_core::compile::work_steal`], so
-/// skewed stream lengths don't idle threads), each with its own stream
-/// table and [`EnergyObserver`]. Results return in stream order; the
-/// per-worker breakdowns are summed ([`EnergyBreakdown::accumulate`]).
-/// Execution is bit-identical to the sequential path, so the rollup
-/// differs only by floating-point summation order (asserted within
-/// 1e-9 in this module's tests).
-pub(crate) fn serve_parallel<'a, P>(
-    compiled: &cama_core::compiled::ShardedAutomaton<P>,
-    streams: &[&[u8]],
-    workers: usize,
-    make_observer: &(impl Fn() -> EnergyObserver<'a> + Sync),
-) -> (Vec<cama_sim::RunResult>, EnergyBreakdown)
-where
-    P: cama_sim::ShardedExecution + Clone + std::fmt::Debug,
-{
-    let workers = cama_sim::worker_count(workers).min(streams.len());
-    if workers <= 1 {
-        let mut observer = make_observer();
-        let mut batch = cama_sim::BatchSimulator::new(compiled);
-        let results = serve(&mut batch, streams, &mut observer);
-        return (results, observer.breakdown);
-    }
-
-    let energy = std::sync::Mutex::new(EnergyBreakdown::default());
-    let results = cama_core::compile::work_steal(
-        streams.len(),
-        workers,
-        || (make_observer(), cama_sim::BatchSimulator::new(compiled)),
-        |(observer, batch), i| {
-            let id = i as cama_sim::StreamId;
-            batch.open(id);
-            batch.feed_sharded_with(id, streams[i], observer);
-            batch.close_sharded_with(id, observer)
-        },
-        |(observer, _)| {
-            energy
-                .lock()
-                .expect("serving merge mutex poisoned")
-                .accumulate(&observer.breakdown);
-        },
-    );
-    let energy = energy.into_inner().expect("serving merge mutex poisoned");
-    (results, energy)
+    serve_design(design, nfa, streams, None, plan, 1).0
 }
 
 /// [`evaluate_serving`] fanned out across `workers` OS threads (`0` =
-/// auto-detect via `CAMA_WORKERS`, then available parallelism): the
-/// compile/map/area/timing work is done once, then streams are served
-/// by work-stealing threads with per-thread energy observers whose
-/// breakdowns are summed. Same report as the sequential path to
-/// floating-point summation order.
+/// auto-detect via `CAMA_WORKERS`, then available parallelism): streams
+/// are claimed by work-stealing threads ([`work_steal`]), each with its
+/// own stream table and energy observer, and the breakdowns are summed
+/// ([`EnergyBreakdown::accumulate`]) — equal to the sequential rollup
+/// to summation order (1e-9, asserted in this module's tests).
 ///
 /// # Panics
 ///
-/// Panics if a CAMA design is evaluated without a plan.
+/// Panics if a 1-stride CAMA design is evaluated without a plan.
 pub fn evaluate_serving_parallel(
     design: DesignKind,
     nfa: &Nfa,
@@ -346,170 +245,171 @@ pub fn evaluate_serving_parallel(
     plan: Option<&EncodingPlan>,
     workers: usize,
 ) -> ServingReport {
-    if design.bytes_per_cycle() == 2.0 {
-        return evaluate_serving_strided_parallel(
-            design,
-            &StridedNfa::from_nfa(nfa),
-            streams,
-            workers,
-        );
-    }
-    let lib = CircuitLibrary::tsmc28();
-    let mapping = map_design(design, nfa, plan);
-    let area = area_report(&mapping, &lib);
-    let timing = timing_report(design, &lib);
-
-    let (results, energy) = if design.is_cama() {
-        let encoding = plan.expect("CAMA serving requires an encoding plan");
-        let compiled = encoding.compile_sharded(nfa, &mapping.partition_of);
-        let weights = compiled.entry_weights();
-        serve_parallel(&compiled, streams, workers, &|| {
-            EnergyObserver::for_encoded(design, &mapping, &lib, nfa, weights.clone())
-        })
-    } else {
-        let compiled = cama_core::compiled::ShardedAutomaton::compile_with_assignment(
-            nfa,
-            &mapping.partition_of,
-        );
-        serve_parallel(&compiled, streams, workers, &|| {
-            EnergyObserver::for_nfa(design, &mapping, &lib, nfa)
-        })
-    };
-
-    rollup(design, mapping, area, timing, results, energy, streams)
+    serve_design(design, nfa, streams, None, plan, workers).0
 }
 
-/// The 2-stride serving path behind [`evaluate_serving_parallel`] —
-/// [`evaluate_serving_strided`] with work-stealing serving threads.
-pub fn evaluate_serving_strided_parallel(
+/// Per-tenant slices in tenant-id order (empty for untagged flows).
+type Ledger = Vec<(TenantId, TenantEnergy)>;
+
+/// One serving run's functional results, table-wide energy and ledger.
+type Served = (Vec<RunResult>, EnergyBreakdown, Ledger);
+
+/// The one serving setup behind every serving evaluator: maps `design`,
+/// compiles the sharded plan whose shards are the mapping's partitions,
+/// and serves the streams on it — one arm per (stride, CAM) pair. With
+/// `tenants`, stream `i` is charged to `tenants[i]`.
+///
+/// # Panics
+///
+/// Panics if a 1-stride CAMA design is evaluated without a plan.
+pub(crate) fn serve_design(
     design: DesignKind,
-    strided: &StridedNfa,
+    nfa: &Nfa,
     streams: &[&[u8]],
+    tenants: Option<&[TenantId]>,
+    plan: Option<&EncodingPlan>,
     workers: usize,
-) -> ServingReport {
-    assert_eq!(
-        design.bytes_per_cycle(),
-        2.0,
-        "{design} is not a 2-stride design"
-    );
-    let lib = CircuitLibrary::tsmc28();
-
-    let (results, energy, mapping) = if design.is_cama() {
-        let encoding = StridedEncoding::for_strided(strided);
-        let mapping = map_strided(design, strided, encoding.entry_weights());
-        let compiled = encoding.compile_sharded(strided, &mapping.partition_of);
-        let weights = compiled.entry_weights();
-        let (results, energy) = serve_parallel(&compiled, streams, workers, &|| {
-            EnergyObserver::for_encoded_strided(design, &mapping, &lib, strided, weights.clone())
-        });
-        (results, energy, mapping)
-    } else {
-        let mapping = map_strided(design, strided, strided_weights(design, strided));
-        let compiled = cama_core::compiled::ShardedAutomaton::compile_strided_with_assignment(
-            strided,
-            &mapping.partition_of,
-        );
-        let starts: Vec<bool> = strided
-            .states()
-            .iter()
-            .map(|s| s.start == StartKind::AllInput)
-            .collect();
-        let (results, energy) = serve_parallel(&compiled, streams, workers, &|| {
-            EnergyObserver::new(design, &mapping, &lib, &starts)
-        });
-        (results, energy, mapping)
+) -> (ServingReport, Ledger) {
+    let strided = (design.bytes_per_cycle() == 2.0).then(|| StridedNfa::from_nfa(nfa));
+    let starts = match &strided {
+        Some(strided) => all_input(strided.states().iter().map(|s| s.start)),
+        None => all_input(nfa.stes().iter().map(|s| s.start)),
+    };
+    let serving = Serving {
+        design,
+        lib: CircuitLibrary::tsmc28(),
+        starts,
+        streams,
+        tenants,
+        workers,
+    };
+    let (mapping, (results, energy, ledger)) = match (&strided, design.is_cama()) {
+        (None, true) => {
+            let encoding = plan.expect("CAMA serving requires an encoding plan");
+            let mapping = map_design(design, nfa, plan);
+            let compiled = encoding.compile_sharded(nfa, &mapping.partition_of);
+            let served = serving.serve(&compiled, &mapping, compiled.entry_weights());
+            (mapping, served)
+        }
+        (None, false) => {
+            let mapping = map_design(design, nfa, plan);
+            let compiled = ShardedAutomaton::compile_with_assignment(nfa, &mapping.partition_of);
+            let served = serving.serve(&compiled, &mapping, mapping.weight_of.clone());
+            (mapping, served)
+        }
+        (Some(strided), true) => {
+            let encoding = StridedEncoding::for_strided(strided);
+            let mapping = map_strided(design, strided, encoding.entry_weights());
+            let compiled = encoding.compile_sharded(strided, &mapping.partition_of);
+            let served = serving.serve(&compiled, &mapping, compiled.entry_weights());
+            (mapping, served)
+        }
+        (Some(strided), false) => {
+            let mapping = map_strided(design, strided, strided_weights(design, strided));
+            let compiled =
+                ShardedAutomaton::compile_strided_with_assignment(strided, &mapping.partition_of);
+            let served = serving.serve(&compiled, &mapping, mapping.weight_of.clone());
+            (mapping, served)
+        }
     };
 
-    let area = area_report(&mapping, &lib);
-    let timing = timing_report(design, &lib);
-    rollup(design, mapping, area, timing, results, energy, streams)
-}
-
-/// Assembles the [`ServingReport`] from one serving run's pieces.
-pub(crate) fn rollup(
-    design: DesignKind,
-    mapping: Mapping,
-    area: AreaReport,
-    timing: crate::timing::TimingReport,
-    results: Vec<cama_sim::RunResult>,
-    energy: EnergyBreakdown,
-    streams: &[&[u8]],
-) -> ServingReport {
     let reports_per_stream: Vec<usize> = results.iter().map(|r| r.reports.len()).collect();
-    let total_reports = reports_per_stream.iter().sum();
-    ServingReport {
-        design_report: DesignReport {
-            design,
-            area,
-            energy,
-            frequency_ghz: timing.operated_frequency_ghz,
-            reports: total_reports,
-            mapping,
-        },
+    let reports = reports_per_stream.iter().sum();
+    let report = ServingReport {
+        design_report: DesignReport::rollup(design, mapping, &serving.lib, energy, reports),
         reports_per_stream,
         total_bytes: streams.iter().map(|s| s.len()).sum(),
-    }
+    };
+    (report, ledger)
 }
 
-/// The 2-stride serving path behind [`evaluate_serving`]: shards the
-/// strided automaton by the strided mapper's partitions and streams
-/// every flow through a strided sharded stream table.
-///
-/// 2-stride CAMA designs run the *encoded* strided shards
-/// ([`StridedEncoding::compile_sharded`]) with
-/// [`EnergyObserver::for_encoded_strided`] charging per-half entry
-/// visits off the executed plan's paired entry weights; non-CAM
-/// strided designs (4-stride Impala) run byte-pair shards with the
-/// [`strided_weights`] estimates. Reports are identical to the
-/// 1-stride engines on the same streams.
-pub fn evaluate_serving_strided(
+/// A serving run's fixed inputs: the design, its circuit library, the
+/// served automaton's start flags, and the flows with their optional
+/// tenant tags and worker count.
+struct Serving<'a> {
     design: DesignKind,
-    strided: &StridedNfa,
-    streams: &[&[u8]],
-) -> ServingReport {
-    assert_eq!(
-        design.bytes_per_cycle(),
-        2.0,
-        "{design} is not a 2-stride design"
-    );
-    let lib = CircuitLibrary::tsmc28();
+    lib: CircuitLibrary,
+    starts: Vec<bool>,
+    streams: &'a [&'a [u8]],
+    tenants: Option<&'a [TenantId]>,
+    workers: usize,
+}
 
-    let (results, energy, mapping) = if design.is_cama() {
-        let encoding = StridedEncoding::for_strided(strided);
-        let mapping = map_strided(design, strided, encoding.entry_weights());
-        let compiled = encoding.compile_sharded(strided, &mapping.partition_of);
-        // The executed shards' weights are the encoding's weights — one
-        // image, charged and searched alike.
-        let mut observer = EnergyObserver::for_encoded_strided(
-            design,
-            &mapping,
-            &lib,
-            strided,
-            compiled.entry_weights(),
-        );
-        let mut batch = cama_sim::BatchSimulator::new(&compiled);
-        let results = serve(&mut batch, streams, &mut observer);
-        (results, observer.breakdown, mapping)
-    } else {
-        let mapping = map_strided(design, strided, strided_weights(design, strided));
-        let compiled = cama_core::compiled::ShardedAutomaton::compile_strided_with_assignment(
-            strided,
-            &mapping.partition_of,
-        );
-        let starts: Vec<bool> = strided
-            .states()
-            .iter()
-            .map(|s| s.start == StartKind::AllInput)
-            .collect();
-        let mut observer = EnergyObserver::new(design, &mapping, &lib, &starts);
-        let mut batch = cama_sim::BatchSimulator::new(&compiled);
-        let results = serve(&mut batch, streams, &mut observer);
-        (results, observer.breakdown, mapping)
-    };
+impl Serving<'_> {
+    /// Serves every stream on `compiled` (sharded on `mapping`'s
+    /// partitions) with one energy observer per worker charging
+    /// `weights` per state, wrapped in a [`TenantAccountant`] when the
+    /// streams are tagged.
+    fn serve<P>(
+        &self,
+        compiled: &ShardedAutomaton<P>,
+        mapping: &Mapping,
+        weights: Vec<u32>,
+    ) -> Served
+    where
+        P: ShardedExecution + Clone + std::fmt::Debug,
+    {
+        let energy = || {
+            let weights = weights.clone();
+            EnergyObserver::with_weights(self.design, mapping, &self.lib, &self.starts, weights)
+        };
+        match self.tenants {
+            None => self.run(compiled, energy, |_, _| {}, |o| (o.breakdown, Vec::new())),
+            Some(tenants) => self.run(
+                compiled,
+                || TenantAccountant::new(energy()),
+                |accountant, i| accountant.set_tenant(tenants[i]),
+                |accountant| (accountant.total(), accountant.finish()),
+            ),
+        }
+    }
 
-    let area = area_report(&mapping, &lib);
-    let timing = timing_report(design, &lib);
-    rollup(design, mapping, area, timing, results, energy, streams)
+    /// The one serving loop: every stream runs open→feed→close through
+    /// a stream table on `compiled`, its observer pointed at it by
+    /// `start` first, so close-side flush cycles are charged like any
+    /// other. One worker serves the streams in order; more claim them by
+    /// work-stealing ([`work_steal`]), each with its own table and
+    /// observer. Results return in stream order, and each observer's
+    /// `finish` (energy, tenant ledger) is summed into the outcome.
+    fn run<P, O: ShardObserver>(
+        &self,
+        compiled: &ShardedAutomaton<P>,
+        observer: impl Fn() -> O + Sync,
+        start: impl Fn(&mut O, usize) + Sync,
+        finish: impl Fn(O) -> (EnergyBreakdown, Ledger) + Sync,
+    ) -> Served
+    where
+        P: ShardedExecution + Clone + std::fmt::Debug,
+    {
+        let parts = Mutex::new(Vec::new());
+        let init = || (BatchSimulator::new(compiled), observer());
+        let flow = |(table, observer): &mut (BatchSimulator<'_, _>, O), i: usize| {
+            let id = i as StreamId;
+            start(observer, i);
+            table.open(id);
+            table.feed_sharded_with(id, self.streams[i], observer);
+            table.close_sharded_with(id, observer)
+        };
+        let done = |(_, observer): (_, O)| {
+            let part = finish(observer);
+            parts
+                .lock()
+                .expect("serving merge mutex poisoned")
+                .push(part);
+        };
+        let workers = worker_count(self.workers).min(self.streams.len());
+        let results = work_steal(self.streams.len(), workers, init, flow, done);
+
+        let mut energy = EnergyBreakdown::default();
+        let mut ledger: BTreeMap<TenantId, TenantEnergy> = BTreeMap::new();
+        for (part, tenants) in parts.into_inner().expect("serving merge mutex poisoned") {
+            energy.accumulate(&part);
+            for (id, tenant) in tenants {
+                ledger.entry(id).or_default().accumulate(&tenant);
+            }
+        }
+        (results, energy, ledger.into_iter().collect())
+    }
 }
 
 /// Per-strided-state weights for the Figure 13 designs: the
@@ -747,11 +647,7 @@ mod tests {
             let mapping = map_strided(design, &strided, encoding.entry_weights());
             let compiled =
                 ShardedAutomaton::compile_strided_with_assignment(&strided, &mapping.partition_of);
-            let starts: Vec<bool> = strided
-                .states()
-                .iter()
-                .map(|s| s.start == StartKind::AllInput)
-                .collect();
+            let starts = all_input(strided.states().iter().map(|s| s.start));
             let mut observer = EnergyObserver::with_weights(
                 design,
                 &mapping,

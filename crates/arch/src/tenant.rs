@@ -37,21 +37,13 @@
 
 use std::collections::BTreeMap;
 
-use crate::area::area_report;
 use crate::designs::DesignKind;
 use crate::energy::{EnergyBreakdown, EnergyObserver};
-use crate::mapping::{map_design, map_strided};
-use crate::report::{rollup, strided_weights, ServingReport};
-use crate::timing::timing_report;
-use cama_core::stride::StridedNfa;
-use cama_core::{Nfa, StartKind};
-use cama_encoding::{EncodingPlan, StridedEncoding};
-use cama_mem::models::CircuitLibrary;
+use crate::report::{serve_design, ServingReport};
+use cama_core::Nfa;
+use cama_encoding::EncodingPlan;
 use cama_sim::control::TenantId;
-use cama_sim::{
-    BatchSimulator, CycleView, Observer, RunResult, ShardCycleSummary, ShardCycleView,
-    ShardObserver, ShardedExecution, StreamId,
-};
+use cama_sim::{ShardCycleSummary, ShardCycleView, ShardObserver};
 
 /// One tenant's slice of a serving run's architectural activity.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -74,13 +66,18 @@ impl TenantEnergy {
         self.active_states += states;
         self.reports += reports;
     }
+
+    /// Folds another slice of the same tenant into this one.
+    pub(crate) fn accumulate(&mut self, other: &TenantEnergy) {
+        self.energy.accumulate(&other.energy);
+        self.fold_activity(other.active_words, other.active_states, other.reports);
+    }
 }
 
-/// A tenant-demuxing observer over [`EnergyObserver`]: forwards every
-/// cycle to the inner model unchanged, then attributes the breakdown's
-/// increment (plus visited-word/active-state/report counts) to the
-/// current tenant. Implements both [`Observer`] (flat engines) and
-/// [`ShardObserver`] (sharded engines), like the inner model.
+/// A tenant-demuxing [`ShardObserver`] over [`EnergyObserver`]:
+/// forwards every cycle to the inner model unchanged, then attributes
+/// the breakdown's increment (plus visited-word/active-state/report
+/// counts) to the current tenant.
 #[derive(Debug)]
 pub struct TenantAccountant<'a> {
     inner: EnergyObserver<'a>,
@@ -88,11 +85,9 @@ pub struct TenantAccountant<'a> {
     /// Inner breakdown at the last settlement — deltas from here are
     /// the not-yet-attributed slice.
     last: EnergyBreakdown,
-    /// Per-shard activity of the in-flight cycle, settled at
-    /// `on_cycle_end`.
-    pending_words: u64,
-    pending_states: u64,
-    pending_reports: u64,
+    /// Activity counts of the in-flight cycle's shards (no energy),
+    /// settled at `on_cycle_end`.
+    pending: TenantEnergy,
     /// BTreeMap: ledger iteration is deterministic.
     per_tenant: BTreeMap<TenantId, TenantEnergy>,
 }
@@ -106,9 +101,7 @@ impl<'a> TenantAccountant<'a> {
             inner,
             current: 0,
             last,
-            pending_words: 0,
-            pending_states: 0,
-            pending_reports: 0,
+            pending: TenantEnergy::default(),
             per_tenant: BTreeMap::new(),
         }
     }
@@ -196,34 +189,18 @@ fn active_words(bits: &cama_core::bitset::BitSet) -> u64 {
     bits.as_words().iter().filter(|&&w| w != 0).count() as u64
 }
 
-impl Observer for TenantAccountant<'_> {
-    fn on_cycle(&mut self, view: &CycleView<'_>) {
-        let words = active_words(view.active);
-        let states = view.active.count() as u64;
-        self.inner.on_cycle(view);
-        self.settle_activity(words, states, view.reports as u64);
-    }
-}
-
 impl ShardObserver for TenantAccountant<'_> {
     fn on_shard_cycle(&mut self, view: &ShardCycleView<'_>) {
-        self.pending_words += active_words(view.active);
-        self.pending_states += view.active.count() as u64;
-        self.pending_reports += view.reports as u64;
+        let (words, states) = (active_words(view.active), view.active.count());
+        self.pending
+            .fold_activity(words, states as u64, view.reports as u64);
         self.inner.on_shard_cycle(view);
     }
 
     fn on_cycle_end(&mut self, summary: &ShardCycleSummary) {
         self.inner.on_cycle_end(summary);
-        let (words, states, reports) = (
-            self.pending_words,
-            self.pending_states,
-            self.pending_reports,
-        );
-        self.pending_words = 0;
-        self.pending_states = 0;
-        self.pending_reports = 0;
-        self.settle_activity(words, states, reports);
+        let cycle = std::mem::take(&mut self.pending);
+        self.settle_activity(cycle.active_words, cycle.active_states, cycle.reports);
     }
 }
 
@@ -258,30 +235,6 @@ impl TenantServingReport {
     }
 }
 
-/// Runs every flow through the table open→feed→close with the
-/// accountant pointed at the flow's tenant for its whole lifetime
-/// (close-side flush cycles included).
-fn serve_tenants<P>(
-    batch: &mut BatchSimulator<'_, cama_core::compiled::ShardedAutomaton<P>>,
-    flows: &[(TenantId, &[u8])],
-    accountant: &mut TenantAccountant,
-) -> Vec<RunResult>
-where
-    P: ShardedExecution + Clone + std::fmt::Debug,
-{
-    flows
-        .iter()
-        .enumerate()
-        .map(|(id, &(tenant, stream))| {
-            let id = id as StreamId;
-            accountant.set_tenant(tenant);
-            batch.open(id);
-            batch.feed_sharded_with(id, stream, accountant);
-            batch.close_sharded_with(id, accountant)
-        })
-        .collect()
-}
-
 /// [`evaluate_serving`](crate::report::evaluate_serving) with each
 /// stream tagged by tenant: same engines (encoded sharded for CAMA,
 /// byte sharded for non-CAM, strided sharded for 2-stride designs),
@@ -298,106 +251,17 @@ pub fn evaluate_serving_by_tenant(
     flows: &[(TenantId, &[u8])],
     plan: Option<&EncodingPlan>,
 ) -> TenantServingReport {
-    if design.bytes_per_cycle() == 2.0 {
-        return evaluate_serving_strided_by_tenant(design, &StridedNfa::from_nfa(nfa), flows);
-    }
-    let lib = CircuitLibrary::tsmc28();
-    let mapping = map_design(design, nfa, plan);
-    let area = area_report(&mapping, &lib);
-    let timing = timing_report(design, &lib);
-
-    let (results, energy, tenants) = if design.is_cama() {
-        let encoding = plan.expect("CAMA serving requires an encoding plan");
-        let compiled = encoding.compile_sharded(nfa, &mapping.partition_of);
-        let observer =
-            EnergyObserver::for_encoded(design, &mapping, &lib, nfa, compiled.entry_weights());
-        let mut accountant = TenantAccountant::new(observer);
-        let mut batch = BatchSimulator::new(&compiled);
-        let results = serve_tenants(&mut batch, flows, &mut accountant);
-        let energy = accountant.total();
-        (results, energy, accountant.finish())
-    } else {
-        let compiled = cama_core::compiled::ShardedAutomaton::compile_with_assignment(
-            nfa,
-            &mapping.partition_of,
-        );
-        let observer = EnergyObserver::for_nfa(design, &mapping, &lib, nfa);
-        let mut accountant = TenantAccountant::new(observer);
-        let mut batch = BatchSimulator::new(&compiled);
-        let results = serve_tenants(&mut batch, flows, &mut accountant);
-        let energy = accountant.total();
-        (results, energy, accountant.finish())
-    };
-
-    let streams: Vec<&[u8]> = flows.iter().map(|&(_, s)| s).collect();
-    TenantServingReport {
-        serving: rollup(design, mapping, area, timing, results, energy, &streams),
-        tenants,
-    }
-}
-
-/// The 2-stride half of [`evaluate_serving_by_tenant`], mirroring
-/// [`evaluate_serving_strided`](crate::report::evaluate_serving_strided).
-pub fn evaluate_serving_strided_by_tenant(
-    design: DesignKind,
-    strided: &StridedNfa,
-    flows: &[(TenantId, &[u8])],
-) -> TenantServingReport {
-    assert_eq!(
-        design.bytes_per_cycle(),
-        2.0,
-        "{design} is not a 2-stride design"
-    );
-    let lib = CircuitLibrary::tsmc28();
-
-    let (results, energy, tenants, mapping) = if design.is_cama() {
-        let encoding = StridedEncoding::for_strided(strided);
-        let mapping = map_strided(design, strided, encoding.entry_weights());
-        let compiled = encoding.compile_sharded(strided, &mapping.partition_of);
-        let observer = EnergyObserver::for_encoded_strided(
-            design,
-            &mapping,
-            &lib,
-            strided,
-            compiled.entry_weights(),
-        );
-        let mut accountant = TenantAccountant::new(observer);
-        let mut batch = BatchSimulator::new(&compiled);
-        let results = serve_tenants(&mut batch, flows, &mut accountant);
-        let energy = accountant.total();
-        (results, energy, accountant.finish(), mapping)
-    } else {
-        let mapping = map_strided(design, strided, strided_weights(design, strided));
-        let compiled = cama_core::compiled::ShardedAutomaton::compile_strided_with_assignment(
-            strided,
-            &mapping.partition_of,
-        );
-        let starts: Vec<bool> = strided
-            .states()
-            .iter()
-            .map(|s| s.start == StartKind::AllInput)
-            .collect();
-        let observer = EnergyObserver::new(design, &mapping, &lib, &starts);
-        let mut accountant = TenantAccountant::new(observer);
-        let mut batch = BatchSimulator::new(&compiled);
-        let results = serve_tenants(&mut batch, flows, &mut accountant);
-        let energy = accountant.total();
-        (results, energy, accountant.finish(), mapping)
-    };
-
-    let area = area_report(&mapping, &lib);
-    let timing = timing_report(design, &lib);
-    let streams: Vec<&[u8]> = flows.iter().map(|&(_, s)| s).collect();
-    TenantServingReport {
-        serving: rollup(design, mapping, area, timing, results, energy, &streams),
-        tenants,
-    }
+    let (tenants, streams): (Vec<TenantId>, Vec<&[u8]>) = flows.iter().copied().unzip();
+    let (serving, tenants) = serve_design(design, nfa, &streams, Some(&tenants), plan, 1);
+    TenantServingReport { serving, tenants }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::map_design;
     use crate::report::evaluate_serving;
+    use cama_mem::models::CircuitLibrary;
     use cama_workloads::Benchmark;
 
     fn close(a: cama_mem::Energy, b: cama_mem::Energy) -> bool {
@@ -476,7 +340,8 @@ mod tests {
         }
     }
 
-    /// The flat-Observer path demuxes like the ShardObserver path.
+    /// A flat run (its lane reported as shard 0) demuxes like a sharded
+    /// one.
     #[test]
     fn flat_observer_demux_matches_totals() {
         use cama_sim::Simulator;

@@ -117,10 +117,8 @@ pub fn worker_count(requested: usize) -> usize {
 /// shared atomic cursor and run `job` on it — so one expensive item
 /// doesn't idle the pool the way contiguous chunking would — and hand
 /// their state to `done` once the cursor runs dry. Results come back in
-/// index order.
-///
-/// Callers keep their own sequential path for `threads <= 1`; this
-/// always spawns.
+/// index order. With `threads <= 1` nothing is spawned: the caller's
+/// thread runs every index in order on one state.
 ///
 /// # Panics
 ///
@@ -132,6 +130,12 @@ pub fn work_steal<S, T: Send>(
     job: impl Fn(&mut S, usize) -> T + Sync,
     done: impl Fn(S) + Sync,
 ) -> Vec<T> {
+    if threads <= 1 {
+        let mut state = init();
+        let results = (0..count).map(|i| job(&mut state, i)).collect();
+        done(state);
+        return results;
+    }
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(count, || None);
@@ -635,22 +639,15 @@ where
         Shard::from_component(plan, probes, unit.states.to_vec())
     };
 
-    let threads = workers.min(miss_indices.len());
-    if threads <= 1 {
-        for &index in &miss_indices {
-            slots[index] = Some(compile_one(index));
-        }
-    } else {
-        let compiled = work_steal(
-            miss_indices.len(),
-            threads,
-            || (),
-            |_, k| compile_one(miss_indices[k]),
-            drop,
-        );
-        for (&index, shard) in miss_indices.iter().zip(compiled) {
-            slots[index] = Some(shard);
-        }
+    let compiled = work_steal(
+        miss_indices.len(),
+        workers.min(miss_indices.len()),
+        || (),
+        |_, k| compile_one(miss_indices[k]),
+        drop,
+    );
+    for (&index, shard) in miss_indices.iter().zip(compiled) {
+        slots[index] = Some(shard);
     }
 
     // Publish the fresh compilations so the next ruleset version hits.

@@ -1,72 +1,67 @@
-//! Per-cycle observation hooks and aggregate activity statistics.
+//! The one per-cycle observation protocol and aggregate activity
+//! statistics.
 //!
 //! The energy models in `cama-arch` need, for every cycle, which states
 //! were dynamically enabled (last cycle's Next Vector) and which were
-//! active (enabled ∧ matched). Rather than materializing gigabyte-scale
-//! traces, the simulator exposes a [`CycleView`] to an [`Observer`]
-//! callback and keeps only the running sums of [`ActivitySummary`].
+//! active (enabled ∧ matched), array by array. Rather than materializing
+//! gigabyte-scale traces, every session reports each cycle to a
+//! [`ShardObserver`] — one [`ShardCycleView`] per visited shard, then one
+//! [`ShardCycleSummary`] — and keeps only the running sums of
+//! [`ActivitySummary`]. A flat session is the one-array case: its single
+//! lane is reported as shard 0, every cycle, with local ids that *are*
+//! global ids.
 
 use cama_core::bitset::BitSet;
-
-/// A read-only view of one simulation cycle, valid only during the
-/// [`Observer::on_cycle`] call.
-#[derive(Debug)]
-pub struct CycleView<'a> {
-    /// Zero-based cycle index (one cycle per consumed symbol).
-    pub cycle: usize,
-    /// The symbol consumed this cycle.
-    pub symbol: u8,
-    /// States enabled by last cycle's transitions (excludes the statically
-    /// always-enabled `all-input` start states, which the hardware models
-    /// account for separately since they never toggle).
-    pub dynamic_enabled: &'a BitSet,
-    /// States that matched the symbol *and* were enabled — the states
-    /// that access the transition switches this cycle.
-    pub active: &'a BitSet,
-    /// Number of reports emitted this cycle.
-    pub reports: usize,
-}
-
-/// Receives every simulation cycle; implemented by the architecture
-/// energy models.
-pub trait Observer {
-    /// Called once per cycle after matching and transition resolution.
-    fn on_cycle(&mut self, view: &CycleView<'_>);
-}
 
 /// A no-op observer for plain functional runs.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullObserver;
 
-impl Observer for NullObserver {
-    fn on_cycle(&mut self, _view: &CycleView<'_>) {}
-}
-
 /// A read-only view of one *visited shard's* cycle, valid only during
 /// the [`ShardObserver::on_shard_cycle`] call.
 ///
 /// Bit sets are in the shard's **local** state space; translate a local
-/// index through [`global_states`](ShardCycleView::global_states) to
+/// index through [`global_state`](ShardCycleView::global_state) to
 /// recover the global state id. Shards the engine skipped (nothing
 /// enabled — the powered-down arrays) produce no view at all, which is
 /// exactly what makes per-shard observation cheaper than scanning a
-/// flat enable vector.
+/// flat enable vector. A flat session's lane is shard 0, whose local ids
+/// are the global ids.
 #[derive(Debug)]
 pub struct ShardCycleView<'a> {
     /// Zero-based cycle index.
     pub cycle: usize,
-    /// The symbol consumed this cycle.
+    /// The symbol consumed this cycle (the first of a strided pair).
     pub symbol: u8,
     /// Index of the shard this view describes.
     pub shard: usize,
-    /// Local index → global state id for the shard.
-    pub global_states: &'a [u32],
-    /// Dynamically enabled local states (last cycle's Next Vector).
+    /// Local index → global state id; `None` when they coincide (a flat
+    /// lane).
+    pub(crate) globals: Option<&'a [u32]>,
+    /// Dynamically enabled local states (last cycle's Next Vector;
+    /// excludes the statically always-enabled `all-input` start states,
+    /// which the hardware models account for separately since they
+    /// never toggle).
     pub dynamic_enabled: &'a BitSet,
-    /// Local states that matched *and* were enabled this cycle.
+    /// Local states that matched *and* were enabled this cycle — the
+    /// states that access the transition switches.
     pub active: &'a BitSet,
     /// Reports emitted by this shard this cycle.
     pub reports: usize,
+}
+
+impl ShardCycleView<'_> {
+    /// The global state id of local state `local`.
+    #[inline]
+    pub fn global_state(&self, local: usize) -> usize {
+        self.globals
+            .map_or(local, |globals| globals[local] as usize)
+    }
+
+    /// States in the shard (its local state space).
+    pub fn num_states(&self) -> usize {
+        self.dynamic_enabled.len()
+    }
 }
 
 /// A read-only view of one visited *DFA-stepped* shard's cycle, valid
@@ -110,15 +105,17 @@ pub struct ShardCycleSummary {
     pub reports: usize,
 }
 
-/// Receives per-shard activity from the sharded engine — the
-/// array-granular counterpart of [`Observer`], used by the energy
-/// models to charge exactly the arrays that were powered.
+/// Receives every cycle of every session, array by array — the one
+/// observer protocol, used by the energy models to charge exactly the
+/// arrays that were powered.
 ///
-/// Per cycle the engine calls
+/// Per cycle the session calls
 /// [`on_shard_cycle`](ShardObserver::on_shard_cycle) once per *visited*
 /// shard, then [`on_cycle_end`](ShardObserver::on_cycle_end) once
-/// (every cycle, even when all shards were skipped), so per-cycle
-/// constants (leakage, encoder access) accrue exactly once.
+/// (every cycle, even when all shards were skipped, and the flush cycle
+/// of a strided stream included), so per-cycle constants (leakage,
+/// encoder access) accrue exactly once. Flat sessions report their one
+/// lane as shard 0.
 pub trait ShardObserver {
     /// Called for each visited shard after its matching and transition
     /// resolution.

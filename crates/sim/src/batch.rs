@@ -89,7 +89,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
 
-use crate::activity::{Observer, ShardObserver};
+use crate::activity::{NullObserver, ShardObserver};
 use crate::engine::FlatSession;
 use crate::frame::{FrameDecoder, FrameError, FrameEvent, StreamId};
 use crate::result::RunResult;
@@ -323,25 +323,13 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
     }
 
     /// Opens a flow in the stream table, recycling a pooled session if
-    /// one is available. Opening is optional — [`feed`](Self::feed)
-    /// opens unknown ids implicitly — but useful to register a flow
-    /// before its first payload arrives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream is already open. A front-end treating
-    /// duplicate opens as a policy decision rather than a bug should
-    /// use [`try_open`](Self::try_open).
-    pub fn open(&mut self, stream: StreamId) {
-        assert!(self.try_open(stream), "stream {stream} is already open");
-    }
-
-    /// Non-panicking [`open`](Self::open): opens the flow and returns
-    /// `true`, or returns `false` if the stream is already open
-    /// (resident or parked), leaving the existing flow untouched. This
-    /// is the admission-control entry point — a duplicate open is a
-    /// verdict for the caller, not a crash.
-    pub fn try_open(&mut self, stream: StreamId) -> bool {
+    /// one is available, and returns `true` — or returns `false` if the
+    /// stream is already open (resident or parked), leaving the existing
+    /// flow untouched: a duplicate open is a verdict for the caller, not
+    /// a crash. Opening is optional — [`feed`](Self::feed) opens unknown
+    /// ids implicitly — but useful to register a flow before its first
+    /// payload arrives.
+    pub fn open(&mut self, stream: StreamId) -> bool {
         if self.table.contains_key(&stream) {
             return false;
         }
@@ -612,9 +600,15 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
         self.session_mut(stream).feed(chunk);
     }
 
-    /// [`feed`](Self::feed) with a per-cycle observer (shared energy
-    /// accounting across the whole table).
-    pub fn feed_with(&mut self, stream: StreamId, chunk: &[u8], observer: &mut impl Observer) {
+    /// [`feed`](Self::feed) reporting every cycle to `observer` (shared
+    /// energy accounting across the whole table; a flat plan's lane is
+    /// shard 0).
+    pub fn feed_sharded_with(
+        &mut self,
+        stream: StreamId,
+        chunk: &[u8],
+        observer: &mut impl ShardObserver,
+    ) {
         self.session_mut(stream).feed_with(chunk, observer);
     }
 
@@ -625,15 +619,17 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
     /// never fed (or never opened) yields the empty result, matching a
     /// zero-length stream.
     pub fn close(&mut self, stream: StreamId) -> RunResult {
-        self.close_with(stream, |session| session.finish())
+        self.close_sharded_with(stream, &mut NullObserver)
     }
 
-    /// [`close`](Self::close) with the session-side finish supplied by
-    /// the caller (plain or observed).
-    fn close_with(
+    /// [`close`](Self::close) reporting the flush cycle (a strided
+    /// flow's zero-padded final pair) to `observer`, so with
+    /// [`feed_sharded_with`](Self::feed_sharded_with) an energy observer
+    /// sees every cycle of a flow.
+    pub fn close_sharded_with(
         &mut self,
         stream: StreamId,
-        finish: impl FnOnce(&mut P::Session<'p>) -> RunResult,
+        observer: &mut impl ShardObserver,
     ) -> RunResult {
         let mut session = match self.table.remove(&stream) {
             Some(Flow::Resident { session, .. }) => {
@@ -655,7 +651,7 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
             }
             None => return RunResult::default(),
         };
-        let result = finish(&mut session);
+        let result = session.finish_with(observer);
         self.pool.push(session);
         result
     }
@@ -876,23 +872,6 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
         self.results(streams).collect()
     }
 
-    /// [`run_all`](Self::run_all) with a per-cycle observer shared
-    /// across the whole batch — the architecture models use this to
-    /// accumulate one energy breakdown over a serving batch.
-    pub fn run_all_with<'s, I>(&self, streams: I, observer: &mut impl Observer) -> Vec<RunResult>
-    where
-        I: IntoIterator<Item = &'s [u8]>,
-    {
-        let mut session = self.session();
-        streams
-            .into_iter()
-            .map(|input| {
-                session.feed_with(input, observer);
-                session.finish_with(observer)
-            })
-            .collect()
-    }
-
     /// Runs the streams across `threads` OS threads (scoped), returning
     /// results in stream order.
     ///
@@ -921,24 +900,10 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
         threads: usize,
         at_close: impl Fn(&mut P::Session<'p>) + Sync,
     ) -> Vec<RunResult> {
-        let threads = crate::parallel::worker_count(threads).min(streams.len());
-        if threads <= 1 {
-            let mut session = self.session();
-            let results = streams
-                .iter()
-                .map(|input| {
-                    session.feed(input);
-                    session.finish()
-                })
-                .collect();
-            at_close(&mut session);
-            return results;
-        }
-
         let (plan, chain) = (self.plan, self.chain);
         work_steal(
             streams.len(),
-            threads,
+            crate::parallel::worker_count(threads).min(streams.len()),
             || plan.open_session(chain),
             |session, i| {
                 session.feed(streams[i]);
@@ -968,31 +933,6 @@ impl<'p, P: ShardedExecution + Clone + fmt::Debug> BatchSimulator<'p, ShardedAut
                 .merge(&session.take_stats());
         });
         (results, stats.into_inner().expect("stats mutex poisoned"))
-    }
-
-    /// [`feed`](Self::feed) delivering per-shard activity to a
-    /// [`ShardObserver`] — the native observation path of the sharded
-    /// engine, used by the energy models to charge exactly the arrays
-    /// each flow powered.
-    pub fn feed_sharded_with(
-        &mut self,
-        stream: StreamId,
-        chunk: &[u8],
-        observer: &mut impl ShardObserver,
-    ) {
-        self.session_mut(stream).feed_sharded_with(chunk, observer);
-    }
-
-    /// [`close`](Self::close) delivering flush-cycle activity (a
-    /// strided flow's zero-padded final pair) to a [`ShardObserver`] —
-    /// pairs with [`feed_sharded_with`](Self::feed_sharded_with) so an
-    /// energy observer sees every cycle of a flow, including the flush.
-    pub fn close_sharded_with(
-        &mut self,
-        stream: StreamId,
-        observer: &mut impl ShardObserver,
-    ) -> RunResult {
-        self.close_with(stream, |session| session.finish_sharded_with(observer))
     }
 }
 
@@ -1166,33 +1106,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already open")]
-    fn double_open_panics() {
-        let nfa = regex::compile("a").unwrap();
-        let plan = CompiledAutomaton::compile(&nfa);
-        let mut batch = BatchSimulator::new(&plan);
-        batch.open(1);
-        batch.open(1);
-    }
-
-    #[test]
-    fn try_open_reports_duplicates_without_panicking() {
+    fn double_open_is_refused() {
         let nfa = regex::compile("ab").unwrap();
         let plan = CompiledAutomaton::compile(&nfa);
         let mut batch = BatchSimulator::new(&plan);
-        assert!(batch.try_open(1));
-        assert!(!batch.try_open(1));
-        // The duplicate attempt must not disturb the existing flow.
+        assert!(batch.open(1));
         batch.feed(1, b"a");
-        assert!(!batch.try_open(1));
+        assert!(!batch.open(1));
+        // The refused open leaves the flow untouched: mid-match.
         batch.feed(1, b"b");
         assert_eq!(batch.close(1).report_offsets(), vec![1]);
-        // A parked flow is still open: try_open must refuse it too.
+    }
+
+    #[test]
+    fn open_reports_duplicates_without_panicking() {
+        let nfa = regex::compile("ab").unwrap();
+        let plan = CompiledAutomaton::compile(&nfa);
+        let mut batch = BatchSimulator::new(&plan);
+        assert!(batch.open(1));
+        assert!(!batch.open(1));
+        // The duplicate attempt must not disturb the existing flow.
+        batch.feed(1, b"a");
+        assert!(!batch.open(1));
+        batch.feed(1, b"b");
+        assert_eq!(batch.close(1).report_offsets(), vec![1]);
+        // A parked flow is still open: open must refuse it too.
         let mut capped = BatchSimulator::new(&plan).max_resident(1);
         capped.feed(2, b"a");
         capped.feed(3, b"a"); // parks flow 2
         assert!(!capped.is_resident(2));
-        assert!(!capped.try_open(2));
+        assert!(!capped.open(2));
     }
 
     #[test]

@@ -68,7 +68,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
-use crate::activity::{NullObserver, Observer};
+use crate::activity::{NullObserver, ShardObserver};
 use crate::batch::{BatchSimulator, StreamPlan, SwapReport};
 use crate::frame::{FrameDecoder, FrameError, FrameEvent, StreamId};
 use crate::result::RunResult;
@@ -647,7 +647,7 @@ impl<'p, P: StreamPlan, V: VictimPolicy> ControlledBatch<'p, P, V> {
         }
         // Park our own victim before the table's built-in rule runs.
         self.make_room_for(stream);
-        if !self.batch.try_open(stream) {
+        if !self.batch.open(stream) {
             return Admission::Rejected(RejectReason::DuplicateFlow);
         }
         let bucket = self.flow_rate.map(TokenBucket::new);
@@ -687,13 +687,13 @@ impl<'p, P: StreamPlan, V: VictimPolicy> ControlledBatch<'p, P, V> {
         self.feed_with(stream, chunk, &mut NullObserver)
     }
 
-    /// [`feed`](Self::feed) with a per-cycle observer (energy
+    /// [`feed`](Self::feed) reporting every cycle to `observer` (energy
     /// accounting across the whole table).
     pub fn feed_with(
         &mut self,
         stream: StreamId,
         chunk: &[u8],
-        observer: &mut impl Observer,
+        observer: &mut impl ShardObserver,
     ) -> FeedVerdict {
         if !self.flows.contains_key(&stream) {
             let verdict = self.open(stream, FlowSpec::default());
@@ -717,7 +717,7 @@ impl<'p, P: StreamPlan, V: VictimPolicy> ControlledBatch<'p, P, V> {
         &mut self,
         stream: StreamId,
         chunk: &[u8],
-        observer: &mut impl Observer,
+        observer: &mut impl ShardObserver,
     ) -> FeedVerdict {
         let mut verdict = FeedVerdict::default();
         {
@@ -776,7 +776,7 @@ impl<'p, P: StreamPlan, V: VictimPolicy> ControlledBatch<'p, P, V> {
         if !self.feed_scratch.is_empty() {
             self.make_room_for(stream);
             let scratch = std::mem::take(&mut self.feed_scratch);
-            self.batch.feed_with(stream, &scratch, observer);
+            self.batch.feed_sharded_with(stream, &scratch, observer);
             self.feed_scratch = scratch;
         }
         verdict
@@ -800,8 +800,9 @@ impl<'p, P: StreamPlan, V: VictimPolicy> ControlledBatch<'p, P, V> {
         self.advance_with(ticks, &mut NullObserver)
     }
 
-    /// [`advance`](Self::advance) with a per-cycle observer.
-    pub fn advance_with(&mut self, ticks: u64, observer: &mut impl Observer) -> FeedVerdict {
+    /// [`advance`](Self::advance) reporting every drained cycle to
+    /// `observer`.
+    pub fn advance_with(&mut self, ticks: u64, observer: &mut impl ShardObserver) -> FeedVerdict {
         self.now = self.now.saturating_add(ticks);
         for flow in self.flows.values_mut() {
             if let Some(bucket) = flow.bucket.as_mut() {
@@ -848,10 +849,12 @@ impl<'p, P: StreamPlan, V: VictimPolicy> ControlledBatch<'p, P, V> {
         self.close_with(stream, &mut NullObserver)
     }
 
-    /// [`close`](Self::close) with a per-cycle observer.
-    pub fn close_with(&mut self, stream: StreamId, observer: &mut impl Observer) -> RunResult {
+    /// [`close`](Self::close) reporting every cycle it runs to
+    /// `observer`: the flushed deferred bytes and a strided flow's final
+    /// pair.
+    pub fn close_with(&mut self, stream: StreamId, observer: &mut impl ShardObserver) -> RunResult {
         let Some(mut flow) = self.flows.remove(&stream) else {
-            return self.batch.close(stream);
+            return self.batch.close_sharded_with(stream, observer);
         };
         if !flow.deferred.is_empty() {
             // Flush outside the budget: the bytes were already granted
@@ -863,11 +866,11 @@ impl<'p, P: StreamPlan, V: VictimPolicy> ControlledBatch<'p, P, V> {
             let flushed = self.feed_scratch.len() as u64;
             self.make_room_for(stream);
             let scratch = std::mem::take(&mut self.feed_scratch);
-            self.batch.feed_with(stream, &scratch, observer);
+            self.batch.feed_sharded_with(stream, &scratch, observer);
             self.feed_scratch = scratch;
             self.tenant_entry(flow.spec.tenant).usage.bytes_admitted += flushed;
         }
-        let result = self.batch.close(stream);
+        let result = self.batch.close_sharded_with(stream, observer);
         let tenant = self.tenant_entry(flow.spec.tenant);
         tenant.usage.flows_closed += 1;
         tenant.usage.cycles += result.activity.cycles as u64;
@@ -1100,6 +1103,46 @@ mod tests {
         assert_eq!(table.close(1), Simulator::new(&nfa).run(b"zabbc"));
         assert_eq!(table.deferred_total(), 0);
         assert_eq!(table.usage(0).bytes_admitted, 5);
+    }
+
+    /// Observed closes report the strided flush cycle: an odd-length
+    /// flow's zero-padded final pair reaches the observer like every fed
+    /// cycle — on flat and sharded 2-stride plans, through the stream
+    /// table, and through the control plane with deferred bytes still
+    /// pending at close.
+    #[test]
+    fn observed_close_reports_the_strided_flush_cycle() {
+        use crate::activity::{ShardCycleSummary, ShardCycleView};
+        use cama_core::compiled::CompiledStridedAutomaton;
+        use cama_core::stride::StridedNfa;
+
+        #[derive(Default)]
+        struct CycleEnds(usize);
+        impl ShardObserver for CycleEnds {
+            fn on_shard_cycle(&mut self, _view: &ShardCycleView<'_>) {}
+            fn on_cycle_end(&mut self, _summary: &ShardCycleSummary) {
+                self.0 += 1;
+            }
+        }
+        // "zabbc": two pair cycles, then the flush pair "c\0".
+        fn check<P: StreamPlan>(plan: &P) {
+            let mut batch = BatchSimulator::new(plan);
+            let mut ends = CycleEnds::default();
+            batch.feed_sharded_with(1, b"zabbc", &mut ends);
+            let result = batch.close_sharded_with(1, &mut ends);
+            assert_eq!((result.activity.cycles, ends.0), (3, 3));
+
+            let config = ControlConfig::new().flow_rate(RateLimit::new(2, 0));
+            let mut table = ControlledBatch::new(plan, config);
+            let mut ends = CycleEnds::default();
+            assert_eq!(table.feed_with(1, b"zabbc", &mut ends).deferred, 3);
+            let result = table.close_with(1, &mut ends);
+            assert_eq!(result.report_offsets(), vec![4]);
+            assert_eq!((result.activity.cycles, ends.0), (3, 3));
+        }
+        let strided = StridedNfa::from_nfa(&regex::compile("ab+c").unwrap());
+        check(&CompiledStridedAutomaton::compile(&strided));
+        check(&ShardedAutomaton::compile_strided(&strided, 2));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! is the one owning engine over any [`StreamPlan`]; [`Simulator`] and
 //! the other simulators are its aliases.
 
-use crate::activity::{CycleView, NullObserver, Observer};
+use crate::activity::{NullObserver, ShardCycleSummary, ShardCycleView, ShardObserver};
 use crate::batch::StreamPlan;
 use crate::lane::{CycleStep, FlatContext, ShardLane};
 use crate::session::{AutomataEngine, FlowSession, Session, SuspendedFlow};
@@ -130,19 +130,29 @@ impl<'p, P: ShardedExecution> FlatSession<'p, P> {
     }
 
     /// Executes one cycle on the lane, then the per-cycle accounting,
-    /// the observer callback and the lane advance.
-    fn step(&mut self, step: CycleStep, observer: &mut impl Observer) {
+    /// the observer callbacks (the lane is shard 0, visited every cycle)
+    /// and the lane advance.
+    fn step(&mut self, step: CycleStep, observer: &mut impl ShardObserver) {
         let context = &mut FlatContext(&mut self.result.reports);
         let out = P::step_lane(self.plan, None, &mut self.lane, step, self.cycle, context);
         self.words_visited += out.words;
         self.result
             .activity
             .record(out.num_active, self.lane.num_dynamic, out.reports);
-        observer.on_cycle(&CycleView {
+        observer.on_shard_cycle(&ShardCycleView {
             cycle: self.cycle,
             symbol: step.a,
+            shard: 0,
+            globals: None,
             dynamic_enabled: &self.lane.dynamic,
             active: &self.lane.active,
+            reports: out.reports,
+        });
+        observer.on_cycle_end(&ShardCycleSummary {
+            cycle: self.cycle,
+            symbol: step.a,
+            shards_visited: 1,
+            shards_skipped: 0,
             reports: out.reports,
         });
         self.lane.advance();
@@ -159,7 +169,7 @@ impl<'p, P: ShardedExecution> FlatSession<'p, P> {
 }
 
 impl<P: ShardedExecution> Session for FlatSession<'_, P> {
-    fn feed_with(&mut self, chunk: &[u8], observer: &mut impl Observer) {
+    fn feed_with(&mut self, chunk: &[u8], observer: &mut impl ShardObserver) {
         let mut carry = self.carry.take();
         P::plan_steps(chunk, &mut carry, self.chain, self.cycle, |step| {
             self.step(step, observer)
@@ -168,7 +178,7 @@ impl<P: ShardedExecution> Session for FlatSession<'_, P> {
         self.fed += chunk.len();
     }
 
-    fn finish_with(&mut self, observer: &mut impl Observer) -> RunResult {
+    fn finish_with(&mut self, observer: &mut impl ShardObserver) -> RunResult {
         if let Some(step) = P::flush_step(&mut self.carry, self.fed) {
             self.step(step, observer);
         }
@@ -306,9 +316,10 @@ impl<'a, P: StreamPlan, N, E> Engine<'a, P, N, E> {
         session.finish()
     }
 
-    /// [`run`](Self::run) with a per-cycle observer (used by the energy
-    /// models, which charge the entry layout the plan actually visits).
-    pub fn run_with(&mut self, input: &[u8], observer: &mut impl Observer) -> RunResult {
+    /// [`run`](Self::run) reporting every cycle to `observer` (used by
+    /// the energy models, which charge the entry layout the plan
+    /// actually visits).
+    pub fn run_with(&mut self, input: &[u8], observer: &mut impl ShardObserver) -> RunResult {
         self.run_multistep_with(input, 1, observer)
     }
 
@@ -337,7 +348,7 @@ impl<'a, P: StreamPlan, N, E> Engine<'a, P, N, E> {
         &mut self,
         input: &[u8],
         chain: usize,
-        observer: &mut impl Observer,
+        observer: &mut impl ShardObserver,
     ) -> RunResult {
         let mut session = self.start_multistep(chain);
         session.feed_with(input, observer);

@@ -12,7 +12,7 @@
 //! all three engine flavours through the same streaming [`Session`]
 //! interface.
 
-use crate::activity::{CycleView, NullObserver, Observer};
+use crate::activity::{NullObserver, ShardCycleSummary, ShardCycleView, ShardObserver};
 use crate::result::{Report, RunResult};
 use crate::session::{AutomataEngine, Session};
 use cama_core::bitset::BitSet;
@@ -93,8 +93,9 @@ impl<'a> InterpSimulator<'a> {
         self.run_with(input, &mut NullObserver)
     }
 
-    /// [`run`](Self::run) with a per-cycle observer.
-    pub fn run_with(&mut self, input: &[u8], observer: &mut impl Observer) -> RunResult {
+    /// [`run`](Self::run) reporting every cycle to `observer` (the
+    /// automaton as shard 0).
+    pub fn run_with(&mut self, input: &[u8], observer: &mut impl ShardObserver) -> RunResult {
         let mut session = self.start();
         session.feed_with(input, observer);
         session.finish_with(observer)
@@ -155,7 +156,7 @@ pub struct InterpSession<'e> {
 }
 
 impl InterpSession<'_> {
-    fn step(&mut self, symbol: u8, inject_starts: bool, observer: &mut impl Observer) {
+    fn step(&mut self, symbol: u8, inject_starts: bool, observer: &mut impl ShardObserver) {
         // State matching over the enable vector, one state at a time.
         self.active.clear();
         if inject_starts {
@@ -197,11 +198,20 @@ impl InterpSession<'_> {
             self.dynamic.count(),
             reports_this_cycle,
         );
-        observer.on_cycle(&CycleView {
+        observer.on_shard_cycle(&ShardCycleView {
             cycle: self.cycle,
             symbol,
+            shard: 0,
+            globals: None,
             dynamic_enabled: &self.dynamic,
             active: &self.active,
+            reports: reports_this_cycle,
+        });
+        observer.on_cycle_end(&ShardCycleSummary {
+            cycle: self.cycle,
+            symbol,
+            shards_visited: 1,
+            shards_skipped: 0,
             reports: reports_this_cycle,
         });
 
@@ -211,7 +221,7 @@ impl InterpSession<'_> {
 }
 
 impl Session for InterpSession<'_> {
-    fn feed_with(&mut self, chunk: &[u8], observer: &mut impl Observer) {
+    fn feed_with(&mut self, chunk: &[u8], observer: &mut impl ShardObserver) {
         if self.chain == 1 {
             for &symbol in chunk {
                 self.step(symbol, true, observer);
@@ -225,7 +235,7 @@ impl Session for InterpSession<'_> {
         self.fed += chunk.len();
     }
 
-    fn finish_with(&mut self, _observer: &mut impl Observer) -> RunResult {
+    fn finish_with(&mut self, _observer: &mut impl ShardObserver) -> RunResult {
         let result = std::mem::take(&mut self.result);
         self.reset();
         result

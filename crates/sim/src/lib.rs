@@ -52,8 +52,10 @@
 //!   from a measured run ([`ShardStats::state_active`]) packed into a
 //!   heat-sorted sharding that concentrates hot states and leaves cold
 //!   arrays skippable;
-//! * [`activity`] — the per-cycle observer interface and summary
-//!   statistics the energy models consume;
+//! * [`activity`] — the one per-cycle observer protocol
+//!   ([`ShardObserver`]: per-shard views plus a cycle-end summary, a flat
+//!   lane reported as shard 0) and the summary statistics the energy
+//!   models consume;
 //! * [`buffers`] — the 128-entry input / 64-entry output buffer
 //!   interruption model of §VI.B, fed directly from run results.
 //!
@@ -121,8 +123,7 @@ pub mod sharded;
 pub mod strided;
 
 pub use activity::{
-    ActivitySummary, CycleView, DfaShardCycleView, Observer, ShardCycleSummary, ShardCycleView,
-    ShardObserver,
+    ActivitySummary, DfaShardCycleView, ShardCycleSummary, ShardCycleView, ShardObserver,
 };
 pub use batch::{BatchSimulator, ShardedBatch, StreamPlan, SwapReport, SwapVerdict};
 pub use buffers::BufferStats;

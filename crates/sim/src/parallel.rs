@@ -41,8 +41,7 @@
 //! single-shard plan) falls back to the sequential session — no pool is
 //! spawned.
 //!
-//! Observed feeds ([`Session::feed_with`],
-//! `ShardedSession::feed_sharded_with`) run on the sequential path:
+//! Observed feeds ([`Session::feed_with`]) run on the sequential path:
 //! observer callbacks are ordered per cycle, which a lockstep fan-out
 //! cannot provide without serializing anyway. Unobserved `feed` is the
 //! parallel fast path; the two may be interleaved freely on one
@@ -72,7 +71,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::activity::{NullObserver, Observer};
+use crate::activity::{NullObserver, ShardObserver};
 use crate::batch::StreamPlan;
 use crate::engine::Engine;
 use crate::lane::{CycleStep, ShardLane};
@@ -679,7 +678,7 @@ impl<'p, P: ShardedExecution + 'static> ParallelShardedSession<'p, P> {
 }
 
 impl<P: ShardedExecution + 'static> Session for ParallelShardedSession<'_, P> {
-    fn feed_with(&mut self, chunk: &[u8], observer: &mut impl Observer) {
+    fn feed_with(&mut self, chunk: &[u8], observer: &mut impl ShardObserver) {
         // Observed feeds are sequential: observer callbacks are ordered
         // per cycle, which the lockstep fan-out cannot provide.
         self.inner.feed_with(chunk, observer);
@@ -689,7 +688,7 @@ impl<P: ShardedExecution + 'static> Session for ParallelShardedSession<'_, P> {
         self.feed_parallel(chunk);
     }
 
-    fn finish_with(&mut self, observer: &mut impl Observer) -> RunResult {
+    fn finish_with(&mut self, observer: &mut impl ShardObserver) -> RunResult {
         // The strided carry flush is a single cycle; run it (and the
         // end-of-stream sort/reset) on the inner session.
         self.inner.finish_with(observer)

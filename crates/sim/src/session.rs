@@ -40,7 +40,7 @@
 //! # Ok::<(), cama_core::Error>(())
 //! ```
 
-use crate::activity::{NullObserver, Observer};
+use crate::activity::{NullObserver, ShardObserver};
 use crate::buffers::{stats_for_run, BufferStats};
 use crate::result::RunResult;
 use crate::sharded::ShardedExecution;
@@ -61,8 +61,9 @@ use crate::sharded::ShardedExecution;
 /// the power-on state while keeping all capacity, so long-lived serving
 /// loops don't churn the allocator.
 pub trait Session {
-    /// Consumes one chunk of input, observing every cycle.
-    fn feed_with(&mut self, chunk: &[u8], observer: &mut impl Observer);
+    /// Consumes one chunk of input, reporting every cycle to `observer`
+    /// (a flat session's lane as shard 0).
+    fn feed_with(&mut self, chunk: &[u8], observer: &mut impl ShardObserver);
 
     /// Consumes one chunk of input.
     fn feed(&mut self, chunk: &[u8]) {
@@ -72,7 +73,7 @@ pub trait Session {
     /// Flushes any pending partial state (the strided engine's carry
     /// byte), observing flush cycles, and returns the accumulated
     /// result. The session is reset and immediately reusable.
-    fn finish_with(&mut self, observer: &mut impl Observer) -> RunResult;
+    fn finish_with(&mut self, observer: &mut impl ShardObserver) -> RunResult;
 
     /// [`finish_with`](Session::finish_with) without an observer.
     fn finish(&mut self) -> RunResult {

@@ -45,10 +45,7 @@
 //! # Ok::<(), cama_core::Error>(())
 //! ```
 
-use crate::activity::{
-    CycleView, DfaShardCycleView, NullObserver, Observer, ShardCycleSummary, ShardCycleView,
-    ShardObserver,
-};
+use crate::activity::{DfaShardCycleView, ShardCycleSummary, ShardCycleView, ShardObserver};
 use crate::engine::Engine;
 use crate::lane::{
     byte_steps, pair_flush, pair_steps, step_pair_naive, step_shard_byte, step_shard_dfa,
@@ -56,7 +53,6 @@ use crate::lane::{
 };
 use crate::result::{Report, RunResult};
 use crate::session::{FlowSession, Session, SuspendedFlow};
-use cama_core::bitset::BitSet;
 use cama_core::compiled::{
     ByteRows, CompiledAutomaton, CompiledDfa, CompiledPlan, ExecutionPlan, PairRows, PlanBase,
     Shard, ShardedAutomaton, StridedPlan, SymbolIndex,
@@ -427,7 +423,7 @@ impl ShardSinks {
                 cycle,
                 symbol: step.a,
                 shard: si,
-                global_states: shard.global_states(),
+                globals: Some(shard.global_states()),
                 dynamic_enabled: &lane.dynamic,
                 active: &lane.active,
                 reports: out.reports,
@@ -491,9 +487,6 @@ pub struct ShardedSession<'p, P: PlanBase = CompiledAutomaton> {
     pub(crate) carry: Option<u8>,
     pub(crate) result: RunResult,
     pub(crate) fed: usize,
-    /// Cached scatter scratch for the flat-[`Observer`] compatibility
-    /// path ([`Session::feed_with`]); `None` until first used.
-    flat_scratch: Option<Box<FlatViewScratch>>,
 }
 
 impl<'p, P: PlanBase> ShardedSession<'p, P> {
@@ -527,7 +520,6 @@ impl<'p, P: PlanBase> ShardedSession<'p, P> {
             carry: None,
             result: RunResult::default(),
             fed: 0,
-            flat_scratch: None,
         }
     }
 
@@ -568,32 +560,16 @@ impl<'p, P: PlanBase> ShardedSession<'p, P> {
 }
 
 impl<'p, P: ShardedExecution> ShardedSession<'p, P> {
-    /// Consumes one chunk, delivering per-shard activity to `observer`
-    /// — the native observation path of this engine (the [`Session`]
-    /// `feed_with` materializes flat [`CycleView`]s for compatibility
-    /// instead). Byte plans consume one symbol per cycle; strided plans
-    /// consume a symbol pair, carrying a dangling odd byte across
-    /// chunk boundaries.
+    /// [`Session::feed_with`]: consumes one chunk, reporting each
+    /// visited shard's cycle to `observer`.
     pub fn feed_sharded_with(&mut self, chunk: &[u8], observer: &mut impl ShardObserver) {
-        let mut carry = self.carry.take();
-        P::plan_steps(chunk, &mut carry, self.chain, self.cycle, |step| {
-            self.step(step, observer)
-        });
-        self.carry = carry;
-        self.fed += chunk.len();
+        Session::feed_with(self, chunk, observer);
     }
 
-    /// Flushes pending partial state (a strided carry byte), observing
-    /// flush cycles natively, and returns the accumulated result — the
-    /// [`ShardObserver`] counterpart of [`Session::finish_with`].
+    /// [`Session::finish_with`]: flushes a strided carry byte (observing
+    /// the flush cycle) and returns the accumulated result.
     pub fn finish_sharded_with(&mut self, observer: &mut impl ShardObserver) -> RunResult {
-        if let Some(step) = P::flush_step(&mut self.carry, self.fed) {
-            self.step(step, observer);
-        }
-        let mut result = std::mem::take(&mut self.result);
-        P::sort_reports(&mut result.reports);
-        self.reset_state();
-        result
+        Session::finish_with(self, observer)
     }
 
     /// Executes one cycle: the shard loop over every shard, then the
@@ -638,54 +614,26 @@ impl<'p, P: ShardedExecution> ShardedSession<'p, P> {
         });
         self.cycle += 1;
     }
-
-    /// Runs `f` with a [`ShardObserver`] adapter that materializes flat
-    /// [`CycleView`]s for `observer`, reusing the session's cached
-    /// global-sized scatter scratch so per-chunk cost stays
-    /// O(activity), not O(states) of fresh zeroed allocations.
-    fn with_flat_view<O: Observer, R>(
-        &mut self,
-        observer: &mut O,
-        f: impl FnOnce(&mut Self, &mut GlobalViewAdapter<'_, O>) -> R,
-    ) -> R {
-        let mut scratch = self
-            .flat_scratch
-            .take()
-            .unwrap_or_else(|| Box::new(FlatViewScratch::new(self.plan.len())));
-        let out = f(
-            self,
-            &mut GlobalViewAdapter {
-                observer,
-                scratch: &mut scratch,
-            },
-        );
-        self.flat_scratch = Some(scratch);
-        out
-    }
 }
 
 impl<P: ShardedExecution> Session for ShardedSession<'_, P> {
-    fn feed_with(&mut self, chunk: &[u8], observer: &mut impl Observer) {
-        self.with_flat_view(observer, |session, adapter| {
-            session.feed_sharded_with(chunk, adapter)
+    fn feed_with(&mut self, chunk: &[u8], observer: &mut impl ShardObserver) {
+        let mut carry = self.carry.take();
+        P::plan_steps(chunk, &mut carry, self.chain, self.cycle, |step| {
+            self.step(step, observer)
         });
+        self.carry = carry;
+        self.fed += chunk.len();
     }
 
-    fn feed(&mut self, chunk: &[u8]) {
-        // Override the default (which would build a flat-view adapter):
-        // the unobserved path never materializes global vectors.
-        self.feed_sharded_with(chunk, &mut NullObserver);
-    }
-
-    fn finish_with(&mut self, observer: &mut impl Observer) -> RunResult {
-        if self.carry.is_none() {
-            return self.finish_sharded_with(&mut NullObserver);
+    fn finish_with(&mut self, observer: &mut impl ShardObserver) -> RunResult {
+        if let Some(step) = P::flush_step(&mut self.carry, self.fed) {
+            self.step(step, observer);
         }
-        // A strided carry byte flushes as one final pair cycle; the
-        // observer sees it exactly like fed cycles.
-        self.with_flat_view(observer, |session, adapter| {
-            session.finish_sharded_with(adapter)
-        })
+        let mut result = std::mem::take(&mut self.result);
+        P::sort_reports(&mut result.reports);
+        self.reset_state();
+        result
     }
 
     fn reset(&mut self) {
@@ -796,68 +744,6 @@ impl<P: ShardedExecution> FlowSession for ShardedSession<'_, P> {
     }
 }
 
-/// The reusable global-sized scatter vectors behind the flat-observer
-/// compatibility path, cached on the session between `feed_with` calls.
-#[derive(Clone, Debug)]
-struct FlatViewScratch {
-    dynamic: BitSet,
-    active: BitSet,
-    touched_dynamic: Vec<u32>,
-    touched_active: Vec<u32>,
-}
-
-impl FlatViewScratch {
-    fn new(len: usize) -> Self {
-        FlatViewScratch {
-            dynamic: BitSet::new(len),
-            active: BitSet::new(len),
-            touched_dynamic: Vec::new(),
-            touched_active: Vec::new(),
-        }
-    }
-}
-
-/// Adapts a flat [`Observer`] to the sharded engine by scattering each
-/// visited shard's local activity into global-sized vectors and
-/// emitting one classic [`CycleView`] per cycle.
-struct GlobalViewAdapter<'o, O: Observer> {
-    observer: &'o mut O,
-    scratch: &'o mut FlatViewScratch,
-}
-
-impl<O: Observer> ShardObserver for GlobalViewAdapter<'_, O> {
-    fn on_shard_cycle(&mut self, view: &ShardCycleView<'_>) {
-        for local in view.dynamic_enabled.iter() {
-            let global = view.global_states[local];
-            self.scratch.dynamic.insert(global as usize);
-            self.scratch.touched_dynamic.push(global);
-        }
-        for local in view.active.iter() {
-            let global = view.global_states[local];
-            self.scratch.active.insert(global as usize);
-            self.scratch.touched_active.push(global);
-        }
-    }
-
-    fn on_cycle_end(&mut self, summary: &ShardCycleSummary) {
-        self.observer.on_cycle(&CycleView {
-            cycle: summary.cycle,
-            symbol: summary.symbol,
-            dynamic_enabled: &self.scratch.dynamic,
-            active: &self.scratch.active,
-            reports: summary.reports,
-        });
-        for &global in &self.scratch.touched_dynamic {
-            self.scratch.dynamic.remove(global as usize);
-        }
-        for &global in &self.scratch.touched_active {
-            self.scratch.active.remove(global as usize);
-        }
-        self.scratch.touched_dynamic.clear();
-        self.scratch.touched_active.clear();
-    }
-}
-
 /// The sharded engine: compiles an [`Nfa`] into a [`ShardedAutomaton`]
 /// and executes streams on it, one simulated CAM array per shard
 /// ([`Engine`] over the sharded plan).
@@ -904,18 +790,6 @@ impl<'a> ShardedSimulator<'a> {
     pub fn skip_idle(mut self, on: bool) -> Self {
         self.skip_idle = on;
         self
-    }
-
-    /// [`run`](Engine::run) with a per-shard observer — the native
-    /// observation path (used by the energy models).
-    pub fn run_sharded_with(
-        &mut self,
-        input: &[u8],
-        observer: &mut impl ShardObserver,
-    ) -> RunResult {
-        let mut session = self.start_multistep(1);
-        session.feed_sharded_with(input, observer);
-        session.finish()
     }
 }
 
@@ -1069,26 +943,78 @@ mod tests {
         assert_eq!(result, Simulator::new(&nfa).run(b"zabbc"));
     }
 
+    /// Every session reports the same cycles through the one observer
+    /// protocol: the flat session (its lane as shard 0), the sharded
+    /// session at 2 shards and at one shard per component, and — for
+    /// byte plans — the interpreted oracle, on all four plan flavours,
+    /// fed in chunks that split strided pairs, with an odd input length
+    /// so strided streams end in a flush cycle.
     #[test]
-    fn flat_observer_compatibility_views_match() {
-        use crate::activity::CycleView;
-        struct Capture(Vec<(usize, Vec<usize>, Vec<usize>)>);
-        impl Observer for Capture {
-            fn on_cycle(&mut self, view: &CycleView<'_>) {
-                self.0.push((
-                    view.cycle,
-                    view.dynamic_enabled.iter().collect(),
-                    view.active.iter().collect(),
-                ));
+    fn every_session_reports_the_same_cycles_on_every_flavour() {
+        use crate::interp::InterpSimulator;
+        use crate::FlatSession;
+        use cama_core::compiled::{CompiledAutomaton, CompiledStridedAutomaton};
+        use cama_core::stride::StridedNfa;
+        use cama_encoding::{EncodingPlan, StridedEncoding};
+
+        /// Per cycle: the sorted global dynamic and active sets and the
+        /// report count.
+        #[derive(Default)]
+        struct Record(Vec<(Vec<usize>, Vec<usize>, usize)>, Vec<usize>, Vec<usize>);
+        impl ShardObserver for Record {
+            fn on_shard_cycle(&mut self, view: &ShardCycleView<'_>) {
+                let global = |local| view.global_state(local);
+                self.1.extend(view.dynamic_enabled.iter().map(global));
+                self.2.extend(view.active.iter().map(global));
+            }
+            fn on_cycle_end(&mut self, summary: &ShardCycleSummary) {
+                let (mut dynamic, mut active) = (self.1.split_off(0), self.2.split_off(0));
+                dynamic.sort_unstable();
+                active.sort_unstable();
+                self.0.push((dynamic, active, summary.reports));
             }
         }
-        let nfa = regex::compile_set(&["ab+c", "xy"]).unwrap();
-        let input = b"abxybbcxy";
-        let mut flat_cap = Capture(Vec::new());
-        Simulator::new(&nfa).run_with(input, &mut flat_cap);
-        let mut sharded_cap = Capture(Vec::new());
-        ShardedSimulator::per_component(&nfa).run_with(input, &mut sharded_cap);
-        assert_eq!(flat_cap.0, sharded_cap.0);
+        const INPUT: &[u8] = b"zabbcx12yabxybbcx9y";
+        fn record(mut session: impl Session) -> Vec<(Vec<usize>, Vec<usize>, usize)> {
+            let mut record = Record::default();
+            for chunk in INPUT.chunks(3) {
+                session.feed_with(chunk, &mut record);
+            }
+            let result = session.finish_with(&mut record);
+            assert_eq!(record.0.len(), result.activity.cycles);
+            record.0
+        }
+        // Two shards, then one shard per connected component.
+        let layouts =
+            |components: Vec<u32>| [components.iter().map(|c| c % 2).collect(), components];
+
+        let nfa = regex::compile_set(&["ab+c", "x[0-9]+y", "xy"]).unwrap();
+        let byte = record(FlatSession::new(&CompiledAutomaton::compile(&nfa)));
+        assert_eq!(byte, record(InterpSimulator::new(&nfa).start()));
+        let encoding = EncodingPlan::for_nfa(&nfa);
+        assert_eq!(byte, record(FlatSession::new(&encoding.compile(&nfa))));
+        for ids in layouts(cama_core::graph::component_ids(&nfa).0) {
+            let plan = ShardedAutomaton::compile_with_assignment(&nfa, &ids);
+            assert_eq!(byte, record(ShardedSession::new(&plan)), "byte {ids:?}");
+            let plan = encoding.compile_sharded(&nfa, &ids);
+            assert_eq!(byte, record(ShardedSession::new(&plan)), "encoded {ids:?}");
+        }
+
+        let strided = StridedNfa::from_nfa(&nfa);
+        let pairs = record(FlatSession::new(&CompiledStridedAutomaton::compile(
+            &strided,
+        )));
+        assert_eq!(pairs.len(), INPUT.len().div_ceil(2));
+        assert_eq!(INPUT.len() % 2, 1);
+        let encoding = StridedEncoding::for_strided(&strided);
+        assert_eq!(pairs, record(FlatSession::new(&encoding.compile(&strided))));
+        for ids in layouts(strided.component_ids().0) {
+            let plan = ShardedAutomaton::compile_strided_with_assignment(&strided, &ids);
+            assert_eq!(pairs, record(ShardedSession::new(&plan)), "strided {ids:?}");
+            let plan = encoding.compile_sharded(&strided, &ids);
+            let encoded = record(ShardedSession::new(&plan));
+            assert_eq!(pairs, encoded, "encoded strided {ids:?}");
+        }
     }
 
     #[test]
