@@ -16,9 +16,9 @@
 
 use crate::designs::DesignKind;
 use cama_core::bitwidth::rectangles;
-use cama_core::graph::connected_components;
+use cama_core::graph::Automaton;
 use cama_core::stride::StridedNfa;
-use cama_core::{Nfa, SteId};
+use cama_core::Nfa;
 use cama_encoding::EncodingPlan;
 use cama_mem::crossbar::ReducedCrossbar;
 use cama_mem::K_DIA;
@@ -144,71 +144,21 @@ struct PackerConfig {
 struct MapInput {
     n: usize,
     weights: Vec<u32>,
-    /// BFS-ordered connected components (largest first).
+    /// Connected components in the automaton's layout order (largest
+    /// first).
     ccs: Vec<Vec<u32>>,
     succ: Vec<Vec<u32>>,
 }
 
 impl MapInput {
-    fn from_nfa(nfa: &Nfa, weights: Vec<u32>) -> Self {
-        let ccs = connected_components(nfa)
-            .into_iter()
-            .map(|cc| cc.states.iter().map(|s| s.0).collect())
-            .collect();
-        let succ = (0..nfa.len())
-            .map(|i| {
-                nfa.successors(SteId(i as u32))
-                    .iter()
-                    .map(|s| s.0)
-                    .collect()
-            })
-            .collect();
+    fn new(nfa: &impl Automaton, weights: Vec<u32>) -> Self {
         MapInput {
             n: nfa.len(),
             weights,
-            ccs,
-            succ,
-        }
-    }
-
-    fn from_strided(nfa: &StridedNfa, weights: Vec<u32>) -> Self {
-        // Connected components over the strided graph (undirected).
-        let n = nfa.len();
-        let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for i in 0..n {
-            for &j in nfa.successors(i) {
-                preds[j as usize].push(i as u32);
-            }
-        }
-        let mut comp = vec![usize::MAX; n];
-        let mut ccs: Vec<Vec<u32>> = Vec::new();
-        for seed in 0..n {
-            if comp[seed] != usize::MAX {
-                continue;
-            }
-            let id = ccs.len();
-            let mut members = Vec::new();
-            let mut stack = vec![seed];
-            comp[seed] = id;
-            while let Some(v) = stack.pop() {
-                members.push(v as u32);
-                for &w in nfa.successors(v).iter().chain(&preds[v]) {
-                    if comp[w as usize] == usize::MAX {
-                        comp[w as usize] = id;
-                        stack.push(w as usize);
-                    }
-                }
-            }
-            members.sort_unstable();
-            ccs.push(members);
-        }
-        ccs.sort_by_key(|cc| std::cmp::Reverse(cc.len()));
-        let succ = (0..n).map(|i| nfa.successors(i).to_vec()).collect();
-        MapInput {
-            n,
-            weights,
-            ccs,
-            succ,
+            ccs: nfa.components(),
+            succ: (0..nfa.len())
+                .map(|i| nfa.successor_ids(i).collect())
+                .collect(),
         }
     }
 
@@ -298,10 +248,10 @@ fn design_input(
                     fallback_capacity: 256,
                 }
             };
-            (MapInput::from_nfa(nfa, weights), config)
+            (MapInput::new(nfa, weights), config)
         }
         DesignKind::CacheAutomaton => (
-            MapInput::from_nfa(nfa, vec![1; nfa.len()]),
+            MapInput::new(nfa, vec![1; nfa.len()]),
             PackerConfig {
                 capacity: 256,
                 band: None,
@@ -319,7 +269,7 @@ fn design_input(
                 .map(|s| rectangles(&s.class).len().max(1) as u32)
                 .collect();
             (
-                MapInput::from_nfa(nfa, weights),
+                MapInput::new(nfa, weights),
                 PackerConfig {
                     capacity: 256,
                     band: None,
@@ -330,7 +280,7 @@ fn design_input(
             )
         }
         DesignKind::Eap => (
-            MapInput::from_nfa(nfa, vec![1; nfa.len()]),
+            MapInput::new(nfa, vec![1; nfa.len()]),
             PackerConfig {
                 capacity: 256,
                 band: Some(EAP_K_DIA),
@@ -340,7 +290,7 @@ fn design_input(
             },
         ),
         DesignKind::Ap => (
-            MapInput::from_nfa(nfa, vec![1; nfa.len()]),
+            MapInput::new(nfa, vec![1; nfa.len()]),
             PackerConfig {
                 capacity: 256,
                 band: None,
@@ -374,7 +324,7 @@ pub fn map_strided(design: DesignKind, nfa: &StridedNfa, weights: Vec<u32>) -> M
         },
         fallback_capacity: 256,
     };
-    let input = MapInput::from_strided(nfa, weights);
+    let input = MapInput::new(nfa, weights);
     pack(design, input, config)
 }
 

@@ -157,7 +157,7 @@ pub fn evaluate_strided(
     let weights = mapping.weight_of.clone();
     let mut observer = EnergyObserver::with_weights(design, &mapping, &lib, &starts, weights);
     let result = if design.is_cama() {
-        let compiled = EncodingPlan::compile_strided(strided);
+        let compiled = StridedEncoding::for_strided(strided).compile(strided);
         let mut session = EncodedStridedSession::new(&compiled);
         session.feed_with(input, &mut observer);
         session.finish_with(&mut observer)
@@ -307,7 +307,7 @@ pub(crate) fn serve_design(
         (Some(strided), false) => {
             let mapping = map_strided(design, strided, strided_weights(design, strided));
             let compiled =
-                ShardedAutomaton::compile_strided_with_assignment(strided, &mapping.partition_of);
+                ShardedAutomaton::compile_with_assignment(strided, &mapping.partition_of);
             let served = serving.serve(&compiled, &mapping, mapping.weight_of.clone());
             (mapping, served)
         }
@@ -646,7 +646,7 @@ mod tests {
             let encoding = StridedEncoding::for_strided(&strided);
             let mapping = map_strided(design, &strided, encoding.entry_weights());
             let compiled =
-                ShardedAutomaton::compile_strided_with_assignment(&strided, &mapping.partition_of);
+                ShardedAutomaton::compile_with_assignment(&strided, &mapping.partition_of);
             let starts = all_input(strided.states().iter().map(|s| s.start));
             let mut observer = EnergyObserver::with_weights(
                 design,

@@ -522,9 +522,9 @@ fn bench_strided(c: &mut Criterion) {
     let byte_plan = CompiledStridedAutomaton::compile(&strided);
     let encoding = StridedEncoding::for_strided(&strided);
     let encoded_plan = encoding.compile(&strided);
-    let (ids, components) = strided.component_ids();
-    let sharded_byte = ShardedAutomaton::compile_strided(&strided, 16);
-    let sharded_cc = ShardedAutomaton::compile_strided_per_component(&strided);
+    let (ids, components) = graph::component_ids(&strided);
+    let sharded_byte = ShardedAutomaton::compile(&strided, 16);
+    let sharded_cc = ShardedAutomaton::compile_per_component(&strided);
     let sharded_encoded = encoding.compile_sharded(&strided, &ids);
 
     let mut group = c.benchmark_group("strided");

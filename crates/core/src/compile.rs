@@ -1,6 +1,9 @@
 //! Ruleset-scale compilation: per-component compilation units, a
 //! structure-hashed [`PlanCache`], parallel compilation across a worker
-//! pool, and the old→new [`PlanRemap`] that live hot swap rides on.
+//! pool, and the old→new [`PlanRemap`] that live hot swap rides on —
+//! each written once, generic over [`Automaton`], so byte ([`Nfa`]) and
+//! 2-stride ([`StridedNfa`](crate::stride::StridedNfa)) rulesets take
+//! the same path.
 //!
 //! [`ShardedAutomaton::compile_per_component`] compiles a whole ruleset
 //! monolithically: every connected component is recompiled on every
@@ -11,11 +14,12 @@
 //! which shares no activation edge with any other component:
 //!
 //! * [`split_components`] extracts one [`ComponentUnit`] per connected
-//!   component: the component's states (BFS order), a renumbered local
-//!   [`Nfa`] under a canonical name, and a [`StructureHash`] over the
-//!   *local* structure (symbol classes, start kinds, report codes, and
-//!   edges) — so two structurally identical components hash equal no
-//!   matter where their states sit in the global id space;
+//!   component: the component's states (in the flavour's layout order,
+//!   see [`Automaton::components`]), a renumbered local automaton under
+//!   a canonical name, and a [`StructureHash`] over the *local*
+//!   structure (symbol classes, start kinds, report codes and phases,
+//!   and edges) — so two structurally identical components hash equal
+//!   no matter where their states sit in the global id space;
 //! * [`PlanCache`] memoizes compiled per-component plans by structure
 //!   hash (plus a caller-provided salt for context such as an encoding
 //!   codebook identity). Recompiling an updated ruleset pays only for
@@ -76,16 +80,12 @@
 //! report codes and recompiles everything downstream of the
 //! reordering, as it must.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::compiled::{
-    byte_probes, strided_probes, CompiledAutomaton, CompiledStridedAutomaton, DfaBudget,
-    ExecutionPlan, Shard, ShardProbes, ShardedAutomaton, ShardedStridedAutomaton, StridedPlan,
-};
-use crate::graph::connected_components;
-use crate::nfa::{BuildOptions, Nfa, NfaBuilder, StartKind, SteId};
-use crate::stride::{ReportPhase, StridedNfa};
+use crate::compiled::{CompiledAutomaton, CompiledDfa, DfaBudget, Shard, ShardedAutomaton};
+use crate::graph::Automaton;
+use crate::nfa::Nfa;
 
 /// The canonical name every compilation unit's local automaton carries,
 /// so compiled plans (and their hashes) are independent of the ruleset
@@ -174,10 +174,10 @@ pub fn work_steal<S, T: Send>(
 
 /// A 128-bit structural fingerprint of one compilation unit, computed
 /// over the component's *local renumbered* form: state count, per-state
-/// (symbol-class words, start kind, report code), and the local edge
-/// list. Independent of global state ids, ruleset name, and component
-/// position, so identical patterns collide on purpose — that collision
-/// is the cache hit.
+/// words ([`Automaton::state_words`]: symbol-class words, start kind,
+/// report), and the local edge list. Independent of global state ids,
+/// ruleset name, and component position, so identical patterns collide
+/// on purpose — that collision is the cache hit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StructureHash([u64; 2]);
 
@@ -217,25 +217,25 @@ impl StructureHasher {
     }
 }
 
-/// One connected component of a byte NFA, extracted as a self-contained
-/// compilation unit by [`split_components`].
+/// One connected component of an automaton, extracted as a
+/// self-contained compilation unit by [`split_components`].
 #[derive(Clone, Debug)]
-pub struct ComponentUnit {
-    /// Global state ids in local order (the component's BFS order).
+pub struct ComponentUnit<A = Nfa> {
+    /// Global state ids in local order (the component's layout order).
     states: Vec<u32>,
     /// The renumbered local automaton under the canonical unit name.
-    local: Nfa,
+    local: A,
     hash: StructureHash,
 }
 
-impl ComponentUnit {
+impl<A> ComponentUnit<A> {
     /// Global state ids in local order.
     pub fn states(&self) -> &[u32] {
         &self.states
     }
 
     /// The renumbered local automaton.
-    pub fn local(&self) -> &Nfa {
+    pub fn local(&self) -> &A {
         &self.local
     }
 
@@ -256,117 +256,14 @@ impl ComponentUnit {
     }
 }
 
-/// The strided counterpart of [`ComponentUnit`], extracted by
-/// [`split_strided_components`].
-#[derive(Clone, Debug)]
-pub struct StridedComponentUnit {
-    states: Vec<u32>,
-    local: StridedNfa,
-    hash: StructureHash,
-}
-
-impl StridedComponentUnit {
-    /// Global strided-state ids in local order.
-    pub fn states(&self) -> &[u32] {
-        &self.states
-    }
-
-    /// The renumbered local strided automaton.
-    pub fn local(&self) -> &StridedNfa {
-        &self.local
-    }
-
-    /// The unit's structural fingerprint.
-    pub fn hash(&self) -> StructureHash {
-        self.hash
-    }
-
-    /// Number of strided states in the unit.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// `true` for a unit holding no states (never produced by
-    /// [`split_strided_components`]).
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-}
-
-fn start_code(start: StartKind) -> u64 {
-    match start {
-        StartKind::None => 0,
-        StartKind::AllInput => 1,
-        StartKind::StartOfData => 2,
-    }
-}
-
 /// Splits `nfa` into one [`ComponentUnit`] per connected component, in
-/// the deterministic largest-component-first order the sharding
-/// strategies use. Covers every state exactly once.
-pub fn split_components(nfa: &Nfa) -> Vec<ComponentUnit> {
+/// the deterministic largest-component-first order of
+/// [`Automaton::components`] that the sharding strategies use. Covers
+/// every state exactly once.
+pub fn split_components<A: Automaton>(nfa: &A) -> Vec<ComponentUnit<A>> {
     let mut local_of = vec![u32::MAX; nfa.len()];
-    connected_components(nfa)
-        .into_iter()
-        .map(|cc| {
-            let states: Vec<u32> = cc.states.iter().map(|s| s.0).collect();
-            for (local, &g) in states.iter().enumerate() {
-                local_of[g as usize] = local as u32;
-            }
-            let mut builder = NfaBuilder::with_name(UNIT_NAME.to_string());
-            let mut hasher = StructureHasher::new();
-            hasher.word(states.len() as u64);
-            for &g in &states {
-                let ste = nfa.ste(SteId(g));
-                let id = builder.add_ste(ste.class);
-                builder.set_start(id, ste.start);
-                if let Some(code) = ste.report {
-                    builder.set_report(id, code);
-                }
-                for &w in ste.class.as_words() {
-                    hasher.word(w);
-                }
-                hasher.word(start_code(ste.start));
-                hasher.word(ste.report.map_or(0, |code| u64::from(code) + 1));
-            }
-            let mut edges = 0u64;
-            for (local, &g) in states.iter().enumerate() {
-                for succ in nfa.successors(SteId(g)) {
-                    // Components are closed under activation edges, so
-                    // every successor is in this unit.
-                    let to = local_of[succ.0 as usize];
-                    builder.add_edge(SteId(local as u32), SteId(to));
-                    hasher.word((local as u64) << 32 | u64::from(to));
-                    edges += 1;
-                }
-            }
-            hasher.word(edges);
-            let local = builder
-                .build_with_options(BuildOptions {
-                    reject_empty_classes: false,
-                    reject_unreachable: false,
-                })
-                .expect("lenient build cannot fail");
-            ComponentUnit {
-                states,
-                local,
-                hash: hasher.finish(),
-            }
-        })
-        .collect()
-}
-
-/// Splits a strided automaton into one [`StridedComponentUnit`] per
-/// connected component — the 2-stride counterpart of
-/// [`split_components`].
-pub fn split_strided_components(nfa: &StridedNfa) -> Vec<StridedComponentUnit> {
-    let (ids, count) = nfa.component_ids();
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); count];
-    for (state, &c) in ids.iter().enumerate() {
-        members[c as usize].push(state as u32);
-    }
-    let mut local_of = vec![u32::MAX; nfa.len()];
-    members
+    let mut edges = Vec::new();
+    nfa.components()
         .into_iter()
         .map(|states| {
             for (local, &g) in states.iter().enumerate() {
@@ -374,42 +271,25 @@ pub fn split_strided_components(nfa: &StridedNfa) -> Vec<StridedComponentUnit> {
             }
             let mut hasher = StructureHasher::new();
             hasher.word(states.len() as u64);
-            let local_states = states
-                .iter()
-                .map(|&g| {
-                    let ste = nfa.state(g as usize);
-                    for &w in ste.first.as_words() {
-                        hasher.word(w);
-                    }
-                    for &w in ste.second.as_words() {
-                        hasher.word(w);
-                    }
-                    hasher.word(start_code(ste.start));
-                    hasher.word(ste.report.map_or(0, |(code, phase)| {
-                        (u64::from(code) + 1) << 2
-                            | match phase {
-                                ReportPhase::First => 1,
-                                ReportPhase::Second => 2,
-                            }
-                    }));
-                    ste.clone()
-                })
-                .collect();
-            let mut local_succ: Vec<Vec<u32>> = vec![Vec::new(); states.len()];
-            let mut edges = 0u64;
-            for (local, &g) in states.iter().enumerate() {
-                for &succ in nfa.successors(g as usize) {
-                    let to = local_of[succ as usize];
-                    local_succ[local].push(to);
-                    hasher.word((local as u64) << 32 | u64::from(to));
-                    edges += 1;
+            for &g in &states {
+                for w in nfa.state_words(g as usize) {
+                    hasher.word(w);
                 }
             }
-            hasher.word(edges);
-            let local = StridedNfa::from_parts(local_states, local_succ, UNIT_NAME.to_string());
-            StridedComponentUnit {
+            edges.clear();
+            for (local, &g) in states.iter().enumerate() {
+                // Components are closed under activation edges, so
+                // every successor is in this unit.
+                for succ in nfa.successor_ids(g as usize) {
+                    let to = local_of[succ as usize];
+                    hasher.word((local as u64) << 32 | u64::from(to));
+                    edges.push((local as u32, to));
+                }
+            }
+            hasher.word(edges.len() as u64);
+            ComponentUnit {
+                local: nfa.extract(UNIT_NAME.to_string(), &states, &edges),
                 states,
-                local,
                 hash: hasher.finish(),
             }
         })
@@ -447,9 +327,9 @@ struct CacheEntry<P> {
 /// [`StructureHash`] plus a caller-provided salt.
 ///
 /// The salt distinguishes compilation *contexts* that produce different
-/// plans from the same structure — e.g. two encoding codebooks. Byte
-/// and strided plans compiled without extra context use salt `0` (what
-/// [`compile_ruleset`] / [`compile_strided_ruleset`] pass).
+/// plans from the same structure — e.g. a DFA policy's caps
+/// ([`DfaPolicy::salt`]). Byte and strided plans compiled without extra
+/// context use salt `0` (what [`compile_ruleset`] passes).
 ///
 /// **Eviction bound:** the cache holds at most
 /// [`capacity`](PlanCache::capacity) compiled components
@@ -582,47 +462,32 @@ pub struct CompileReport {
     pub workers: usize,
 }
 
-/// A borrowed view of one unit, so the byte and strided drivers share
-/// one implementation.
-struct RawUnit<'a, A> {
-    states: &'a [u32],
-    local: &'a A,
-    hash: StructureHash,
-}
-
-/// The shared cached-parallel driver: resolve cache hits serially,
+/// The one cached-parallel compile path: resolve cache hits serially,
 /// compile the misses across a worker pool, publish them back to the
 /// cache, and assemble the per-component shards in unit order.
-#[allow(clippy::too_many_arguments)] // internal driver behind the two typed entry points
-fn compile_cached<P, A>(
-    len: usize,
-    name: &str,
-    units: &[RawUnit<'_, A>],
-    cache: &mut PlanCache<P>,
-    salt_of: &dyn Fn(usize) -> u64,
+/// `salt_of(i)` is unit `i`'s cache salt.
+fn compile_cached<A: Automaton>(
+    nfa: &A,
+    units: &[ComponentUnit<A>],
+    cache: &mut PlanCache<A::Plan>,
+    salt_of: impl Fn(usize) -> u64,
     workers: usize,
-    compile: &(impl Fn(&A) -> P + Sync),
-    probes: &(impl Fn(&P) -> ShardProbes + Sync),
-) -> (ShardedAutomaton<P>, CompileReport)
-where
-    P: crate::compiled::PlanBase + Clone + Send,
-    A: Sync,
-{
+) -> (ShardedAutomaton<A::Plan>, CompileReport) {
     let workers = worker_count(workers);
-    let mut slots: Vec<Option<Shard<P>>> = Vec::with_capacity(units.len());
-    let mut miss_indices: Vec<usize> = Vec::new();
+    let key = |index: usize| CacheKey {
+        hash: units[index].hash,
+        salt: salt_of(index),
+    };
+    let mut slots = Vec::with_capacity(units.len());
+    let mut miss_indices = Vec::new();
     for (index, unit) in units.iter().enumerate() {
-        let key = CacheKey {
-            hash: unit.hash,
-            salt: salt_of(index),
-        };
-        match cache.lookup(key) {
-            Some(template) => slots.push(Some(template.retarget(unit.states.to_vec()))),
-            None => {
-                miss_indices.push(slots.len());
-                slots.push(None);
-            }
+        let hit = cache
+            .lookup(key(index))
+            .map(|template| template.retarget(unit.states.clone()));
+        if hit.is_none() {
+            miss_indices.push(index);
         }
+        slots.push(hit);
     }
 
     let report = CompileReport {
@@ -632,69 +497,54 @@ where
         workers,
     };
 
-    let compile_one = |index: usize| {
-        let unit = &units[index];
-        let plan = compile(unit.local);
-        let probes = probes(&plan);
-        Shard::from_component(plan, probes, unit.states.to_vec())
-    };
-
     let compiled = work_steal(
         miss_indices.len(),
         workers.min(miss_indices.len()),
         || (),
-        |_, k| compile_one(miss_indices[k]),
+        |_, k| {
+            let unit = &units[miss_indices[k]];
+            Shard::from_component(unit.local.compile_plan(), unit.states.clone())
+        },
         drop,
     );
+    // Publish the fresh compilations so the next ruleset version hits.
     for (&index, shard) in miss_indices.iter().zip(compiled) {
+        cache.store(key(index), shard.clone());
         slots[index] = Some(shard);
     }
 
-    // Publish the fresh compilations so the next ruleset version hits.
-    for &index in &miss_indices {
-        let key = CacheKey {
-            hash: units[index].hash,
-            salt: salt_of(index),
-        };
-        let shard = slots[index].as_ref().expect("miss slot filled above");
-        cache.store(key, shard.clone());
-    }
-
-    let shards: Vec<Shard<P>> = slots
+    let mut shards: Vec<Shard<A::Plan>> = slots
         .into_iter()
         .map(|slot| slot.expect("every unit slot filled"))
         .collect();
+    if shards.is_empty() {
+        // Mirror compile_per_component on the empty ruleset: one empty
+        // shard, so downstream shard-indexed consumers see a shard.
+        let empty = nfa.extract(UNIT_NAME.to_string(), &[], &[]);
+        shards.push(Shard::from_component(empty.compile_plan(), Vec::new()));
+    }
     (
-        ShardedAutomaton::assemble(len, name.to_string(), shards),
+        ShardedAutomaton::assemble(nfa.len(), nfa.name().to_string(), shards),
         report,
     )
 }
 
-/// Compiles a byte ruleset per-component through `cache`, compiling
-/// misses across `workers` threads (`0` = auto, see [`worker_count`]).
-/// The plan executes bit-identically to
-/// [`ShardedAutomaton::compile_per_component`] (asserted differentially
-/// in `tests/property.rs`); the [`CompileReport`] says how much of it
-/// was paid for.
-pub fn compile_ruleset(
-    nfa: &Nfa,
+/// Compiles a ruleset per-component through `cache`, compiling misses
+/// across `workers` threads (`0` = auto, see [`worker_count`]), for
+/// byte and 2-stride automata alike. The plan executes bit-identically
+/// to [`ShardedAutomaton::compile_per_component`] (asserted
+/// differentially in `tests/property.rs`); the [`CompileReport`] says
+/// how much of it was paid for.
+pub fn compile_ruleset<A: Automaton>(
+    nfa: &A,
     workers: usize,
-    cache: &mut PlanCache<CompiledAutomaton>,
-) -> (ShardedAutomaton, CompileReport) {
-    let units = split_components(nfa);
-    compile_ruleset_with(
-        nfa.name(),
-        nfa.len(),
-        &units,
-        cache,
-        0,
-        workers,
-        CompiledAutomaton::compile,
-    )
+    cache: &mut PlanCache<A::Plan>,
+) -> (ShardedAutomaton<A::Plan>, CompileReport) {
+    compile_cached(nfa, &split_components(nfa), cache, |_| 0, workers)
 }
 
 /// The profile-guided determinization policy [`compile_hybrid_ruleset`]
-/// applies: which components become [`CompiledDfa`](crate::compiled::CompiledDfa) fast paths and
+/// applies: which components become [`CompiledDfa`] fast paths and
 /// under what blow-up caps.
 ///
 /// Nomination is hottest-first — components ranked by summed observed
@@ -765,7 +615,7 @@ pub fn dfa_enabled() -> bool {
 /// `policy` nominates (hottest observed heat first) are subset-
 /// constructed under the per-component [`DfaBudget`] caps, and the ones
 /// that stay within budget — per-component *and* the running global
-/// memory budget — carry a [`CompiledDfa`](crate::compiled::CompiledDfa) the engines step with one
+/// memory budget — carry a [`CompiledDfa`] the engines step with one
 /// table load per cycle. Everything else (blown budgets, cold
 /// components, components with cross edges) keeps the NFA kernels.
 /// Execution of the hybrid plan is report-bit-identical to the pure-NFA
@@ -801,9 +651,6 @@ pub fn compile_hybrid_ruleset(
         return compile_ruleset(nfa, workers, cache);
     }
     let units = split_components(nfa);
-    if units.is_empty() {
-        return compile_ruleset(nfa, workers, cache);
-    }
 
     // Nomination: rank units hottest-first by summed observed state
     // heat (ties and the no-profile case fall back to unit order —
@@ -839,22 +686,19 @@ pub fn compile_hybrid_ruleset(
             hash: unit.hash,
             salt: dfa_salt,
         };
-        let cached = cache.lookup(key).map(|template| {
-            template
-                .dfa()
-                .map(crate::compiled::CompiledDfa::table_bytes)
-        });
+        let cached = cache
+            .lookup(key)
+            .map(|template| template.dfa().map(CompiledDfa::table_bytes));
         let table_bytes = match cached {
             Some(Some(bytes)) => Some(bytes),
             // Cached decline under these caps: the unit stays NFA but
             // uses the salted entry (0 bytes of table).
             Some(None) => None,
             None => {
-                let plan = CompiledAutomaton::compile(&unit.local);
-                let dfa = crate::compiled::CompiledDfa::determinize(&plan, &policy.budget);
-                let bytes = dfa.as_ref().map(crate::compiled::CompiledDfa::table_bytes);
-                let probes = byte_probes(&plan);
-                let mut shard = Shard::from_component(plan, probes, unit.states.to_vec());
+                let plan = unit.local.compile_plan();
+                let dfa = CompiledDfa::determinize(&plan, &policy.budget);
+                let bytes = dfa.as_ref().map(CompiledDfa::table_bytes);
+                let mut shard = Shard::from_component(plan, unit.states.clone());
                 if let Some(dfa) = dfa {
                     shard = shard.with_dfa(std::sync::Arc::new(dfa));
                 }
@@ -879,150 +723,7 @@ pub fn compile_hybrid_ruleset(
         }
     }
 
-    let raw: Vec<RawUnit<'_, Nfa>> = units
-        .iter()
-        .map(|u| RawUnit {
-            states: &u.states,
-            local: &u.local,
-            hash: u.hash,
-        })
-        .collect();
-    compile_cached(
-        nfa.len(),
-        nfa.name(),
-        &raw,
-        cache,
-        &|i| salts[i],
-        workers,
-        &CompiledAutomaton::compile,
-        &byte_probes,
-    )
-}
-
-/// [`compile_ruleset`] generalized over the plan flavour and the
-/// compilation context: `compile` builds one component's plan from its
-/// *local* automaton (it must not depend on global state ids — that is
-/// what makes the cache sound), and `salt` distinguishes contexts whose
-/// plans differ for identical structures (e.g. an encoding codebook
-/// identity; pass `0` when there is none).
-///
-/// # Panics
-///
-/// Panics if `units` does not cover `0..len` exactly once (debug
-/// builds; release builds produce an unspecified plan).
-pub fn compile_ruleset_with<P: ExecutionPlan + Clone + Send>(
-    name: &str,
-    len: usize,
-    units: &[ComponentUnit],
-    cache: &mut PlanCache<P>,
-    salt: u64,
-    workers: usize,
-    compile: impl Fn(&Nfa) -> P + Sync,
-) -> (ShardedAutomaton<P>, CompileReport) {
-    if units.is_empty() {
-        // Mirror compile_per_component on the empty ruleset: one empty
-        // shard, so downstream shard-indexed consumers see a shard.
-        let empty = split_components(&empty_nfa());
-        debug_assert!(empty.is_empty());
-        let plan = compile(&empty_nfa());
-        let probes = byte_probes(&plan);
-        let shard = Shard::from_component(plan, probes, Vec::new());
-        return (
-            ShardedAutomaton::assemble(len, name.to_string(), vec![shard]),
-            CompileReport {
-                workers: worker_count(workers),
-                ..CompileReport::default()
-            },
-        );
-    }
-    let raw: Vec<RawUnit<'_, Nfa>> = units
-        .iter()
-        .map(|u| RawUnit {
-            states: &u.states,
-            local: &u.local,
-            hash: u.hash,
-        })
-        .collect();
-    compile_cached(
-        len,
-        name,
-        &raw,
-        cache,
-        &|_| salt,
-        workers,
-        &compile,
-        &byte_probes,
-    )
-}
-
-fn empty_nfa() -> Nfa {
-    NfaBuilder::with_name(UNIT_NAME.to_string())
-        .build_with_options(BuildOptions {
-            reject_empty_classes: false,
-            reject_unreachable: false,
-        })
-        .expect("empty lenient build cannot fail")
-}
-
-/// The 2-stride counterpart of [`compile_ruleset`].
-pub fn compile_strided_ruleset(
-    nfa: &StridedNfa,
-    workers: usize,
-    cache: &mut PlanCache<CompiledStridedAutomaton>,
-) -> (ShardedStridedAutomaton, CompileReport) {
-    let units = split_strided_components(nfa);
-    compile_strided_ruleset_with(
-        nfa.name(),
-        nfa.len(),
-        &units,
-        cache,
-        0,
-        workers,
-        CompiledStridedAutomaton::compile,
-    )
-}
-
-/// [`compile_ruleset_with`] for strided plan flavours.
-pub fn compile_strided_ruleset_with<P: StridedPlan + Clone + Send>(
-    name: &str,
-    len: usize,
-    units: &[StridedComponentUnit],
-    cache: &mut PlanCache<P>,
-    salt: u64,
-    workers: usize,
-    compile: impl Fn(&StridedNfa) -> P + Sync,
-) -> (ShardedAutomaton<P>, CompileReport) {
-    if units.is_empty() {
-        let local = StridedNfa::from_parts(Vec::new(), Vec::new(), UNIT_NAME.to_string());
-        let plan = compile(&local);
-        let probes = strided_probes(&plan);
-        let shard = Shard::from_component(plan, probes, Vec::new());
-        return (
-            ShardedAutomaton::assemble(len, name.to_string(), vec![shard]),
-            CompileReport {
-                workers: worker_count(workers),
-                ..CompileReport::default()
-            },
-        );
-    }
-    let raw: Vec<RawUnit<'_, StridedNfa>> = units
-        .iter()
-        .map(|u| RawUnit {
-            states: &u.states,
-            local: &u.local,
-            hash: u.hash,
-        })
-        .collect();
-    compile_cached(
-        len,
-        name,
-        &raw,
-        cache,
-        &|_| salt,
-        workers,
-        &compile,
-        &strided_probes,
-    )
+    compile_cached(nfa, &units, cache, |i| salts[i], workers)
 }
 
 /// The sentinel for a state with no image in the new plan.
@@ -1084,18 +785,12 @@ impl PlanRemap {
     /// broken in component order, so duplicated patterns pair
     /// first-to-first) and derives the state translation. Components of
     /// `old` with no structurally identical partner in `new` translate
-    /// to `None`.
-    pub fn between(old: &Nfa, new: &Nfa) -> PlanRemap {
-        Self::between_units(
-            old.len(),
-            new.len(),
-            split_components(old)
-                .iter()
-                .map(|u| (u.hash, u.states.as_slice())),
-            split_components(new)
-                .iter()
-                .map(|u| (u.hash, u.states.as_slice())),
-        )
+    /// to `None`. Byte and strided automata alike: a strided plan's
+    /// global ids are strided-state ids, so remap its source
+    /// [`StridedNfa`](crate::stride::StridedNfa)s.
+    pub fn between<A: Automaton>(old: &A, new: &A) -> PlanRemap {
+        let (old_units, new_units) = (split_components(old), split_components(new));
+        Self::matched(new.len(), &old_units, &new_units, 0)
     }
 
     /// [`between`](PlanRemap::between) specialized for append-only
@@ -1109,81 +804,49 @@ impl PlanRemap {
     /// tests); the win is the construction cost on tens-of-thousands-
     /// component rulesets where an append leaves almost everything in
     /// place.
-    pub fn extend_append(old: &Nfa, new: &Nfa) -> PlanRemap {
-        let old_units = split_components(old);
-        let new_units = split_components(new);
+    pub fn extend_append<A: Automaton>(old: &A, new: &A) -> PlanRemap {
+        let (old_units, new_units) = (split_components(old), split_components(new));
         // The shared prefix: units whose structure AND global placement
-        // are unchanged (split_components orders largest-first, so an
-        // append can reorder the tail — placement equality is what
-        // makes the identity reuse sound).
+        // are unchanged (units come largest first, so an append can
+        // reorder the tail — placement equality is what makes the
+        // identity reuse sound).
         let prefix = old_units
             .iter()
             .zip(&new_units)
             .take_while(|(o, n)| o.hash == n.hash && o.states == n.states)
             .count();
-        let mut map = vec![REMOVED; old.len()];
+        Self::matched(new.len(), &old_units, &new_units, prefix)
+    }
+
+    /// Identity on the first `prefix` units of both sides, then the FIFO
+    /// structure-hash match over the rest.
+    fn matched<A>(
+        new_len: usize,
+        old_units: &[ComponentUnit<A>],
+        new_units: &[ComponentUnit<A>],
+        prefix: usize,
+    ) -> PlanRemap {
+        // The units cover every old state exactly once.
+        let mut map = vec![REMOVED; old_units.iter().map(ComponentUnit::len).sum()];
         for unit in &old_units[..prefix] {
             for &g in &unit.states {
                 map[g as usize] = g;
             }
         }
-        // Tail: the full matcher over what remains on both sides.
-        let tail = Self::between_units(
-            old.len(),
-            new.len(),
-            old_units[prefix..]
-                .iter()
-                .map(|u| (u.hash, u.states.as_slice())),
-            new_units[prefix..]
-                .iter()
-                .map(|u| (u.hash, u.states.as_slice())),
-        );
-        for (old_state, &new_state) in tail.map.iter().enumerate() {
-            if new_state != REMOVED {
-                debug_assert_eq!(map[old_state], REMOVED, "state matched twice");
-                map[old_state] = new_state;
-            }
+        let mut unmatched: HashMap<StructureHash, VecDeque<&[u32]>> = HashMap::new();
+        for unit in &new_units[prefix..] {
+            unmatched
+                .entry(unit.hash)
+                .or_default()
+                .push_back(&unit.states);
         }
-        PlanRemap {
-            map,
-            new_len: new.len(),
-        }
-    }
-
-    /// [`between`](PlanRemap::between) over the strided state space —
-    /// the remap to use with strided plan flavours (strided global ids
-    /// are unrelated to byte global ids).
-    pub fn between_strided(old: &StridedNfa, new: &StridedNfa) -> PlanRemap {
-        Self::between_units(
-            old.len(),
-            new.len(),
-            split_strided_components(old)
-                .iter()
-                .map(|u| (u.hash, u.states.as_slice())),
-            split_strided_components(new)
-                .iter()
-                .map(|u| (u.hash, u.states.as_slice())),
-        )
-    }
-
-    fn between_units<'a>(
-        old_len: usize,
-        new_len: usize,
-        old_units: impl Iterator<Item = (StructureHash, &'a [u32])>,
-        new_units: impl Iterator<Item = (StructureHash, &'a [u32])>,
-    ) -> PlanRemap {
-        let mut unmatched: HashMap<StructureHash, std::collections::VecDeque<&[u32]>> =
-            HashMap::new();
-        for (hash, states) in new_units {
-            unmatched.entry(hash).or_default().push_back(states);
-        }
-        let mut map = vec![REMOVED; old_len];
-        for (hash, old_states) in old_units {
-            let Some(new_states) = unmatched.get_mut(&hash).and_then(|q| q.pop_front()) else {
+        for unit in &old_units[prefix..] {
+            let Some(new_states) = unmatched.get_mut(&unit.hash).and_then(VecDeque::pop_front)
+            else {
                 continue;
             };
-            debug_assert_eq!(old_states.len(), new_states.len(), "hash-equal unit sizes");
-            for (&old, &new) in old_states.iter().zip(new_states) {
+            debug_assert_eq!(unit.len(), new_states.len(), "hash-equal unit sizes");
+            for (&old, &new) in unit.states.iter().zip(new_states) {
                 map[old as usize] = new;
             }
         }
@@ -1225,7 +888,10 @@ impl PlanRemap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::ShardedStridedAutomaton;
+    use crate::nfa::NfaBuilder;
     use crate::regex;
+    use crate::stride::StridedNfa;
 
     fn ruleset(patterns: &[&str]) -> Nfa {
         regex::compile_set(patterns).expect("test ruleset compiles")
@@ -1266,6 +932,71 @@ mod tests {
         // pattern at a different set position hashes differently.
         let moved = split_components(&ruleset(&["zz", "qq", "xy+z"]));
         assert!(!a.contains(&moved[0].hash()));
+    }
+
+    /// Pins the structure hashes (the plan-cache keys) and local layouts
+    /// of both flavours' units, and the strided shard layouts, on a
+    /// ruleset with a duplicated pattern.
+    #[test]
+    fn unit_hashes_and_layouts_are_pinned() {
+        let nfa = ruleset(&["ab+c", "x[yz]*w", "ab+c", "(q|r)s"]);
+        let strided = StridedNfa::from_nfa(&nfa);
+        let byte: Vec<(String, Vec<u32>)> = split_components(&nfa)
+            .iter()
+            .map(|u| (u.hash().to_string(), u.states().to_vec()))
+            .collect();
+        let pair: Vec<(String, Vec<u32>)> = split_components(&strided)
+            .iter()
+            .map(|u| (u.hash().to_string(), u.states().to_vec()))
+            .collect();
+        let layout = |plan: &ShardedStridedAutomaton| -> Vec<Vec<u32>> {
+            plan.shards()
+                .iter()
+                .map(|s| s.global_states().to_vec())
+                .collect()
+        };
+        let unit = |hash: &str, states: &[u32]| (hash.to_string(), states.to_vec());
+        assert_eq!(
+            byte,
+            [
+                unit("1a5ffdc0865caf5c6829e9f69c738eab", &[0, 1, 2]),
+                unit("cb867e0e8a084499e46dabe40e34d800", &[3, 4, 5]),
+                unit("e387a8c085f62aed5be0f2a90c1c7d94", &[6, 7, 8]),
+                unit("30ebd1f28e24158769a5255497d4ab2c", &[9, 10, 11]),
+            ]
+        );
+        assert_eq!(
+            pair,
+            [
+                unit("38a88d63e1845341eb69a0c110d55d34", &[0, 1, 2, 12, 16]),
+                unit("aa3ca1a0fafe800b5dbad0468b88b42b", &[3, 5, 6, 13, 17]),
+                unit("e3f18963e126d7758b6dbeb1a371ecdb", &[7, 8, 9, 14, 18]),
+                unit("4c85f53d10bb414b3675cb902785d31c", &[15, 19, 20]),
+                unit("70e34022858ef639a4df108e9a3acaad", &[4]),
+                unit("ba9d6e86849a090d9fb3f30a35124459", &[10]),
+                unit("04207daa866458b5ff96cc72e314dc75", &[11]),
+            ]
+        );
+        assert_eq!(
+            layout(&ShardedAutomaton::compile(&strided, 3)),
+            [
+                vec![0, 1, 2, 12, 16, 15, 19, 20],
+                vec![3, 5, 6, 13, 17, 4, 11],
+                vec![7, 8, 9, 14, 18, 10],
+            ]
+        );
+        assert_eq!(
+            layout(&ShardedAutomaton::compile_per_component(&strided)),
+            [
+                vec![0, 1, 2, 12, 16],
+                vec![3, 5, 6, 13, 17],
+                vec![7, 8, 9, 14, 18],
+                vec![15, 19, 20],
+                vec![4],
+                vec![10],
+                vec![11],
+            ]
+        );
     }
 
     #[test]
@@ -1311,10 +1042,10 @@ mod tests {
         let nfa = ruleset(&["ab+c", "xy+z"]);
         let strided = StridedNfa::from_nfa(&nfa);
         let mut cache = PlanCache::default();
-        let (plan, cold) = compile_strided_ruleset(&strided, 2, &mut cache);
+        let (plan, cold) = compile_ruleset(&strided, 2, &mut cache);
         assert_eq!(plan.len(), strided.len());
         assert_eq!(cold.cache_hits, 0);
-        let (_, warm) = compile_strided_ruleset(&strided, 2, &mut cache);
+        let (_, warm) = compile_ruleset(&strided, 2, &mut cache);
         assert_eq!(warm.cache_misses, 0);
         assert_eq!(warm.cache_hits, cold.components);
     }
@@ -1334,7 +1065,7 @@ mod tests {
 
     #[test]
     fn empty_ruleset_compiles_to_one_empty_shard() {
-        let nfa = empty_nfa();
+        let nfa = NfaBuilder::new().build().unwrap();
         let mut cache = PlanCache::default();
         let (plan, report) = compile_ruleset(&nfa, 1, &mut cache);
         assert_eq!(plan.len(), 0);
@@ -1393,7 +1124,7 @@ mod tests {
         assert!(PlanRemap::identity(nfa.len()).is_identity());
         assert!(PlanRemap::between(&nfa, &nfa).is_identity());
         let strided = StridedNfa::from_nfa(&nfa);
-        assert!(PlanRemap::between_strided(&strided, &strided).is_identity());
+        assert!(PlanRemap::between(&strided, &strided).is_identity());
     }
 
     #[test]
@@ -1402,6 +1133,22 @@ mod tests {
         let new = ruleset(&["ab", "ab"]);
         let remap = PlanRemap::between(&old, &new);
         assert!(remap.is_identity());
+    }
+
+    /// `(extend_append, between)` from `old` to `new`, for the byte
+    /// rulesets and for their 2-stride automata.
+    fn both_remaps(old: &Nfa, new: &Nfa) -> [(PlanRemap, PlanRemap); 2] {
+        let (old_strided, new_strided) = (StridedNfa::from_nfa(old), StridedNfa::from_nfa(new));
+        [
+            (
+                PlanRemap::extend_append(old, new),
+                PlanRemap::between(old, new),
+            ),
+            (
+                PlanRemap::extend_append(&old_strided, &new_strided),
+                PlanRemap::between(&old_strided, &new_strided),
+            ),
+        ]
     }
 
     #[test]
@@ -1415,16 +1162,18 @@ mod tests {
             &["ab+c", "xy+z", "pq*r", "a[bc]defgh+klm", "k"][..],
             &["ab+c", "xy+z", "pq*r", "ab", "ab"][..],
         ] {
-            let new = ruleset(appended);
-            let fast = PlanRemap::extend_append(&old, &new);
-            assert_eq!(fast, PlanRemap::between(&old, &new), "{appended:?}");
-            assert_eq!(
-                fast.surviving(),
-                old.len(),
-                "append-only updates keep every state"
-            );
+            for (fast, full) in both_remaps(&old, &ruleset(appended)) {
+                assert_eq!(fast, full, "{appended:?}");
+                assert_eq!(
+                    fast.surviving(),
+                    fast.old_len(),
+                    "append-only updates keep every state"
+                );
+            }
         }
-        assert!(PlanRemap::extend_append(&old, &old).is_identity());
+        for (fast, _) in both_remaps(&old, &old) {
+            assert!(fast.is_identity());
+        }
     }
 
     #[test]
@@ -1438,12 +1187,9 @@ mod tests {
             &["pq*r", "xy+z", "ab+c"][..],         // reordered (codes move)
             &["zz"][..],                           // nothing survives
         ] {
-            let new = ruleset(changed);
-            assert_eq!(
-                PlanRemap::extend_append(&old, &new),
-                PlanRemap::between(&old, &new),
-                "{changed:?}"
-            );
+            for (fast, full) in both_remaps(&old, &ruleset(changed)) {
+                assert_eq!(fast, full, "{changed:?}");
+            }
         }
     }
 

@@ -43,8 +43,11 @@
 //! With this plan the per-cycle step is word-level:
 //! `active = match_vector & enabled`, 64 states at a time, which is what
 //! `cama-sim`'s engines execute through [`ExecutionPlan`] (byte cycles)
-//! and [`StridedPlan`] (pair cycles) — the same traits that let any
-//! flavour act as the per-shard plan of a [`ShardedAutomaton`].
+//! and [`StridedPlan`] (pair cycles). [`ShardPlan`] adds the idle-skip
+//! probes each cycle shape derives, which lets any flavour act as the
+//! per-shard plan of a [`ShardedAutomaton`]. Its constructors are one
+//! shell builder over [`Automaton`], so byte and 2-stride automata shard
+//! through the same code.
 //!
 //! # Examples
 //!
@@ -66,9 +69,9 @@
 //! ```
 
 use crate::bitset::{BitSet, Row};
-use crate::graph::connected_components;
+use crate::graph::{component_ids, Automaton};
 use crate::kernel;
-use crate::nfa::{BuildOptions, Nfa, NfaBuilder, StartKind, SteId};
+use crate::nfa::{Nfa, StartKind, SteId};
 use crate::stride::{paired_entries, ReportPhase, StridedNfa, StridedSte};
 use crate::symbol::{SymbolClass, ALPHABET};
 
@@ -323,6 +326,23 @@ pub trait StridedPlan: PlanBase {
     /// May panic or return arbitrary data if `state` is not reporting;
     /// callers must consult [`report_mask`](PlanBase::report_mask) first.
     fn report_pair_unchecked(&self, state: usize) -> (u32, ReportPhase);
+}
+
+/// A plan a [`Shard`] can hold: the [`PlanBase`] shape plus the O(1)
+/// idle-skip start probes its cycle shape derives. Implemented once for
+/// byte cycles (plans over [`ByteRows`]) and once for pair cycles (plans
+/// over [`PairRows`]), so every shard builder derives the probes the
+/// same way.
+pub trait ShardPlan: PlanBase {
+    /// `(start, pair)`: bit `sym` of `start` is set iff injecting starts
+    /// on (first) symbol `sym` could fire. For pair cycles `pair[a]` is
+    /// the exact mask of second symbols `b` for which
+    /// `first_start_match(a) & second[b]` is non-empty — the per-pair
+    /// start probe (the per-half probes alone are too conservative once
+    /// odd-entry states with FULL first classes exist, which is every
+    /// unanchored pattern). Byte cycles have no second symbol, so their
+    /// `pair` is empty.
+    fn start_probes(&self) -> ([u64; 4], Vec<[u64; 4]>);
 }
 
 /// How a match-row source turns an input symbol into a row index: the
@@ -789,6 +809,46 @@ impl<I: SymbolIndex> StridedPlan for CompiledPlan<PairRows<I>> {
         let rank = self.reports.rank(state);
         (self.reports.codes[rank], self.reports.phases[rank])
     }
+}
+
+/// Start-match occupancy per symbol.
+impl<I: SymbolIndex> ShardPlan for CompiledPlan<ByteRows<I>> {
+    fn start_probes(&self) -> ([u64; 4], Vec<[u64; 4]>) {
+        let start = symbol_mask(|sym| self.start_match(sym).first_set().is_some());
+        (start, Vec::new())
+    }
+}
+
+/// First-half start-match occupancy plus the exact per-pair start
+/// table, built by folding every statically enabled state's (first
+/// class × second class) rectangle.
+impl<I: SymbolIndex> ShardPlan for CompiledPlan<PairRows<I>> {
+    fn start_probes(&self) -> ([u64; 4], Vec<[u64; 4]>) {
+        let start = symbol_mask(|a| self.first_start_match(a).first_set().is_some());
+        let mut pair = vec![[0u64; 4]; ALPHABET];
+        for s in self.all_input_mask().iter() {
+            let second = symbol_mask(|b| self.second_vector(b).contains(s));
+            for (a, mask) in pair.iter_mut().enumerate() {
+                if self.first_vector(a as u8).contains(s) {
+                    for (word, bits) in mask.iter_mut().zip(second) {
+                        *word |= bits;
+                    }
+                }
+            }
+        }
+        (start, pair)
+    }
+}
+
+/// The 256-bit mask of the symbols `member` accepts.
+fn symbol_mask(mut member: impl FnMut(u8) -> bool) -> [u64; 4] {
+    let mut mask = [0u64; 4];
+    for sym in 0..ALPHABET {
+        if member(sym as u8) {
+            mask[sym / 64] |= 1u64 << (sym % 64);
+        }
+    }
+    mask
 }
 
 impl CompiledAutomaton {
@@ -1464,29 +1524,6 @@ impl<P: PlanBase> Shard<P> {
         self
     }
 
-    /// Builds the shard of one self-contained compilation unit (a
-    /// connected component): no activation edge leaves a component, so
-    /// its cross table is empty by construction. Used by
-    /// `crate::compile`'s cached per-component driver.
-    pub(crate) fn from_component(
-        plan: P,
-        probes: ShardProbes,
-        global_states: Vec<u32>,
-    ) -> Shard<P> {
-        debug_assert_eq!(plan.len(), global_states.len());
-        let has_start_of_data = !plan.start_of_data_mask().is_empty();
-        Shard {
-            cross_offsets: vec![0; global_states.len() + 1],
-            cross_targets: Vec::new(),
-            global_states,
-            start_match_possible: probes.start,
-            pair_start_possible: probes.pair_start,
-            has_start_of_data,
-            dfa: None,
-            plan,
-        }
-    }
-
     /// Clones this shard with a different local → global table — how a
     /// cached component plan is re-targeted at the global ids it holds
     /// in the ruleset currently being compiled. Only valid for
@@ -1507,6 +1544,39 @@ impl<P: PlanBase> Shard<P> {
     }
 }
 
+impl<P: ShardPlan> Shard<P> {
+    /// Wraps a shard's compiled local plan with its local → global table
+    /// and cross-shard CSR, deriving the idle-skip probes.
+    fn new(
+        plan: P,
+        global_states: Vec<u32>,
+        cross_offsets: Vec<u32>,
+        cross_targets: Vec<CrossTarget>,
+    ) -> Shard<P> {
+        debug_assert_eq!(plan.len(), global_states.len());
+        let (start_match_possible, pair_start_possible) = plan.start_probes();
+        Shard {
+            global_states,
+            cross_offsets,
+            cross_targets,
+            start_match_possible,
+            pair_start_possible,
+            has_start_of_data: !plan.start_of_data_mask().is_empty(),
+            dfa: None,
+            plan,
+        }
+    }
+
+    /// Builds the shard of one self-contained compilation unit (a
+    /// connected component): no activation edge leaves a component, so
+    /// its cross table is empty by construction. Used by
+    /// `crate::compile`'s cached per-component compile path.
+    pub(crate) fn from_component(plan: P, global_states: Vec<u32>) -> Shard<P> {
+        let cross_offsets = vec![0; global_states.len() + 1];
+        Shard::new(plan, global_states, cross_offsets, Vec::new())
+    }
+}
+
 /// A compiled plan partitioned across simulated CAM arrays: per-shard
 /// [`CompiledAutomaton`]s plus an explicit cross-shard edge table.
 ///
@@ -1520,7 +1590,8 @@ impl<P: PlanBase> Shard<P> {
 /// (the software form of powering idle arrays down), and expose
 /// per-shard activity to the energy model directly.
 ///
-/// Shard assignment strategies:
+/// Shard assignment strategies, each for byte ([`Nfa`]) and 2-stride
+/// ([`StridedNfa`]) automata alike:
 ///
 /// * [`compile`](ShardedAutomaton::compile) — balance connected
 ///   components over `num_shards` shards (largest-first greedy, the same
@@ -1568,57 +1639,14 @@ pub struct ShardedAutomaton<P = CompiledAutomaton> {
 pub type ShardedEncodedAutomaton = ShardedAutomaton<CompiledEncodedAutomaton>;
 
 /// A [`ShardedAutomaton`] whose per-shard plans are 2-stride byte
-/// plans — per-CAM-array strided execution, built with
-/// [`ShardedAutomaton::compile_strided`] and friends.
+/// plans — per-CAM-array strided execution, built by the same
+/// constructors as the byte plan, over a [`StridedNfa`].
 pub type ShardedStridedAutomaton = ShardedAutomaton<CompiledStridedAutomaton>;
 
 /// A [`ShardedAutomaton`] whose per-shard plans execute on per-half
 /// encoding codebooks — encoding-aware sharded 2-stride execution,
 /// built with `cama_encoding::StridedEncoding::compile_sharded`.
 pub type ShardedEncodedStridedAutomaton = ShardedAutomaton<CompiledEncodedStridedAutomaton>;
-
-impl ShardedAutomaton {
-    /// Compiles `nfa` into at most `num_shards` shards by balancing
-    /// connected components (largest first, onto the least-loaded shard).
-    ///
-    /// `num_shards` is clamped to `1..=components` — a component is
-    /// never split across shards, so asking for more shards than
-    /// components yields one shard per component.
-    pub fn compile(nfa: &Nfa, num_shards: usize) -> ShardedAutomaton {
-        // Members keep `connected_components`' BFS order, which is each
-        // shard's local layout.
-        let ccs = connected_components(nfa)
-            .into_iter()
-            .map(|cc| cc.states.iter().map(|s| s.0).collect())
-            .collect();
-        let order = balance_components(ccs, num_shards);
-        Self::build(nfa, order, |local, _| CompiledAutomaton::compile(local))
-    }
-
-    /// One shard per connected component (the finest sharding that keeps
-    /// every activation edge array-local): the shard assignment *is* the
-    /// per-state component id.
-    pub fn compile_per_component(nfa: &Nfa) -> ShardedAutomaton {
-        let (ids, _) = crate::graph::component_ids(nfa);
-        Self::compile_with_assignment(nfa, &ids)
-    }
-
-    /// Compiles with an explicit per-state shard id (shard count is
-    /// `max(assignment) + 1`). Pass `Mapping::partition_of` from the
-    /// architecture mapper to make functional shards coincide with the
-    /// energy model's partitions. Cross-shard edges may point in any
-    /// direction; shard ids may be sparse (unused ids become empty
-    /// shards, which the engine skips unconditionally).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment.len() != nfa.len()`.
-    pub fn compile_with_assignment(nfa: &Nfa, assignment: &[u32]) -> ShardedAutomaton {
-        Self::compile_shards_with(nfa, assignment, |local, _| {
-            CompiledAutomaton::compile(local)
-        })
-    }
-}
 
 impl<R: EncodedRows> ShardedAutomaton<CompiledPlan<R>> {
     /// Per-state slot weights taken from the actual encoded shard plans
@@ -1634,24 +1662,6 @@ impl<R: EncodedRows> ShardedAutomaton<CompiledPlan<R>> {
         weights
     }
 }
-
-/// The O(1) idle-skip probes of one shard, derived from its local plan
-/// at build time (shared with `crate::compile`'s per-unit builder).
-pub(crate) struct ShardProbes {
-    /// Bit `sym`: injecting starts on (first) symbol `sym` could fire.
-    pub(crate) start: [u64; 4],
-    /// Strided shards only: `pair[a]` is the exact mask of second
-    /// symbols `b` for which `first_start_match(a) & second[b]` is
-    /// non-empty — the per-pair start probe (the per-half probes alone
-    /// are too conservative once odd-entry states with FULL first
-    /// classes exist, which is every unanchored pattern). Empty for
-    /// byte shards.
-    pub(crate) pair_start: Vec<[u64; 4]>,
-}
-
-/// The per-shard plan compiler the shell builder drives:
-/// `(shard index, states in local order, local edge list) → plan`.
-type ShardCompiler<'a, P> = dyn FnMut(usize, &[u32], &[(u32, u32)]) -> P + 'a;
 
 /// Groups `assignment` into per-shard state lists (shard count is
 /// `max(assignment) + 1`, minimum 1).
@@ -1683,67 +1693,59 @@ fn balance_components(components: Vec<Vec<u32>>, num_shards: usize) -> Vec<Vec<u
     order
 }
 
-/// The idle-skip probes of a byte shard: start-match occupancy per
-/// symbol (byte cycles have no second symbol, so there is no pair
-/// table).
-pub(crate) fn byte_probes<P: ExecutionPlan>(plan: &P) -> ShardProbes {
-    let mut start = [0u64; 4];
-    for sym in 0..ALPHABET {
-        if plan.start_match(sym as u8).first_set().is_some() {
-            start[sym / 64] |= 1u64 << (sym % 64);
-        }
+impl<P: ShardPlan> ShardedAutomaton<P> {
+    /// Compiles `nfa` into at most `num_shards` shards by balancing
+    /// connected components (largest first, onto the least-loaded shard).
+    ///
+    /// `num_shards` is clamped to `1..=components` — a component is
+    /// never split across shards, so asking for more shards than
+    /// components yields one shard per component.
+    pub fn compile<A: Automaton<Plan = P>>(nfa: &A, num_shards: usize) -> ShardedAutomaton<P> {
+        // Members keep the flavour's component layout order, which is
+        // each shard's local layout.
+        let order = balance_components(nfa.components(), num_shards);
+        Self::build(nfa, order, |local, _| local.compile_plan())
     }
-    ShardProbes {
-        start,
-        pair_start: Vec::new(),
-    }
-}
 
-/// The idle-skip probes of a strided shard: first-half start-match
-/// occupancy plus the exact per-pair start table, built by folding
-/// every statically enabled state's (first class × second class)
-/// rectangle.
-pub(crate) fn strided_probes<P: StridedPlan>(plan: &P) -> ShardProbes {
-    let mut start = [0u64; 4];
-    for sym in 0..ALPHABET {
-        if plan.first_start_match(sym as u8).first_set().is_some() {
-            start[sym / 64] |= 1u64 << (sym % 64);
-        }
+    /// One shard per connected component (the finest sharding that keeps
+    /// every activation edge array-local): the shard assignment *is* the
+    /// per-state component id.
+    pub fn compile_per_component<A: Automaton<Plan = P>>(nfa: &A) -> ShardedAutomaton<P> {
+        Self::compile_with_assignment(nfa, &component_ids(nfa).0)
     }
-    let mut pair_start = vec![[0u64; 4]; ALPHABET];
-    for s in plan.all_input_mask().iter() {
-        let mut second_mask = [0u64; 4];
-        for b in 0..ALPHABET {
-            if plan.second_vector(b as u8).contains(s) {
-                second_mask[b / 64] |= 1u64 << (b % 64);
-            }
-        }
-        for (a, pair) in pair_start.iter_mut().enumerate() {
-            if plan.first_vector(a as u8).contains(s) {
-                for (k, m) in second_mask.iter().enumerate() {
-                    pair[k] |= m;
-                }
-            }
-        }
-    }
-    ShardProbes { start, pair_start }
-}
 
-impl<P: ExecutionPlan> ShardedAutomaton<P> {
-    /// Compiles with an explicit per-state shard id and a custom
-    /// per-shard plan compiler. `compile_shard` receives each shard's
-    /// renumbered local NFA together with its local-index → global-id
-    /// table — which is how the encoding toolchain reuses one shared
-    /// codebook across every shard
-    /// (`cama_encoding::EncodingPlan::compile_sharded`).
+    /// Compiles with an explicit per-state shard id (shard count is
+    /// `max(assignment) + 1`). Pass `Mapping::partition_of` from the
+    /// architecture mapper to make functional shards coincide with the
+    /// energy model's partitions. Cross-shard edges may point in any
+    /// direction; shard ids may be sparse (unused ids become empty
+    /// shards, which the engine skips unconditionally).
     ///
     /// # Panics
     ///
     /// Panics if `assignment.len() != nfa.len()`.
-    pub fn compile_shards_with(
-        nfa: &Nfa,
+    pub fn compile_with_assignment<A: Automaton<Plan = P>>(
+        nfa: &A,
         assignment: &[u32],
-        compile_shard: impl Fn(&Nfa, &[u32]) -> P,
+    ) -> ShardedAutomaton<P> {
+        Self::compile_shards_with(nfa, assignment, |local, _| local.compile_plan())
+    }
+
+    /// Compiles with an explicit per-state shard id and a custom
+    /// per-shard plan compiler. `compile_shard` receives each shard's
+    /// renumbered local automaton together with its local-index →
+    /// global-id table — which is how the encoding toolchain reuses one
+    /// shared codebook (or one per half of a 2-stride plan) across every
+    /// shard (`cama_encoding::EncodingPlan::compile_sharded`,
+    /// `cama_encoding::StridedEncoding::compile_sharded`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assignment.len() != nfa.len()`.
+    pub fn compile_shards_with<A: Automaton>(
+        nfa: &A,
+        assignment: &[u32],
+        compile_shard: impl Fn(&A, &[u32]) -> P,
     ) -> ShardedAutomaton<P> {
         assert_eq!(
             assignment.len(),
@@ -1753,182 +1755,26 @@ impl<P: ExecutionPlan> ShardedAutomaton<P> {
         Self::build(nfa, order_of_assignment(assignment), compile_shard)
     }
 
-    /// Builds a byte-flavoured sharded plan from per-shard state lists:
-    /// each shard's states become a renumbered local [`Nfa`] handed to
-    /// `compile_shard`, and the shared shell builder splits the edges.
-    fn build(
-        nfa: &Nfa,
+    /// The one shell builder: places states, splits edges into the
+    /// in-shard and cross-shard halves, and compiles each shard's
+    /// renumbered local automaton through `compile_shard`.
+    fn build<A: Automaton>(
+        nfa: &A,
         order: Vec<Vec<u32>>,
-        compile_shard: impl Fn(&Nfa, &[u32]) -> P,
+        compile_shard: impl Fn(&A, &[u32]) -> P,
     ) -> ShardedAutomaton<P> {
-        Self::build_with(
-            nfa.len(),
-            nfa.name().to_string(),
-            order,
-            &|state| {
-                nfa.successors(crate::nfa::SteId(state as u32))
-                    .iter()
-                    .map(|s| s.0)
-                    .collect()
-            },
-            &mut |shard, states, local_edges| {
-                let mut builder = NfaBuilder::with_name(format!("{}/shard{shard}", nfa.name()));
-                for &g in states {
-                    let ste = nfa.ste(crate::nfa::SteId(g));
-                    let id = builder.add_ste(ste.class);
-                    builder.set_start(id, ste.start);
-                    if let Some(code) = ste.report {
-                        builder.set_report(id, code);
-                    }
-                }
-                for &(from, to) in local_edges {
-                    builder.add_edge(crate::nfa::SteId(from), crate::nfa::SteId(to));
-                }
-                let local_nfa = builder
-                    .build_with_options(BuildOptions {
-                        reject_empty_classes: false,
-                        reject_unreachable: false,
-                    })
-                    .expect("lenient build cannot fail");
-                compile_shard(&local_nfa, states)
-            },
-            &byte_probes,
-        )
-    }
-}
-
-impl<P: StridedPlan> ShardedAutomaton<P> {
-    /// The 2-stride counterpart of
-    /// [`compile_shards_with`](ShardedAutomaton::compile_shards_with):
-    /// an explicit per-state shard id over a [`StridedNfa`], with a
-    /// custom per-shard plan compiler receiving each shard's renumbered
-    /// local strided automaton and its local → global table (how
-    /// `cama_encoding::StridedEncoding::compile_sharded` shares its two
-    /// per-half codebooks across every shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment.len() != nfa.len()`.
-    pub fn compile_strided_shards_with(
-        nfa: &StridedNfa,
-        assignment: &[u32],
-        compile_shard: impl Fn(&StridedNfa, &[u32]) -> P,
-    ) -> ShardedAutomaton<P> {
-        assert_eq!(
-            assignment.len(),
-            nfa.len(),
-            "shard assignment must cover every state"
-        );
-        Self::build_strided(nfa, order_of_assignment(assignment), compile_shard)
-    }
-
-    /// Builds a strided-flavoured sharded plan from per-shard state
-    /// lists, constructing each shard's renumbered local [`StridedNfa`].
-    fn build_strided(
-        nfa: &StridedNfa,
-        order: Vec<Vec<u32>>,
-        compile_shard: impl Fn(&StridedNfa, &[u32]) -> P,
-    ) -> ShardedAutomaton<P> {
-        Self::build_with(
-            nfa.len(),
-            nfa.name().to_string(),
-            order,
-            &|state| nfa.successors(state).to_vec(),
-            &mut |shard, states, local_edges| {
-                let local_states = states
-                    .iter()
-                    .map(|&g| nfa.state(g as usize).clone())
-                    .collect();
-                let mut local_succ: Vec<Vec<u32>> = vec![Vec::new(); states.len()];
-                for &(from, to) in local_edges {
-                    local_succ[from as usize].push(to);
-                }
-                let local = StridedNfa::from_parts(
-                    local_states,
-                    local_succ,
-                    format!("{}/shard{shard}", nfa.name()),
-                );
-                compile_shard(&local, states)
-            },
-            &strided_probes,
-        )
-    }
-}
-
-impl ShardedAutomaton<CompiledStridedAutomaton> {
-    /// Compiles a strided automaton into at most `num_shards` shards by
-    /// balancing connected components, mirroring
-    /// [`compile`](ShardedAutomaton::compile).
-    pub fn compile_strided(nfa: &StridedNfa, num_shards: usize) -> ShardedStridedAutomaton {
-        // Component ids are numbered largest first, so grouping states
-        // by id lists the components in balancing order.
-        let (ids, _) = nfa.component_ids();
-        let order = balance_components(order_of_assignment(&ids), num_shards);
-        Self::build_strided(nfa, order, |local, _| {
-            CompiledStridedAutomaton::compile(local)
-        })
-    }
-
-    /// One shard per connected component of the strided automaton.
-    pub fn compile_strided_per_component(nfa: &StridedNfa) -> ShardedStridedAutomaton {
-        let (ids, _) = nfa.component_ids();
-        Self::compile_strided_with_assignment(nfa, &ids)
-    }
-
-    /// An explicit per-state shard id over the strided state space
-    /// (e.g. the strided mapper's `partition_of`, so functional shards
-    /// coincide with the energy model's partitions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment.len() != nfa.len()`.
-    pub fn compile_strided_with_assignment(
-        nfa: &StridedNfa,
-        assignment: &[u32],
-    ) -> ShardedStridedAutomaton {
-        Self::compile_strided_shards_with(nfa, assignment, |local, _| {
-            CompiledStridedAutomaton::compile(local)
-        })
-    }
-}
-
-impl<P: PlanBase> ShardedAutomaton<P> {
-    /// Shared shell builder: places states, splits edges into the
-    /// in-shard and cross-shard halves, compiles each shard's local
-    /// plan through `compile_shard` (which receives the shard index,
-    /// the shard's states in local order, and its local edge list), and
-    /// derives the idle-skip probes through `probes`.
-    fn build_with(
-        len: usize,
-        name: String,
-        order: Vec<Vec<u32>>,
-        successors_of: &dyn Fn(usize) -> Vec<u32>,
-        compile_shard: &mut ShardCompiler<'_, P>,
-        probes: &dyn Fn(&P) -> ShardProbes,
-    ) -> ShardedAutomaton<P> {
-        let mut shard_of = vec![u32::MAX; len];
-        let mut local_of = vec![u32::MAX; len];
-        for (shard, states) in order.iter().enumerate() {
-            for (local, &g) in states.iter().enumerate() {
-                debug_assert_eq!(shard_of[g as usize], u32::MAX, "state placed twice");
-                shard_of[g as usize] = shard as u32;
-                local_of[g as usize] = local as u32;
-            }
-        }
-        debug_assert!(shard_of.iter().all(|&s| s != u32::MAX), "state unplaced");
-
-        let mut num_cross_edges = 0;
-        let shards: Vec<Shard<P>> = order
-            .iter()
+        let (shard_of, local_of) = placement(nfa.len(), order.iter().map(Vec::as_slice));
+        let shards = order
+            .into_iter()
             .enumerate()
             .map(|(shard, states)| {
-                let mut local_edges: Vec<(u32, u32)> = Vec::new();
+                let mut local_edges = Vec::new();
                 let mut cross_offsets = Vec::with_capacity(states.len() + 1);
                 let mut cross_targets = Vec::new();
                 cross_offsets.push(0);
                 for (local, &g) in states.iter().enumerate() {
-                    for succ in successors_of(g as usize) {
-                        let t = succ as usize;
+                    for t in nfa.successor_ids(g as usize) {
+                        let t = t as usize;
                         if shard_of[t] as usize == shard {
                             local_edges.push((local as u32, local_of[t]));
                         } else {
@@ -1940,33 +1786,36 @@ impl<P: PlanBase> ShardedAutomaton<P> {
                     }
                     cross_offsets.push(cross_targets.len() as u32);
                 }
-                num_cross_edges += cross_targets.len();
-                let plan = compile_shard(shard, states, &local_edges);
-                let probes = probes(&plan);
-                let has_start_of_data = !plan.start_of_data_mask().is_empty();
-                Shard {
-                    plan,
-                    global_states: states.clone(),
-                    cross_offsets,
-                    cross_targets,
-                    start_match_possible: probes.start,
-                    pair_start_possible: probes.pair_start,
-                    has_start_of_data,
-                    dfa: None,
-                }
+                let name = format!("{}/shard{shard}", nfa.name());
+                let plan = compile_shard(&nfa.extract(name, &states, &local_edges), &states);
+                Shard::new(plan, states, cross_offsets, cross_targets)
             })
             .collect();
+        Self::assemble(nfa.len(), nfa.name().to_string(), shards)
+    }
+}
 
-        ShardedAutomaton {
-            len,
-            name,
-            shards,
-            shard_of,
-            local_of,
-            num_cross_edges,
+/// The global state id → (owning shard, local index) tables of per-shard
+/// state lists.
+///
+/// # Panics
+///
+/// Debug builds panic if the lists do not cover `0..len` exactly once.
+fn placement<'a>(len: usize, shards: impl Iterator<Item = &'a [u32]>) -> (Vec<u32>, Vec<u32>) {
+    let mut shard_of = vec![u32::MAX; len];
+    let mut local_of = vec![u32::MAX; len];
+    for (shard, states) in shards.enumerate() {
+        for (local, &g) in states.iter().enumerate() {
+            debug_assert_eq!(shard_of[g as usize], u32::MAX, "state placed twice");
+            shard_of[g as usize] = shard as u32;
+            local_of[g as usize] = local as u32;
         }
     }
+    debug_assert!(shard_of.iter().all(|&s| s != u32::MAX), "state unplaced");
+    (shard_of, local_of)
+}
 
+impl<P: PlanBase> ShardedAutomaton<P> {
     /// Assembles a sharded plan from pre-built shards (one per
     /// compilation unit, in shard-id order), recomputing the global
     /// placement tables from each shard's local → global table. The
@@ -1977,25 +1826,14 @@ impl<P: PlanBase> ShardedAutomaton<P> {
     /// Debug builds panic if the shards do not cover `0..len` exactly
     /// once.
     pub(crate) fn assemble(len: usize, name: String, shards: Vec<Shard<P>>) -> ShardedAutomaton<P> {
-        let mut shard_of = vec![u32::MAX; len];
-        let mut local_of = vec![u32::MAX; len];
-        let mut num_cross_edges = 0;
-        for (shard, s) in shards.iter().enumerate() {
-            num_cross_edges += s.num_cross_edges();
-            for (local, &g) in s.global_states().iter().enumerate() {
-                debug_assert_eq!(shard_of[g as usize], u32::MAX, "state placed twice");
-                shard_of[g as usize] = shard as u32;
-                local_of[g as usize] = local as u32;
-            }
-        }
-        debug_assert!(shard_of.iter().all(|&s| s != u32::MAX), "state unplaced");
+        let (shard_of, local_of) = placement(len, shards.iter().map(Shard::global_states));
         ShardedAutomaton {
             len,
             name,
+            num_cross_edges: shards.iter().map(Shard::num_cross_edges).sum(),
             shards,
             shard_of,
             local_of,
-            num_cross_edges,
         }
     }
 
@@ -2311,7 +2149,7 @@ mod tests {
         let nfa = regex::compile_set(&["abc", "x[0-9]+y", "(ab)+z"]).unwrap();
         let strided = StridedNfa::from_nfa(&nfa);
         for shards in [1, 2, 3, usize::MAX] {
-            let sharded = ShardedAutomaton::compile_strided(&strided, shards);
+            let sharded = ShardedAutomaton::compile(&strided, shards);
             assert_eq!(sharded.len(), strided.len());
             let mut seen = vec![false; strided.len()];
             for (si, shard) in sharded.shards().iter().enumerate() {
@@ -2329,7 +2167,7 @@ mod tests {
             );
         }
         // Per-component strided sharding keeps all edges local.
-        let per_cc = ShardedAutomaton::compile_strided_per_component(&strided);
+        let per_cc = ShardedAutomaton::compile_per_component(&strided);
         assert_eq!(per_cc.num_cross_edges(), 0);
         assert!(per_cc.num_shards() >= 3);
     }
@@ -2338,7 +2176,7 @@ mod tests {
     fn strided_shard_probes_are_exact() {
         let nfa = regex::compile_set(&["ab", "cd"]).unwrap();
         let strided = StridedNfa::from_nfa(&nfa);
-        let sharded = ShardedAutomaton::compile_strided_per_component(&strided);
+        let sharded = ShardedAutomaton::compile_per_component(&strided);
         for shard in sharded.shards() {
             for sym in 0..=255u8 {
                 assert_eq!(

@@ -1,5 +1,6 @@
-//! Graph analysis over the activation structure of an [`Nfa`]:
-//! connected components, BFS orderings, and degree statistics.
+//! Graph analysis over the activation structure of an automaton: the
+//! [`Automaton`] shape the front end is generic over, connected
+//! components, BFS orderings, and degree statistics.
 //!
 //! The mapper relies on two facts the paper exploits (§III.C): real NFAs
 //! decompose into many small *connected components* (CCs) with no edges
@@ -8,12 +9,16 @@
 //!
 //! Components are also the unit of plan caching and hot swap: with no
 //! edges between them they compile, hash, and execute independently
-//! (see [`crate::compile`]).
+//! (see [`crate::compile`]). A 2-stride [`StridedNfa`] is just another
+//! state graph, so the component split, structure hash, shard builder,
+//! cached compiler and remap each exist once, over [`Automaton`], for
+//! byte and 2-stride automata alike.
 //!
 //! # Examples
 //!
 //! ```
 //! use cama_core::{graph, regex};
+//! use cama_core::stride::StridedNfa;
 //!
 //! // Two patterns share no states, so they form two components.
 //! let nfa = regex::compile_set(&["ab+c", "xy+z"])?;
@@ -23,11 +28,182 @@
 //! let (ids, count) = graph::component_ids(&nfa);
 //! assert_eq!(count, 2);
 //! assert_eq!(ids.len(), nfa.len());
+//! // The same labelling over the 2-stride automaton.
+//! let strided = StridedNfa::from_nfa(&nfa);
+//! assert_eq!(graph::component_ids(&strided).1, 2);
 //! # Ok::<(), cama_core::Error>(())
 //! ```
 
-use crate::nfa::{Nfa, SteId};
+use crate::compiled::{CompiledAutomaton, ShardPlan};
+use crate::nfa::{BuildOptions, Nfa, NfaBuilder, SteId};
 use std::collections::VecDeque;
+
+#[cfg(doc)]
+use crate::stride::StridedNfa;
+
+/// An automaton the front end compiles: a homogeneous NFA consumed one
+/// byte ([`Nfa`]) or one byte pair ([`StridedNfa`]) per cycle.
+///
+/// It exposes only what the compilation steps below the regex compiler
+/// differ on by flavour. [`split_components`](crate::compile::split_components),
+/// [`compile_ruleset`](crate::compile::compile_ruleset),
+/// [`PlanRemap`](crate::compile::PlanRemap), [`component_ids`] and the
+/// [`ShardedAutomaton`](crate::compiled::ShardedAutomaton) constructors
+/// are each one generic function over it.
+pub trait Automaton: Sized + Sync {
+    /// The plan [`compile_plan`](Automaton::compile_plan) builds.
+    type Plan: ShardPlan + Clone + Send;
+
+    /// Number of states.
+    fn len(&self) -> usize;
+
+    /// Returns `true` if the automaton has no states.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The automaton's name.
+    fn name(&self) -> &str;
+
+    /// Successor ids of `state`, in the automaton's stored order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is out of range.
+    fn successor_ids(&self, state: usize) -> impl Iterator<Item = u32> + '_;
+
+    /// The connected components (undirected activation connectivity) as
+    /// member lists, largest first: the order units are split in and
+    /// shards are balanced in. Each list is the component's local layout.
+    fn components(&self) -> Vec<Vec<u32>>;
+
+    /// The words of `state` the structure hash reads: its match classes,
+    /// start kind and report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is out of range.
+    fn state_words(&self, state: usize) -> impl Iterator<Item = u64> + '_;
+
+    /// The sub-automaton over `states` renumbered `0..states.len()` in
+    /// that order, with the local `(from, to)` edges `edges`, under
+    /// `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a state or an edge end is out of range.
+    fn extract(&self, name: String, states: &[u32], edges: &[(u32, u32)]) -> Self;
+
+    /// The flavour's raw-byte execution plan.
+    fn compile_plan(&self) -> Self::Plan;
+}
+
+/// Byte automata lay each component out breadth-first from its start
+/// states (the crossbar-diagonal order); equal sizes tie-break on the
+/// member lists.
+impl Automaton for Nfa {
+    type Plan = CompiledAutomaton;
+
+    fn len(&self) -> usize {
+        Nfa::len(self)
+    }
+
+    fn name(&self) -> &str {
+        Nfa::name(self)
+    }
+
+    fn successor_ids(&self, state: usize) -> impl Iterator<Item = u32> + '_ {
+        self.successors(SteId(state as u32)).iter().map(|s| s.0)
+    }
+
+    fn components(&self) -> Vec<Vec<u32>> {
+        let preds = predecessor_ids(self);
+        // Scratch shared across components: per-component allocation
+        // would make this quadratic on benchmarks with thousands of
+        // components.
+        let mut scratch = BfsScratch::new(self.len());
+        let mut components: Vec<Vec<u32>> = component_members(self, &preds)
+            .iter()
+            .map(|members| bfs_order(self, &preds, members, &mut scratch))
+            .collect();
+        components.sort_by(|a, b| b.len().cmp(&a.len()).then(a.cmp(b)));
+        components
+    }
+
+    fn state_words(&self, state: usize) -> impl Iterator<Item = u64> + '_ {
+        let ste = &self.stes()[state];
+        let report = ste.report.map_or(0, |code| u64::from(code) + 1);
+        let words = ste.class.as_words().iter().copied();
+        words.chain([ste.start as u64, report])
+    }
+
+    fn extract(&self, name: String, states: &[u32], edges: &[(u32, u32)]) -> Nfa {
+        let mut builder = NfaBuilder::with_name(name);
+        for &g in states {
+            let ste = self.ste(SteId(g));
+            let id = builder.add_ste(ste.class);
+            builder.set_start(id, ste.start);
+            if let Some(code) = ste.report {
+                builder.set_report(id, code);
+            }
+        }
+        for &(from, to) in edges {
+            builder.add_edge(SteId(from), SteId(to));
+        }
+        builder
+            .build_with_options(BuildOptions {
+                reject_empty_classes: false,
+                reject_unreachable: false,
+            })
+            .expect("lenient build cannot fail")
+    }
+
+    fn compile_plan(&self) -> CompiledAutomaton {
+        CompiledAutomaton::compile(self)
+    }
+}
+
+/// The reverse adjacency of `nfa`: predecessor ids per state.
+pub(crate) fn predecessor_ids<A: Automaton>(nfa: &A) -> Vec<Vec<u32>> {
+    let mut preds = vec![Vec::new(); nfa.len()];
+    for from in 0..nfa.len() {
+        for to in nfa.successor_ids(from) {
+            preds[to as usize].push(from as u32);
+        }
+    }
+    preds
+}
+
+/// The one undirected component labelling: every component as its
+/// ascending member list, in discovery order (by lowest member id).
+/// Each flavour's [`Automaton::components`] orders these.
+pub(crate) fn component_members<A: Automaton>(nfa: &A, preds: &[Vec<u32>]) -> Vec<Vec<u32>> {
+    let mut component = vec![u32::MAX; nfa.len()];
+    let mut count = 0;
+    let mut stack = Vec::new();
+    for seed in 0..nfa.len() {
+        if component[seed] != u32::MAX {
+            continue;
+        }
+        component[seed] = count;
+        stack.push(seed as u32);
+        while let Some(v) = stack.pop() {
+            let v = v as usize;
+            for next in nfa.successor_ids(v).chain(preds[v].iter().copied()) {
+                if component[next as usize] == u32::MAX {
+                    component[next as usize] = count;
+                    stack.push(next);
+                }
+            }
+        }
+        count += 1;
+    }
+    let mut members = vec![Vec::new(); count as usize];
+    for (state, &c) in component.iter().enumerate() {
+        members[c as usize].push(state as u32);
+    }
+    members
+}
 
 /// One connected component of an automaton (undirected connectivity).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,64 +251,18 @@ impl ConnectedComponent {
 /// # Ok::<(), cama_core::Error>(())
 /// ```
 pub fn connected_components(nfa: &Nfa) -> Vec<ConnectedComponent> {
-    let n = nfa.len();
-    let preds = nfa.predecessors();
-    let mut component = vec![usize::MAX; n];
-    let mut count = 0;
-
-    for seed in 0..n {
-        if component[seed] != usize::MAX {
-            continue;
-        }
-        let id = count;
-        count += 1;
-        let mut stack = vec![seed];
-        component[seed] = id;
-        while let Some(v) = stack.pop() {
-            for &next in nfa.successors(SteId(v as u32)) {
-                if component[next.index()] == usize::MAX {
-                    component[next.index()] = id;
-                    stack.push(next.index());
-                }
-            }
-            for &prev in &preds[v] {
-                if component[prev.index()] == usize::MAX {
-                    component[prev.index()] = id;
-                    stack.push(prev.index());
-                }
-            }
-        }
-    }
-
-    let mut members: Vec<Vec<SteId>> = vec![Vec::new(); count];
-    for (i, &c) in component.iter().enumerate() {
-        members[c].push(SteId(i as u32));
-    }
-
-    // Scratch shared across components: per-component allocation would
-    // make this quadratic on benchmarks with thousands of components.
-    let mut scratch = BfsScratch::new(nfa.len());
-    let mut ccs: Vec<ConnectedComponent> = members
+    nfa.components()
         .into_iter()
-        .map(|states| {
-            let ordered = bfs_order_with(nfa, &preds, &states, &mut scratch);
-            let num_edges = states
-                .iter()
-                .map(|&s| nfa.successors(s).len())
-                .sum::<usize>();
-            ConnectedComponent {
-                states: ordered,
-                num_edges,
-            }
+        .map(|states| ConnectedComponent {
+            num_edges: states.iter().map(|&s| nfa.successors(SteId(s)).len()).sum(),
+            states: states.into_iter().map(SteId).collect(),
         })
-        .collect();
-    ccs.sort_by(|a, b| b.len().cmp(&a.len()).then(a.states.cmp(&b.states)));
-    ccs
+        .collect()
 }
 
-/// The per-state component index for `nfa`, plus the component count.
+/// The per-state component index of `nfa`, plus the component count.
 ///
-/// Components are numbered in [`connected_components`] order (largest
+/// Components are numbered in [`Automaton::components`] order (largest
 /// first), so an assignment derived from these ids agrees with the
 /// first-fit-decreasing packing order of the mapper and with the
 /// component-balanced shard strategy of
@@ -157,23 +287,15 @@ pub fn connected_components(nfa: &Nfa) -> Vec<ConnectedComponent> {
 /// assert_ne!(ids[x.index()], ids[z.index()]);
 /// # Ok::<(), cama_core::Error>(())
 /// ```
-pub fn component_ids(nfa: &Nfa) -> (Vec<u32>, usize) {
-    let ccs = connected_components(nfa);
+pub fn component_ids<A: Automaton>(nfa: &A) -> (Vec<u32>, usize) {
+    let components = nfa.components();
     let mut ids = vec![0u32; nfa.len()];
-    for (c, cc) in ccs.iter().enumerate() {
-        for &s in &cc.states {
-            ids[s.index()] = c as u32;
+    for (c, members) in components.iter().enumerate() {
+        for &s in members {
+            ids[s as usize] = c as u32;
         }
     }
-    (ids, ccs.len())
-}
-
-/// Orders the given states breadth-first, seeding the queue with the
-/// component's start states (or its lowest id when it has none), exactly
-/// the ordering eAP and CAMA use to diagonalize the transition matrix.
-pub fn bfs_order(nfa: &Nfa, states: &[SteId]) -> Vec<SteId> {
-    let preds = nfa.predecessors();
-    bfs_order_with(nfa, &preds, states, &mut BfsScratch::new(nfa.len()))
+    (ids, components.len())
 }
 
 struct BfsScratch {
@@ -190,30 +312,28 @@ impl BfsScratch {
     }
 }
 
-fn bfs_order_with(
-    nfa: &Nfa,
-    preds: &[Vec<SteId>],
-    states: &[SteId],
-    scratch: &mut BfsScratch,
-) -> Vec<SteId> {
+/// Orders the given states breadth-first, seeding the queue with the
+/// component's start states (or its lowest id when it has none), exactly
+/// the ordering eAP and CAMA use to diagonalize the transition matrix.
+fn bfs_order(nfa: &Nfa, preds: &[Vec<u32>], states: &[u32], scratch: &mut BfsScratch) -> Vec<u32> {
     for &s in states {
-        scratch.in_scope[s.index()] = true;
+        scratch.in_scope[s as usize] = true;
     }
     let mut order = Vec::with_capacity(states.len());
     let mut queue = VecDeque::new();
 
-    let mut seeds: Vec<SteId> = states
+    let mut seeds: Vec<u32> = states
         .iter()
         .copied()
-        .filter(|&s| nfa.ste(s).start.is_start())
+        .filter(|&s| nfa.ste(SteId(s)).start.is_start())
         .collect();
     if seeds.is_empty() {
         seeds = states.iter().copied().take(1).collect();
     }
     seeds.sort_unstable();
     for s in seeds {
-        if !scratch.seen[s.index()] {
-            scratch.seen[s.index()] = true;
+        if !scratch.seen[s as usize] {
+            scratch.seen[s as usize] = true;
             queue.push_back(s);
         }
     }
@@ -221,33 +341,31 @@ fn bfs_order_with(
     // Undirected BFS so back-edges stay near the diagonal too.
     while let Some(v) = queue.pop_front() {
         order.push(v);
-        let mut neighbors: Vec<SteId> = nfa
-            .successors(v)
-            .iter()
-            .copied()
-            .chain(preds[v.index()].iter().copied())
+        let mut neighbors: Vec<u32> = nfa
+            .successor_ids(v as usize)
+            .chain(preds[v as usize].iter().copied())
             .collect();
         neighbors.sort_unstable();
         neighbors.dedup();
         for next in neighbors {
-            if scratch.in_scope[next.index()] && !scratch.seen[next.index()] {
-                scratch.seen[next.index()] = true;
+            if scratch.in_scope[next as usize] && !scratch.seen[next as usize] {
+                scratch.seen[next as usize] = true;
                 queue.push_back(next);
             }
         }
         // Components can be disconnected in the directed sense only; any
         // leftover states are appended from fresh BFS seeds.
         if queue.is_empty() && order.len() < states.len() {
-            if let Some(&s) = states.iter().find(|s| !scratch.seen[s.index()]) {
-                scratch.seen[s.index()] = true;
+            if let Some(&s) = states.iter().find(|&&s| !scratch.seen[s as usize]) {
+                scratch.seen[s as usize] = true;
                 queue.push_back(s);
             }
         }
     }
     // Reset only the touched indices for the next component.
     for &s in states {
-        scratch.in_scope[s.index()] = false;
-        scratch.seen[s.index()] = false;
+        scratch.in_scope[s as usize] = false;
+        scratch.seen[s as usize] = false;
     }
     order
 }
@@ -274,7 +392,7 @@ pub struct GraphStats {
 /// Computes [`GraphStats`] for an automaton.
 pub fn stats(nfa: &Nfa) -> GraphStats {
     let ccs = connected_components(nfa);
-    let preds = nfa.predecessors();
+    let preds = predecessor_ids(nfa);
     let max_out = (0..nfa.len())
         .map(|i| nfa.successors(SteId(i as u32)).len())
         .max()
@@ -375,6 +493,15 @@ mod tests {
         }
         let empty = NfaBuilder::new().build().unwrap();
         assert_eq!(component_ids(&empty), (Vec::new(), 0));
+    }
+
+    #[test]
+    fn predecessor_ids_invert_edges() {
+        let preds = predecessor_ids(&two_chains());
+        assert_eq!(preds[0], Vec::<u32>::new());
+        assert_eq!(preds[1], vec![0]);
+        assert_eq!(preds[2], vec![1]);
+        assert_eq!(preds[4], vec![3]);
     }
 
     #[test]

@@ -202,15 +202,6 @@ impl Nfa {
         alphabet
     }
 
-    /// Builds the reverse adjacency (predecessors per state).
-    pub fn predecessors(&self) -> Vec<Vec<SteId>> {
-        let mut preds = vec![Vec::new(); self.len()];
-        for (from, to) in self.edges() {
-            preds[to.index()].push(from);
-        }
-        preds
-    }
-
     /// Decomposes the automaton into a new [`NfaBuilder`] for editing.
     pub fn into_builder(self) -> NfaBuilder {
         let mut builder = NfaBuilder::with_name(self.name.clone());
@@ -468,15 +459,6 @@ mod tests {
         let alphabet = nfa.alphabet();
         assert_eq!(alphabet.len(), 2);
         assert!(alphabet.contains(b'a') && alphabet.contains(b'b'));
-    }
-
-    #[test]
-    fn predecessors_inverts_edges() {
-        let nfa = chain(b"abc");
-        let preds = nfa.predecessors();
-        assert!(preds[0].is_empty());
-        assert_eq!(preds[1], vec![SteId(0)]);
-        assert_eq!(preds[2], vec![SteId(1)]);
     }
 
     #[test]

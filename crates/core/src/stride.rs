@@ -12,9 +12,14 @@
 //!
 //! The paper evaluates 2-stride CAMA (64×256 match CAM, 256×256 local
 //! switch) against 4-stride Impala in Figure 13; this module provides
-//! the strided automaton both of those models execute.
+//! the strided automaton both of those models execute. Once built, a
+//! [`StridedNfa`] is just another state graph: it implements
+//! [`Automaton`], so the component split, structure hash, shard builder,
+//! cached ruleset compiler and remap are the byte automaton's own.
 
 use crate::bitwidth::{rectangles, NibbleNfa};
+use crate::compiled::CompiledStridedAutomaton;
+use crate::graph::{self, Automaton};
 use crate::nfa::{Nfa, NfaBuilder, StartKind, SteId};
 use crate::symbol::SymbolClass;
 
@@ -120,82 +125,6 @@ impl StridedNfa {
         &self.successors[index]
     }
 
-    /// Assembles a strided automaton from parts — used by the sharded
-    /// plan builder to construct each shard's renumbered local
-    /// automaton.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `successors` does not parallel `states` or references
-    /// a state out of range.
-    pub(crate) fn from_parts(
-        states: Vec<StridedSte>,
-        successors: Vec<Vec<u32>>,
-        name: String,
-    ) -> StridedNfa {
-        assert_eq!(states.len(), successors.len(), "successor table mismatch");
-        assert!(
-            successors
-                .iter()
-                .all(|succ| succ.iter().all(|&s| (s as usize) < states.len())),
-            "successor out of range"
-        );
-        StridedNfa {
-            states,
-            successors,
-            name,
-        }
-    }
-
-    /// The per-state connected-component index (undirected activation
-    /// connectivity) plus the component count, numbered largest
-    /// component first — the strided counterpart of
-    /// [`graph::component_ids`](crate::graph::component_ids), used by
-    /// the per-component shard strategy.
-    pub fn component_ids(&self) -> (Vec<u32>, usize) {
-        let n = self.len();
-        let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (from, succs) in self.successors.iter().enumerate() {
-            for &to in succs {
-                preds[to as usize].push(from as u32);
-            }
-        }
-        let mut component = vec![u32::MAX; n];
-        let mut sizes = Vec::new();
-        for seed in 0..n {
-            if component[seed] != u32::MAX {
-                continue;
-            }
-            let id = sizes.len() as u32;
-            let mut size = 0usize;
-            let mut stack = vec![seed];
-            component[seed] = id;
-            while let Some(v) = stack.pop() {
-                size += 1;
-                for &next in self.successors[v].iter().chain(&preds[v]) {
-                    if component[next as usize] == u32::MAX {
-                        component[next as usize] = id;
-                        stack.push(next as usize);
-                    }
-                }
-            }
-            sizes.push(size);
-        }
-        // Renumber largest component first (ties broken by discovery
-        // order, i.e. lowest member id) so component-balanced sharding
-        // packs decreasing sizes, like the byte-side mapper does.
-        let mut order: Vec<usize> = (0..sizes.len()).collect();
-        order.sort_by_key(|&c| (usize::MAX - sizes[c], c));
-        let mut renumber = vec![0u32; sizes.len()];
-        for (rank, &c) in order.iter().enumerate() {
-            renumber[c] = rank as u32;
-        }
-        for c in &mut component {
-            *c = renumber[*c as usize];
-        }
-        (component, sizes.len())
-    }
-
     /// Builds the 2-stride automaton for `nfa`.
     ///
     /// The construction creates:
@@ -268,6 +197,61 @@ impl StridedNfa {
             nfa: builder.build().expect("stride nibble transform is valid"),
             chain: 4,
         }
+    }
+}
+
+/// Strided automata lay each component out in ascending id order;
+/// equal sizes keep discovery order (by lowest member id).
+impl Automaton for StridedNfa {
+    type Plan = CompiledStridedAutomaton;
+
+    fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn successor_ids(&self, state: usize) -> impl Iterator<Item = u32> + '_ {
+        self.successors[state].iter().copied()
+    }
+
+    fn components(&self) -> Vec<Vec<u32>> {
+        let mut components = graph::component_members(self, &graph::predecessor_ids(self));
+        components.sort_by_key(|members| std::cmp::Reverse(members.len()));
+        components
+    }
+
+    /// Both halves' class words, the start kind, and the report code
+    /// tagged with its phase.
+    fn state_words(&self, state: usize) -> impl Iterator<Item = u64> + '_ {
+        let ste = &self.states[state];
+        let report = ste.report.map_or(0, |(code, phase)| {
+            (u64::from(code) + 1) << 2 | (phase as u64 + 1)
+        });
+        let words = ste.first.as_words().iter().chain(ste.second.as_words());
+        words.copied().chain([ste.start as u64, report])
+    }
+
+    fn extract(&self, name: String, states: &[u32], edges: &[(u32, u32)]) -> StridedNfa {
+        let mut successors = vec![Vec::new(); states.len()];
+        for &(from, to) in edges {
+            assert!((to as usize) < states.len(), "successor out of range");
+            successors[from as usize].push(to);
+        }
+        StridedNfa {
+            states: states
+                .iter()
+                .map(|&g| self.states[g as usize].clone())
+                .collect(),
+            successors,
+            name,
+        }
+    }
+
+    fn compile_plan(&self) -> CompiledStridedAutomaton {
+        CompiledStridedAutomaton::compile(self)
     }
 }
 

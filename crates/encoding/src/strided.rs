@@ -152,7 +152,7 @@ impl StridedEncoding {
         self.assert_covers(nfa);
         let first = CodeRows::of(&self.first);
         let second = CodeRows::of(&self.second);
-        ShardedAutomaton::compile_strided_shards_with(nfa, assignment, |local_nfa, globals| {
+        ShardedAutomaton::compile_shards_with(nfa, assignment, |local_nfa, globals| {
             let global_of = |local: usize| globals[local] as usize;
             CompiledEncodedStridedAutomaton::compile_with(
                 local_nfa,
@@ -168,30 +168,6 @@ impl StridedEncoding {
             self.first.states().len(),
             "the strided encoding does not cover this automaton"
         );
-    }
-}
-
-impl EncodingPlan {
-    /// Builds the proposed per-half encodings of a strided automaton
-    /// and lowers them into an executable encoded strided plan — the
-    /// one-call form of
-    /// [`StridedEncoding::for_strided`] + [`StridedEncoding::compile`].
-    pub fn compile_strided(nfa: &StridedNfa) -> CompiledEncodedStridedAutomaton {
-        StridedEncoding::for_strided(nfa).compile(nfa)
-    }
-
-    /// The sharded form of [`compile_strided`](Self::compile_strided):
-    /// per-shard encoded strided plans sharing one pair of per-half
-    /// codebooks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment.len() != nfa.len()`.
-    pub fn compile_strided_sharded(
-        nfa: &StridedNfa,
-        assignment: &[u32],
-    ) -> ShardedEncodedStridedAutomaton {
-        StridedEncoding::for_strided(nfa).compile_sharded(nfa, assignment)
     }
 }
 
@@ -311,7 +287,7 @@ mod tests {
         let strided = cama_core::stride::StridedNfa::from_nfa(&nfa);
         let encoding = StridedEncoding::for_strided(&strided);
         let flat = encoding.compile(&strided);
-        let (ids, _) = strided.component_ids();
+        let (ids, _) = cama_core::graph::component_ids(&strided);
         let sharded = encoding.compile_sharded(&strided, &ids);
         assert_eq!(sharded.len(), strided.len());
         assert_eq!(sharded.entry_weights(), flat.entry_weights());
@@ -335,21 +311,6 @@ mod tests {
                     flat.half_entries_of(global)
                 );
             }
-        }
-    }
-
-    #[test]
-    fn one_call_lowering_matches_the_two_step_form() {
-        let nfa = regex::compile("ab+c").unwrap();
-        let strided = cama_core::stride::StridedNfa::from_nfa(&nfa);
-        let direct = EncodingPlan::compile_strided(&strided);
-        let two_step = StridedEncoding::for_strided(&strided).compile(&strided);
-        assert_eq!(direct.entry_weights(), two_step.entry_weights());
-        for sym in 0..=255u8 {
-            assert_eq!(
-                StridedPlan::first_vector(&direct, sym),
-                StridedPlan::first_vector(&two_step, sym)
-            );
         }
     }
 

@@ -400,9 +400,10 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
     /// report it at the swap, deferred flows silently at translation).
     ///
     /// `remap` must be the old→new mapping for exactly this plan pair
-    /// (`PlanRemap::between` on the source NFAs, `between_strided` for
-    /// strided flavours, [`PlanRemap::extend_append`] for append-only
-    /// updates, or `identity` when the plan was merely recompiled).
+    /// (`PlanRemap::between` on the source automata — the
+    /// `StridedNfa`s for strided flavours — [`PlanRemap::extend_append`]
+    /// for append-only updates, or `identity` when the plan was merely
+    /// recompiled).
     /// Swapping with [`PlanRemap::identity`] and the same plan is a
     /// valid no-op-shaped stress test: it round-trips every resident
     /// flow through suspend/translate/resume.

@@ -1142,7 +1142,7 @@ mod tests {
         }
         let strided = StridedNfa::from_nfa(&regex::compile("ab+c").unwrap());
         check(&CompiledStridedAutomaton::compile(&strided));
-        check(&ShardedAutomaton::compile_strided(&strided, 2));
+        check(&ShardedAutomaton::compile(&strided, 2));
     }
 
     #[test]

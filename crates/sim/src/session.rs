@@ -152,12 +152,6 @@ impl SuspendedFlow {
         &self.result
     }
 
-    /// Consumes the flow, yielding its accumulated result (closing a
-    /// parked flow needs no session at all).
-    pub fn into_result(self) -> RunResult {
-        self.result
-    }
-
     /// Closes a parked flow of plan flavour `P` without a session: the
     /// accumulated result with `P`'s end-of-stream report order. A
     /// strided flow suspended mid-pair must still flush its carry byte

@@ -1008,8 +1008,8 @@ mod tests {
         assert_eq!(INPUT.len() % 2, 1);
         let encoding = StridedEncoding::for_strided(&strided);
         assert_eq!(pairs, record(FlatSession::new(&encoding.compile(&strided))));
-        for ids in layouts(strided.component_ids().0) {
-            let plan = ShardedAutomaton::compile_strided_with_assignment(&strided, &ids);
+        for ids in layouts(cama_core::graph::component_ids(&strided).0) {
+            let plan = ShardedAutomaton::compile_with_assignment(&strided, &ids);
             assert_eq!(pairs, record(ShardedSession::new(&plan)), "strided {ids:?}");
             let plan = encoding.compile_sharded(&strided, &ids);
             let encoded = record(ShardedSession::new(&plan));

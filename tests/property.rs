@@ -985,7 +985,7 @@ fn sharded_strided_equals_flat_strided() {
         let flat = StridedSimulator::new(&strided).run(&input);
 
         for shards in [1usize, 2, usize::MAX] {
-            let plan = ShardedAutomaton::compile_strided(&strided, shards);
+            let plan = ShardedAutomaton::compile(&strided, shards);
             let mut session = cama::sim::ShardedSession::new(&plan);
             session.feed(&input);
             assert_eq!(
@@ -1003,8 +1003,8 @@ fn sharded_strided_equals_flat_strided() {
             );
         }
         // Per-component sharding through the explicit-assignment path.
-        let (ids, _) = strided.component_ids();
-        let per_cc = ShardedAutomaton::compile_strided_with_assignment(&strided, &ids);
+        let (ids, _) = graph::component_ids(&strided);
+        let per_cc = ShardedAutomaton::compile_with_assignment(&strided, &ids);
         let mut session = cama::sim::ShardedSession::new(&per_cc);
         session.feed(&input);
         assert_eq!(session.finish(), flat, "seed {seed}: per-component");
@@ -1073,7 +1073,7 @@ fn strided_batch_capped_equals_uncapped() {
 
         let byte_plan = cama::core::compiled::CompiledStridedAutomaton::compile(&strided);
         let encoded_plan = StridedEncoding::for_strided(&strided).compile(&strided);
-        let sharded_plan = ShardedAutomaton::compile_strided(&strided, 2);
+        let sharded_plan = ShardedAutomaton::compile(&strided, 2);
 
         fn run_schedule<P: cama::sim::StreamPlan>(
             plan: &P,
@@ -1507,7 +1507,7 @@ fn parallel_sharded_equals_sequential_across_plans() {
         check(&encoded, &input, &chunks, &format!("seed {seed}: encoded"));
 
         let strided = StridedNfa::from_nfa(&nfa);
-        let strided_plan = ShardedAutomaton::compile_strided(&strided, 2);
+        let strided_plan = ShardedAutomaton::compile(&strided, 2);
         check(
             &strided_plan,
             &input,
@@ -1836,7 +1836,7 @@ fn hot_swap_differential_across_flavours() {
         // across the swap.
         let old_strided_nfa = StridedNfa::from_nfa(&old_nfa);
         let new_strided_nfa = StridedNfa::from_nfa(&new_nfa);
-        let strided_remap = PlanRemap::between_strided(&old_strided_nfa, &new_strided_nfa);
+        let strided_remap = PlanRemap::between(&old_strided_nfa, &new_strided_nfa);
         let old_strided = CompiledStridedAutomaton::compile(&old_strided_nfa);
         let new_strided = CompiledStridedAutomaton::compile(&new_strided_nfa);
         assert_swap_transparent(
@@ -1848,8 +1848,8 @@ fn hot_swap_differential_across_flavours() {
             "strided flat",
             seed,
         );
-        let old_strided_sharded = ShardedAutomaton::compile_strided(&old_strided_nfa, 2);
-        let new_strided_sharded = ShardedAutomaton::compile_strided(&new_strided_nfa, 2);
+        let old_strided_sharded = ShardedAutomaton::compile(&old_strided_nfa, 2);
+        let new_strided_sharded = ShardedAutomaton::compile(&new_strided_nfa, 2);
         assert_swap_transparent(
             &old_strided_sharded,
             &new_strided_sharded,
@@ -1870,8 +1870,8 @@ fn hot_swap_differential_across_flavours() {
         );
 
         // Encoded strided sharded: per-half codebooks per version.
-        let (old_sc, _) = old_strided_nfa.component_ids();
-        let (new_sc, _) = new_strided_nfa.component_ids();
+        let (old_sc, _) = graph::component_ids(&old_strided_nfa);
+        let (new_sc, _) = graph::component_ids(&new_strided_nfa);
         let old_es = StridedEncoding::for_strided(&old_strided_nfa)
             .compile_sharded(&old_strided_nfa, &old_sc);
         let new_es = StridedEncoding::for_strided(&new_strided_nfa)

@@ -65,8 +65,11 @@ fn strided_word_counters_are_pinned() {
         session.finish();
         assert_eq!(session.words_visited(), expect, "selective {selective}");
     }
-    let per_component = ShardedAutomaton::compile_strided_per_component(&strided);
+    let per_component = ShardedAutomaton::compile_per_component(&strided);
     assert_eq!(sharded_counts(&per_component, &input)[0], 3_877);
+    // The `strided` bench group's `snort_byte_sharded/16` plan.
+    let sixteen = ShardedAutomaton::compile(&strided, 16);
+    assert_eq!(sharded_counts(&sixteen, &input), [7_316, 3_658, 29_110]);
 }
 
 #[test]
