@@ -50,8 +50,10 @@ use cama_mem::{Delay, Energy};
 use cama_sim::{DfaShardCycleView, ShardCycleSummary, ShardCycleView, ShardObserver};
 
 /// Wire energy per global-switch hop for CA, scaled to other designs by
-/// their state-match area exactly as the wire delay is (§VIII.A). A
-/// calibration constant of this reproduction; see DESIGN.md.
+/// their state-match area exactly as the wire delay is (§VIII.A), and
+/// charged once per cross-partition hop. A calibration constant of this
+/// reproduction; see "Modelling assumptions and invariants" in
+/// `docs/ARCHITECTURE.md`.
 pub const CA_WIRE_ENERGY_PJ: f64 = 2.0;
 
 /// Energy totals bucketed as Figure 12 reports them.

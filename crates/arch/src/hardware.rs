@@ -1,5 +1,6 @@
 //! A functional model of mapped CAMA hardware, used to validate the
-//! mapping toolchain end to end (invariant 5 of DESIGN.md).
+//! mapping toolchain end to end (see "Modelling assumptions and
+//! invariants" in `docs/ARCHITECTURE.md`).
 //!
 //! The model executes the mapped automaton the way the silicon would:
 //! per-partition enable vectors at CAM-column granularity, state matching

@@ -86,7 +86,8 @@ pub struct Mapping {
     /// Number of 256×256 global switches allocated.
     pub global_switches: usize,
     /// Sum of ports demanded beyond the 16-in/16-out budget (recorded,
-    /// not enforced — see DESIGN.md).
+    /// not enforced — see "Modelling assumptions and invariants" in
+    /// `docs/ARCHITECTURE.md`).
     pub port_overflow: usize,
 }
 

@@ -1,6 +1,9 @@
-//! Ablation study over CAMA's design choices (the knobs DESIGN.md calls
-//! out): negation optimization on/off, frequency-first clustering vs
-//! naive assignment, and the reduced-crossbar group width `k_dia`.
+//! Ablation study over CAMA's design choices: negation optimization
+//! on/off, frequency-first clustering vs naive assignment, and the
+//! reduced-crossbar group width `k_dia`. The encodings ablations 1 and
+//! 2 compare are all exact (see "Modelling assumptions and invariants"
+//! in `docs/ARCHITECTURE.md`), so those knobs trade CAM entries, not
+//! behaviour.
 //!
 //! The paper fixes k_dia = 43 (two stacked groups per 128-column
 //! switch); the sweep shows why — smaller groups break more components

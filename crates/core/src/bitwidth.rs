@@ -1,29 +1,14 @@
-//! Bit-width transformation: rewrite an 8-bit-alphabet NFA into an
-//! equivalent automaton over 4-bit nibbles.
+//! Bit-width decomposition: split an 8-bit symbol class into 4-bit
+//! nibble rectangles.
 //!
-//! This is the FlexAmata-style transformation Impala executes on: every
-//! byte is processed as two 4-bit symbols (high nibble first), which lets
-//! the state-matching memory shrink from 256 rows to 16. A symbol class
-//! `C ⊆ Σ` is decomposed into at most 16 *rectangles* `H × L` (high
-//! nibble set × low nibble set); each rectangle becomes a high-STE
-//! feeding a low-STE.
-//!
-//! The resulting automaton is a plain [`Nfa`] whose alphabet is `0..=15`;
-//! it must be driven with [`chain`](NibbleNfa::chain) sub-steps per
-//! original symbol, with start states injected only on the first sub-step
-//! (the simulator's multi-step mode does exactly this).
+//! Impala matches every byte as two 4-bit symbols (high nibble first),
+//! which shrinks the state-matching memory from 256 rows to 16. A symbol
+//! class `C ⊆ Σ` is decomposed into at most 16 *rectangles* `H × L` (high
+//! nibble set × low nibble set); each rectangle costs one high row feeding
+//! one low row. `cama_arch` prices Impala's 4-bit designs from these
+//! rectangle counts on the byte and pair automata.
 
-use crate::nfa::{Nfa, NfaBuilder, SteId};
 use crate::symbol::SymbolClass;
-
-/// An NFA over 4-bit symbols plus its phase length.
-#[derive(Clone, Debug)]
-pub struct NibbleNfa {
-    /// The nibble automaton; symbols are `0..=15`.
-    pub nfa: Nfa,
-    /// Sub-steps per original input symbol (2 for a byte NFA).
-    pub chain: usize,
-}
 
 /// Splits a byte class into maximal `(high, low)` nibble rectangles.
 ///
@@ -74,81 +59,9 @@ pub fn rectangles(class: &SymbolClass) -> Vec<(SymbolClass, SymbolClass)> {
         .collect()
 }
 
-/// Transforms a byte-alphabet NFA into an equivalent nibble NFA.
-///
-/// Every original STE becomes one (high, low) STE pair per rectangle of
-/// its class; the low STEs inherit the report, the high STEs inherit the
-/// start kind, and every original edge `u -> v` becomes edges from all of
-/// `u`'s low STEs to all of `v`'s high STEs.
-///
-/// # Panics
-///
-/// Panics if the input automaton has an STE with an empty class (such
-/// automata cannot be built through [`NfaBuilder`] anyway).
-pub fn to_nibble_nfa(nfa: &Nfa) -> NibbleNfa {
-    let mut builder = NfaBuilder::with_name(format!("{}-nibble", nfa.name()));
-    // Per original state: the ids of its high STEs and low STEs.
-    let mut highs: Vec<Vec<SteId>> = Vec::with_capacity(nfa.len());
-    let mut lows: Vec<Vec<SteId>> = Vec::with_capacity(nfa.len());
-
-    for ste in nfa.stes() {
-        let rects = rectangles(&ste.class);
-        assert!(
-            !rects.is_empty(),
-            "empty symbol class in bitwidth transform"
-        );
-        let mut my_highs = Vec::with_capacity(rects.len());
-        let mut my_lows = Vec::with_capacity(rects.len());
-        for (high_class, low_class) in rects {
-            let h = builder.add_ste(high_class);
-            let l = builder.add_ste(low_class);
-            builder.set_start(h, ste.start);
-            if let Some(code) = ste.report {
-                builder.set_report(l, code);
-            }
-            builder.add_edge(h, l);
-            my_highs.push(h);
-            my_lows.push(l);
-        }
-        highs.push(my_highs);
-        lows.push(my_lows);
-    }
-
-    for (from, to) in nfa.edges() {
-        for &l in &lows[from.index()] {
-            for &h in &highs[to.index()] {
-                builder.add_edge(l, h);
-            }
-        }
-    }
-
-    NibbleNfa {
-        nfa: builder
-            .build()
-            .expect("nibble transform preserves validity"),
-        chain: 2,
-    }
-}
-
-/// Splits a byte into `(high, low)` nibbles in stream order.
-pub fn nibbles_of(byte: u8) -> [u8; 2] {
-    [byte >> 4, byte & 0x0f]
-}
-
-/// Expands a byte stream into its nibble stream (high nibble first).
-pub fn to_nibble_stream(bytes: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.extend_from_slice(&nibbles_of(b));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nfa::StartKind;
-    use crate::regex;
 
     #[test]
     fn rectangles_cover_exactly() {
@@ -182,42 +95,5 @@ mod tests {
         let class: SymbolClass = (0..16u8).map(|i| i << 4 | i).collect();
         let rects = rectangles(&class);
         assert_eq!(rects.len(), 16);
-    }
-
-    #[test]
-    fn transform_sizes() {
-        let nfa = regex::compile("ab").unwrap();
-        let nibble = to_nibble_nfa(&nfa);
-        assert_eq!(nibble.chain, 2);
-        // One rectangle per singleton class: 2 STEs each.
-        assert_eq!(nibble.nfa.len(), 4);
-        // h->l within states plus l->h across the edge.
-        assert_eq!(nibble.nfa.num_edges(), 3);
-    }
-
-    #[test]
-    fn transform_preserves_reports_and_starts() {
-        let nfa = regex::compile("a").unwrap();
-        let nibble = to_nibble_nfa(&nfa).nfa;
-        assert_eq!(nibble.start_states().count(), 1);
-        assert_eq!(nibble.reporting_states().count(), 1);
-        assert_eq!(nibble.ste(SteId(0)).start, StartKind::AllInput);
-        assert!(nibble.ste(SteId(1)).is_reporting());
-    }
-
-    #[test]
-    fn nibble_stream_expansion() {
-        assert_eq!(to_nibble_stream(&[0xab, 0x01]), vec![0xa, 0xb, 0x0, 0x1]);
-        assert_eq!(nibbles_of(0xf3), [0xf, 0x3]);
-    }
-
-    #[test]
-    fn nibble_alphabet_is_16() {
-        let nfa = regex::compile("[a-z0-9]x").unwrap();
-        let nibble = to_nibble_nfa(&nfa).nfa;
-        assert!(nibble.alphabet().len() <= 16);
-        for ste in nibble.stes() {
-            assert!(ste.class.iter().all(|s| s < 16));
-        }
     }
 }

@@ -1041,8 +1041,8 @@ impl Default for DfaBudget {
 /// sweeps.
 ///
 /// A DFA state is an NFA *active set* under the sharded engine's exact
-/// cycle semantics with starts injected every cycle (`chain == 1`):
-/// state 0 is the empty set, and
+/// cycle semantics with starts injected every cycle: state 0 is the
+/// empty set, and
 /// `δ(S, row) = (succ(S) ∪ all_input) ∩ match[row]`. Cycle 0 — where
 /// `start-of-data` states also inject — uses the separate
 /// [`first`](CompiledDfa::first) column; it is only ever taken out of

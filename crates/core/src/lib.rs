@@ -18,7 +18,8 @@
 //! * [`graph`] — connected components and BFS orderings for mapping;
 //! * [`stats`] — the per-benchmark statistics reported in Table I;
 //! * [`stride`] — the 2-stride (alphabet-squaring) transform;
-//! * [`bitwidth`] — the 8-bit → 4-bit transform Impala executes on;
+//! * [`bitwidth`] — the 8-bit → 4-bit nibble rectangles that price
+//!   Impala's 4-bit match rows;
 //! * [`bitset::BitSet`] — the dynamic bit set shared by the simulator and
 //!   the hardware models.
 //!

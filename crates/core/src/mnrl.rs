@@ -30,7 +30,10 @@ use std::collections::HashMap;
 ///
 /// Returns [`Error::MnrlSyntax`] for malformed JSON and
 /// [`Error::InvalidAutomaton`] / [`Error::UnknownState`] for structural
-/// problems (non-`hState` nodes, dangling references, bad symbol sets).
+/// problems (non-`hState` nodes, dangling references, bad symbol sets)
+/// and for a present field of the wrong kind: `enable` must be a
+/// string, `report` a boolean, and `attributes.reportId` a whole number
+/// in `0..=u32::MAX`. Absent fields take their defaults.
 pub fn from_str(text: &str) -> Result<Nfa> {
     let doc = json::parse(text)?;
     let name = doc.get("id").and_then(JsonValue::as_str).unwrap_or("mnrl");
@@ -56,17 +59,17 @@ pub fn from_str(text: &str) -> Result<Nfa> {
                 "unsupported MNRL node type `{node_type}`"
             )));
         }
-        let symbol_set = node
-            .get("attributes")
-            .and_then(|a| a.get("symbolSet"))
+        let lacks_symbol_set =
+            || Error::InvalidAutomaton(format!("node `{node_id}` lacks attributes.symbolSet"));
+        let attributes = node.get("attributes").ok_or_else(lacks_symbol_set)?;
+        let symbol_set = attributes
+            .get("symbolSet")
             .and_then(JsonValue::as_str)
-            .ok_or_else(|| {
-                Error::InvalidAutomaton(format!("node `{node_id}` lacks attributes.symbolSet"))
-            })?;
+            .ok_or_else(lacks_symbol_set)?;
         let class = parse_symbol_set(symbol_set)?;
         let id = builder.add_ste(class);
 
-        match node.get("enable").and_then(JsonValue::as_str) {
+        match field(node, "enable", node_id, "a string", JsonValue::as_str)? {
             Some("onActivateIn") | None => {}
             Some("onStartAndActivateIn") => {
                 builder.set_start(id, StartKind::StartOfData);
@@ -81,13 +84,11 @@ pub fn from_str(text: &str) -> Result<Nfa> {
             }
         }
 
-        if node.get("report").and_then(JsonValue::as_bool) == Some(true) {
-            let code = node
-                .get("attributes")
-                .and_then(|a| a.get("reportId"))
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0) as u32;
-            builder.set_report(id, code);
+        let report = field(node, "report", node_id, "a boolean", JsonValue::as_bool)?;
+        let whole = "a whole number in 0..=4294967295";
+        let code = field(attributes, "reportId", node_id, whole, as_report_id)?;
+        if report == Some(true) {
+            builder.set_report(id, code.unwrap_or(0));
         }
 
         if ids.insert(node_id.to_string(), id).is_some() {
@@ -121,6 +122,29 @@ pub fn from_str(text: &str) -> Result<Nfa> {
     }
 
     builder.build()
+}
+
+/// `object[key]` read through `as_kind`: `Ok(None)` when the key is
+/// absent, an error naming the node when it holds the wrong kind.
+fn field<'a, T>(
+    object: &'a JsonValue,
+    key: &str,
+    node_id: &str,
+    expected: &str,
+    as_kind: impl FnOnce(&'a JsonValue) -> Option<T>,
+) -> Result<Option<T>> {
+    let Some(value) = object.get(key) else {
+        return Ok(None);
+    };
+    as_kind(value).map(Some).ok_or_else(|| {
+        Error::InvalidAutomaton(format!("node `{node_id}`: `{key}` must be {expected}"))
+    })
+}
+
+/// A JSON number that is a whole value in `0..=u32::MAX`.
+fn as_report_id(value: &JsonValue) -> Option<u32> {
+    let n = value.as_f64()?;
+    (n.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&n)).then_some(n as u32)
 }
 
 /// Serializes an NFA as an MNRL document.
@@ -250,5 +274,54 @@ mod tests {
             {"id":"b","type":"hState","attributes":{"symbolSet":"[b]"}}]}"#;
         let nfa = from_str(doc).unwrap();
         assert_eq!(nfa.ste(SteId(1)).start, StartKind::None);
+    }
+
+    /// A one-node document: node `n` carries `fields` before its
+    /// `attributes`, and `attrs` after the symbol set inside them.
+    fn one_node(fields: &str, attrs: &str) -> String {
+        format!(
+            r#"{{"id":"x","nodes":[{{"id":"n","type":"hState",{fields}
+            "attributes":{{"symbolSet":"[a]"{attrs}}}}}]}}"#
+        )
+    }
+
+    #[test]
+    fn malformed_fields_are_rejected_naming_the_node() {
+        let reporting = r#""enable":"always","report":true,"#;
+        let bad_ids = ["-1", "1.5", "4294967296", "1e300", r#""7""#, r#""rule-12""#];
+        let mut docs: Vec<String> = bad_ids
+            .iter()
+            .chain(&["null", "true"])
+            .map(|id| one_node(reporting, &format!(r#","reportId":{id}"#)))
+            .collect();
+        for fields in [
+            r#""report":"true","#,
+            r#""report":1,"#,
+            r#""enable":5,"#,
+            r#""enable":null,"#,
+        ] {
+            docs.push(one_node(fields, ""));
+        }
+        for doc in &docs {
+            match from_str(doc) {
+                Err(Error::InvalidAutomaton(message)) => {
+                    assert!(message.contains("`n`"), "{doc}: {message}")
+                }
+                other => panic!("{doc}: expected InvalidAutomaton, got {other:?}"),
+            }
+        }
+
+        for code in [0, u32::MAX] {
+            let nfa = from_str(&one_node(reporting, &format!(r#","reportId":{code}"#))).unwrap();
+            assert_eq!(nfa.ste(SteId(0)).report, Some(code));
+            assert_eq!(nfa.ste(SteId(0)).start, StartKind::AllInput);
+        }
+        // Absent fields keep their defaults: no start, no report, and
+        // report code 0 for a reporting node without `reportId`.
+        let bare = from_str(&one_node("", "")).unwrap();
+        assert_eq!(bare.ste(SteId(0)).start, StartKind::None);
+        assert_eq!(bare.ste(SteId(0)).report, None);
+        let unnumbered = from_str(&one_node(r#""report":true,"#, "")).unwrap();
+        assert_eq!(unnumbered.ste(SteId(0)).report, Some(0));
     }
 }

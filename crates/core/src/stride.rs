@@ -17,10 +17,9 @@
 //! [`Automaton`], so the component split, structure hash, shard builder,
 //! cached ruleset compiler and remap are the byte automaton's own.
 
-use crate::bitwidth::{rectangles, NibbleNfa};
 use crate::compiled::CompiledStridedAutomaton;
 use crate::graph::{self, Automaton};
-use crate::nfa::{Nfa, NfaBuilder, StartKind, SteId};
+use crate::nfa::{Nfa, StartKind, SteId};
 use crate::symbol::SymbolClass;
 
 /// Which symbol of the pair a strided report corresponds to.
@@ -139,64 +138,6 @@ impl StridedNfa {
     /// convention (see `cama-sim`).
     pub fn from_nfa(nfa: &Nfa) -> StridedNfa {
         Builder::new(nfa).build()
-    }
-
-    /// Converts the strided automaton into a nibble NFA with four
-    /// sub-steps per pair — the automaton 4-stride Impala executes
-    /// (two bytes, i.e. four nibbles, per cycle).
-    pub fn to_nibble_nfa(&self) -> NibbleNfa {
-        let mut builder = NfaBuilder::with_name(format!("{}-nibble", self.name));
-        // Per strided state: entry (first-high) STEs and exit (second-low) STEs.
-        let mut entries: Vec<Vec<SteId>> = Vec::with_capacity(self.len());
-        let mut exits: Vec<Vec<SteId>> = Vec::with_capacity(self.len());
-
-        for state in &self.states {
-            let first_rects = rectangles(&state.first);
-            let second_rects = rectangles(&state.second);
-            let mut my_entries = Vec::new();
-            let mut my_first_lows = Vec::new();
-            for (high, low) in &first_rects {
-                let h = builder.add_ste(*high);
-                let l = builder.add_ste(*low);
-                builder.set_start(h, state.start);
-                if let Some((code, ReportPhase::First)) = state.report {
-                    builder.set_report(l, code);
-                }
-                builder.add_edge(h, l);
-                my_entries.push(h);
-                my_first_lows.push(l);
-            }
-            let mut my_exits = Vec::new();
-            for (high, low) in &second_rects {
-                let h = builder.add_ste(*high);
-                let l = builder.add_ste(*low);
-                if let Some((code, ReportPhase::Second)) = state.report {
-                    builder.set_report(l, code);
-                }
-                builder.add_edge(h, l);
-                for &fl in &my_first_lows {
-                    builder.add_edge(fl, h);
-                }
-                my_exits.push(l);
-            }
-            entries.push(my_entries);
-            exits.push(my_exits);
-        }
-
-        for (from, successors) in self.successors.iter().enumerate() {
-            for &to in successors {
-                for &x in &exits[from] {
-                    for &e in &entries[to as usize] {
-                        builder.add_edge(x, e);
-                    }
-                }
-            }
-        }
-
-        NibbleNfa {
-            nfa: builder.build().expect("stride nibble transform is valid"),
-            chain: 4,
-        }
     }
 }
 
@@ -424,16 +365,6 @@ mod tests {
             .find(|(_, s)| s.first.contains(b'd') && s.second.contains(b'd') && !s.first.is_full())
             .expect("d,d edge state");
         assert!(strided.successors(idx).contains(&(idx as u32)));
-    }
-
-    #[test]
-    fn nibble_conversion_has_chain_4() {
-        let nfa = regex::compile("ab").unwrap();
-        let strided = StridedNfa::from_nfa(&nfa);
-        let nibble = strided.to_nibble_nfa();
-        assert_eq!(nibble.chain, 4);
-        assert!(nibble.nfa.len() >= strided.len() * 4 - 2);
-        assert!(nibble.nfa.reporting_states().count() >= 1);
     }
 
     #[test]

@@ -252,8 +252,10 @@ impl EncodingPlan {
         self.code_len() * self.total_entries()
     }
 
-    /// Checks invariant 1 of DESIGN.md: for every STE and every possible
-    /// input byte, the encoded row output equals raw class membership.
+    /// Checks encoding exactness (see "Modelling assumptions and
+    /// invariants" in `docs/ARCHITECTURE.md`): for every STE and every
+    /// possible input byte, the encoded row output equals raw class
+    /// membership.
     ///
     /// # Errors
     ///

@@ -169,9 +169,8 @@ pub trait StreamPlan: Sync {
     /// session.
     type Flavour: ShardedExecution;
 
-    /// Starts a fresh session over this plan with the given multi-step
-    /// chain length (1 for byte automata).
-    fn open_session(&self, chain: usize) -> Self::Session<'_>;
+    /// Starts a fresh session over this plan.
+    fn open_session(&self) -> Self::Session<'_>;
 
     /// Number of shards the engine distinguishes (1 for flat plans).
     fn num_shards(&self) -> usize {
@@ -186,8 +185,8 @@ impl<P: ShardedExecution + Clone + fmt::Debug> StreamPlan for P {
         Self: 'p;
     type Flavour = P;
 
-    fn open_session(&self, chain: usize) -> FlatSession<'_, P> {
-        FlatSession::with_chain(self, chain)
+    fn open_session(&self) -> FlatSession<'_, P> {
+        FlatSession::new(self)
     }
 }
 
@@ -198,8 +197,8 @@ impl<P: ShardedExecution + Clone + fmt::Debug> StreamPlan for ShardedAutomaton<P
         Self: 'p;
     type Flavour = P;
 
-    fn open_session(&self, chain: usize) -> ShardedSession<'_, P> {
-        ShardedSession::with_chain(self, chain)
+    fn open_session(&self) -> ShardedSession<'_, P> {
+        ShardedSession::new(self)
     }
 
     fn num_shards(&self) -> usize {
@@ -237,9 +236,6 @@ const REMAP_COMPACT_THRESHOLD: usize = 8;
 #[derive(Clone, Debug)]
 pub struct BatchSimulator<'p, P: StreamPlan = CompiledAutomaton> {
     plan: &'p P,
-    /// Sub-symbols per original symbol (1 for byte automata; e.g. 2 for
-    /// nibble streams).
-    chain: usize,
     /// Open flows: resident sessions or parked snapshots.
     table: HashMap<StreamId, Flow<P::Session<'p>>>,
     /// Closed sessions kept for reuse, scratch capacity intact.
@@ -268,20 +264,8 @@ pub type ShardedBatch<'p> = BatchSimulator<'p, ShardedAutomaton>;
 impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
     /// Creates a batch runner over a shared compiled plan.
     pub fn new(plan: &'p P) -> Self {
-        Self::with_chain(plan, 1)
-    }
-
-    /// Uses multi-step execution with the given chain length (for
-    /// bit-width-transformed automata consuming sub-symbol streams).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chain` is zero.
-    pub fn with_chain(plan: &'p P, chain: usize) -> Self {
-        assert!(chain > 0, "chain must be positive");
         BatchSimulator {
             plan,
-            chain,
             table: HashMap::new(),
             pool: Vec::new(),
             max_resident: None,
@@ -319,7 +303,7 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
     /// A fresh standalone session over the shared plan (not entered in
     /// the stream table).
     pub fn session(&self) -> P::Session<'p> {
-        self.plan.open_session(self.chain)
+        self.plan.open_session()
     }
 
     /// Opens a flow in the stream table, recycling a pooled session if
@@ -659,9 +643,7 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
 
     /// A recycled session from the pool, or a fresh one.
     fn pooled_session(&mut self) -> P::Session<'p> {
-        self.pool
-            .pop()
-            .unwrap_or_else(|| self.plan.open_session(self.chain))
+        self.pool.pop().unwrap_or_else(|| self.plan.open_session())
     }
 
     /// Catches a deferred (cold-parked) snapshot up with every plan
@@ -811,12 +793,11 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
             }
             // Every remaining open flow is resident: single hash lookup
             // on the per-chunk hot path.
-            let (plan, chain, pool, resident) =
-                (self.plan, self.chain, &mut self.pool, &mut self.resident);
+            let (plan, pool, resident) = (self.plan, &mut self.pool, &mut self.resident);
             let flow = self.table.entry(stream).or_insert_with(|| {
                 *resident += 1;
                 Flow::Resident {
-                    session: pool.pop().unwrap_or_else(|| plan.open_session(chain)),
+                    session: pool.pop().unwrap_or_else(|| plan.open_session()),
                     last_touch: 0,
                 }
             });
@@ -901,11 +882,11 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
         threads: usize,
         at_close: impl Fn(&mut P::Session<'p>) + Sync,
     ) -> Vec<RunResult> {
-        let (plan, chain) = (self.plan, self.chain);
+        let plan = self.plan;
         work_steal(
             streams.len(),
             crate::parallel::worker_count(threads).min(streams.len()),
-            || plan.open_session(chain),
+            || plan.open_session(),
             |session, i| {
                 session.feed(streams[i]);
                 session.finish()
@@ -942,7 +923,6 @@ mod tests {
     use super::*;
     use crate::frame::{encode_close, encode_frame};
     use crate::Simulator;
-    use cama_core::bitwidth::{to_nibble_nfa, to_nibble_stream};
     use cama_core::regex;
 
     fn streams() -> Vec<Vec<u8>> {
@@ -1310,34 +1290,6 @@ mod tests {
             sharded.run_parallel(&refs, 3),
             flat.run_all(refs.iter().copied())
         );
-    }
-
-    #[test]
-    fn chained_batch_runs_nibble_streams() {
-        let nfa = regex::compile("ab+c").unwrap();
-        let nibble = to_nibble_nfa(&nfa);
-        let plan = CompiledAutomaton::compile(&nibble.nfa);
-        let mut batch = BatchSimulator::with_chain(&plan, nibble.chain);
-        let inputs: Vec<&[u8]> = vec![b"zabbc", b"abc", b"bbcc"];
-        let nibble_streams: Vec<Vec<u8>> = inputs.iter().map(|i| to_nibble_stream(i)).collect();
-        let mut single = Simulator::new(&nibble.nfa);
-        for (stream, result) in nibble_streams
-            .iter()
-            .zip(batch.run_all(nibble_streams.iter().map(Vec::as_slice)))
-        {
-            assert_eq!(single.run_multistep(stream, nibble.chain), result);
-        }
-        // The incremental path gates starts identically even when a feed
-        // boundary splits a chain group.
-        for (id, stream) in nibble_streams.iter().enumerate() {
-            for chunk in stream.chunks(3) {
-                batch.feed(id as StreamId, chunk);
-            }
-            assert_eq!(
-                batch.close(id as StreamId),
-                single.run_multistep(stream, nibble.chain)
-            );
-        }
     }
 
     #[test]

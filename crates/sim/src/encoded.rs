@@ -142,16 +142,4 @@ mod tests {
         }
         assert_eq!(session.finish(), one_shot);
     }
-
-    #[test]
-    fn multistep_nibble_equivalence() {
-        use cama_core::bitwidth::{to_nibble_nfa, to_nibble_stream};
-        let nfa = regex::compile("a[0-9]+z").unwrap();
-        let nibble = to_nibble_nfa(&nfa);
-        let input = b"a12z9";
-        let stream = to_nibble_stream(input);
-        let byte = Simulator::new(&nibble.nfa).run_multistep(&stream, nibble.chain);
-        let encoded = EncodedSimulator::new(&nibble.nfa).run_multistep(&stream, nibble.chain);
-        assert_eq!(encoded, byte);
-    }
 }

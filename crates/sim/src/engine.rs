@@ -24,7 +24,7 @@
 //! is the one owning engine over any [`StreamPlan`]; [`Simulator`] and
 //! the other simulators are its aliases.
 
-use crate::activity::{NullObserver, ShardCycleSummary, ShardCycleView, ShardObserver};
+use crate::activity::{ShardCycleSummary, ShardCycleView, ShardObserver};
 use crate::batch::StreamPlan;
 use crate::lane::{CycleStep, FlatContext, ShardLane};
 use crate::session::{AutomataEngine, FlowSession, Session, SuspendedFlow};
@@ -49,9 +49,7 @@ pub use crate::result::{Report, RunResult};
 /// [`finish`](Session::finish) flushes a still-pending carry as a
 /// zero-padded final pair whose pad-offset reports are suppressed. The
 /// immutable plan is shared, so one plan can drive any number of
-/// concurrent sessions. A multi-step session
-/// ([`with_chain`](FlatSession::with_chain)) carries its group phase in
-/// the cycle offset, so chunks may split a `chain`-long group anywhere.
+/// concurrent sessions.
 ///
 /// # Examples
 ///
@@ -71,9 +69,6 @@ pub use crate::result::{Report, RunResult};
 #[derive(Clone, Debug)]
 pub struct FlatSession<'p, P = CompiledAutomaton> {
     plan: &'p P,
-    /// Sub-symbols per original symbol; starts are injected on cycles
-    /// that are multiples of this.
-    chain: usize,
     pub(crate) lane: ShardLane,
     cycle: usize,
     /// Strided plans: first byte of a pair whose second byte has not
@@ -94,22 +89,8 @@ pub type ByteSession<'p, P = CompiledAutomaton> = FlatSession<'p, P>;
 impl<'p, P: ShardedExecution> FlatSession<'p, P> {
     /// Starts a session over a shared plan.
     pub fn new(plan: &'p P) -> Self {
-        Self::with_chain(plan, 1)
-    }
-
-    /// Starts a multi-step (sub-symbol) session: start states are
-    /// injected only on sub-steps that begin a `chain`-long group. The
-    /// group phase survives chunk boundaries. Strided plans consume
-    /// pairs and accept only `chain == 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chain` is zero.
-    pub fn with_chain(plan: &'p P, chain: usize) -> Self {
-        assert!(chain > 0, "chain must be positive");
         FlatSession {
             plan,
-            chain,
             lane: ShardLane::new(plan.len(), false),
             cycle: 0,
             carry: None,
@@ -122,11 +103,6 @@ impl<'p, P: ShardedExecution> FlatSession<'p, P> {
     /// The shared compiled plan this session executes.
     pub fn plan(&self) -> &'p P {
         self.plan
-    }
-
-    /// Sub-symbols per original symbol (1 for byte sessions).
-    pub fn chain(&self) -> usize {
-        self.chain
     }
 
     /// Executes one cycle on the lane, then the per-cycle accounting,
@@ -171,9 +147,7 @@ impl<'p, P: ShardedExecution> FlatSession<'p, P> {
 impl<P: ShardedExecution> Session for FlatSession<'_, P> {
     fn feed_with(&mut self, chunk: &[u8], observer: &mut impl ShardObserver) {
         let mut carry = self.carry.take();
-        P::plan_steps(chunk, &mut carry, self.chain, self.cycle, |step| {
-            self.step(step, observer)
-        });
+        P::plan_steps(chunk, &mut carry, |step| self.step(step, observer));
         self.carry = carry;
         self.fed += chunk.len();
     }
@@ -293,20 +267,6 @@ impl<'a, P: StreamPlan, N, E> Engine<'a, P, N, E> {
         &self.encoding
     }
 
-    /// Starts a multi-step (sub-symbol) streaming session; see
-    /// [`run_multistep`](Self::run_multistep) for the group semantics
-    /// and [`start`](AutomataEngine::start) for the symbol-per-cycle
-    /// equivalent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chain` is zero.
-    pub fn start_multistep(&self, chain: usize) -> P::Session<'_> {
-        let mut session = self.plan.open_session(chain);
-        session.set_skip_idle(self.skip_idle);
-        session
-    }
-
     /// Runs over `input` from a fresh state and returns reports plus
     /// activity statistics. Strided plans accept any length (an odd
     /// tail is padded internally) and report *original byte offsets*.
@@ -320,37 +280,7 @@ impl<'a, P: StreamPlan, N, E> Engine<'a, P, N, E> {
     /// the energy models, which charge the entry layout the plan
     /// actually visits).
     pub fn run_with(&mut self, input: &[u8], observer: &mut impl ShardObserver) -> RunResult {
-        self.run_multistep_with(input, 1, observer)
-    }
-
-    /// Runs a sub-symbol (multi-step) automaton: start states are
-    /// injected only on sub-steps that begin a `chain`-long group, which
-    /// is how a bit-width-transformed automaton consumes one original
-    /// symbol per `chain` sub-symbols.
-    ///
-    /// `input` is the expanded sub-symbol stream (e.g. a nibble stream);
-    /// report offsets are sub-step indices (divide by `chain` and floor
-    /// to recover original symbol offsets).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chain` is zero.
-    pub fn run_multistep(&mut self, input: &[u8], chain: usize) -> RunResult {
-        self.run_multistep_with(input, chain, &mut NullObserver)
-    }
-
-    /// [`run_multistep`](Self::run_multistep) with an observer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chain` is zero.
-    pub fn run_multistep_with(
-        &mut self,
-        input: &[u8],
-        chain: usize,
-        observer: &mut impl ShardObserver,
-    ) -> RunResult {
-        let mut session = self.start_multistep(chain);
+        let mut session = self.start();
         session.feed_with(input, observer);
         session.finish_with(observer)
     }
@@ -363,7 +293,9 @@ impl<'a, P: StreamPlan, N, E> AutomataEngine for Engine<'a, P, N, E> {
         Self: 'e;
 
     fn start(&self) -> P::Session<'_> {
-        self.start_multistep(1)
+        let mut session = self.plan.open_session();
+        session.set_skip_idle(self.skip_idle);
+        session
     }
 }
 
@@ -399,9 +331,7 @@ impl<'a> Simulator<'a> {
 mod tests {
     use super::*;
     use crate::interp::InterpSimulator;
-    use cama_core::bitwidth::{to_nibble_nfa, to_nibble_stream};
     use cama_core::regex::{self, reference};
-    use cama_core::{NfaBuilder, SymbolClass};
 
     fn offsets(nfa: &Nfa, input: &[u8]) -> Vec<usize> {
         Simulator::new(nfa).run(input).report_offsets()
@@ -488,54 +418,6 @@ mod tests {
         assert_eq!(result.activity.total_active, 4);
         assert_eq!(result.activity.total_reports, 2);
         assert!(result.activity.avg_active() > 0.0);
-    }
-
-    #[test]
-    fn multistep_nibble_equivalence() {
-        for pattern in ["abc", "a[0-9]+z", "(ab|cd)e", "a.{2}b"] {
-            let nfa = regex::compile(pattern).unwrap();
-            let nibble = to_nibble_nfa(&nfa);
-            let inputs: Vec<&[u8]> = vec![b"abcabc", b"a12z9", b"cdeab e", b"axxb"];
-            for input in &inputs {
-                let base = offsets(&nfa, input);
-                let stream = to_nibble_stream(input);
-                let raw = Simulator::new(&nibble.nfa).run_multistep(&stream, nibble.chain);
-                let mut mapped: Vec<usize> = raw
-                    .reports
-                    .iter()
-                    .map(|r| r.offset / nibble.chain)
-                    .collect();
-                mapped.dedup();
-                assert_eq!(mapped, base, "pattern {pattern} on {input:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn multistep_start_gating_prevents_misaligned_matches() {
-        // Nibble automaton for "ab": the nibble pair of 'a' must not be
-        // recognized when it straddles two bytes. 'a' = 0x61; craft bytes
-        // 0x?6 0x1? so the nibble stream contains 6,1 misaligned.
-        let nfa = regex::compile("a").unwrap();
-        let nibble = to_nibble_nfa(&nfa);
-        let input = [0x06u8, 0x10];
-        let stream = to_nibble_stream(&input);
-        let raw = Simulator::new(&nibble.nfa).run_multistep(&stream, nibble.chain);
-        assert!(raw.reports.is_empty());
-    }
-
-    #[test]
-    fn start_of_data_nibble_alignment() {
-        let mut b = NfaBuilder::new();
-        let s = b.add_ste(SymbolClass::singleton(b'q'));
-        b.set_start(s, cama_core::StartKind::StartOfData);
-        b.set_report(s, 0);
-        let nfa = b.build().unwrap();
-        let nibble = to_nibble_nfa(&nfa);
-        let stream = to_nibble_stream(b"qq");
-        let raw = Simulator::new(&nibble.nfa).run_multistep(&stream, nibble.chain);
-        let mapped: Vec<usize> = raw.reports.iter().map(|r| r.offset / 2).collect();
-        assert_eq!(mapped, vec![0]);
     }
 
     #[test]

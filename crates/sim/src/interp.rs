@@ -74,20 +74,6 @@ impl<'a> InterpSimulator<'a> {
         self.nfa
     }
 
-    /// Starts a multi-step (sub-symbol) streaming session; see
-    /// [`Simulator::run_multistep`](crate::Simulator::run_multistep).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chain` is zero.
-    pub fn start_multistep(&self, chain: usize) -> InterpSession<'_> {
-        assert!(chain > 0, "chain must be positive");
-        InterpSession {
-            chain,
-            ..self.start()
-        }
-    }
-
     /// Runs over `input` from a fresh state.
     pub fn run(&mut self, input: &[u8]) -> RunResult {
         self.run_with(input, &mut NullObserver)
@@ -99,18 +85,6 @@ impl<'a> InterpSimulator<'a> {
         let mut session = self.start();
         session.feed_with(input, observer);
         session.finish_with(observer)
-    }
-
-    /// Multi-step (sub-symbol) execution; see
-    /// [`Simulator::run_multistep`](crate::Simulator::run_multistep).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chain` is zero.
-    pub fn run_multistep(&mut self, input: &[u8], chain: usize) -> RunResult {
-        let mut session = self.start_multistep(chain);
-        session.feed(input);
-        session.finish()
     }
 }
 
@@ -126,7 +100,6 @@ impl<'a> AutomataEngine for InterpSimulator<'a> {
             nfa: self.nfa,
             start_match: &self.start_match,
             sod_starts: &self.sod_starts,
-            chain: 1,
             dynamic: BitSet::new(n),
             next: BitSet::new(n),
             active: BitSet::new(n),
@@ -146,7 +119,6 @@ pub struct InterpSession<'e> {
     nfa: &'e Nfa,
     start_match: &'e [BitSet],
     sod_starts: &'e [SteId],
-    chain: usize,
     dynamic: BitSet,
     next: BitSet,
     active: BitSet,
@@ -156,12 +128,10 @@ pub struct InterpSession<'e> {
 }
 
 impl InterpSession<'_> {
-    fn step(&mut self, symbol: u8, inject_starts: bool, observer: &mut impl ShardObserver) {
+    fn step(&mut self, symbol: u8, observer: &mut impl ShardObserver) {
         // State matching over the enable vector, one state at a time.
         self.active.clear();
-        if inject_starts {
-            self.active.union_with(&self.start_match[symbol as usize]);
-        }
+        self.active.union_with(&self.start_match[symbol as usize]);
         for i in self.dynamic.iter() {
             if self.nfa.ste(SteId(i as u32)).class.contains(symbol) {
                 self.active.insert(i);
@@ -222,15 +192,8 @@ impl InterpSession<'_> {
 
 impl Session for InterpSession<'_> {
     fn feed_with(&mut self, chunk: &[u8], observer: &mut impl ShardObserver) {
-        if self.chain == 1 {
-            for &symbol in chunk {
-                self.step(symbol, true, observer);
-            }
-        } else {
-            for &symbol in chunk {
-                let inject = self.cycle.is_multiple_of(self.chain);
-                self.step(symbol, inject, observer);
-            }
+        for &symbol in chunk {
+            self.step(symbol, observer);
         }
         self.fed += chunk.len();
     }

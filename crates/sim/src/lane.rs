@@ -27,8 +27,8 @@
 //! successor table. A flat plan is the one-array case — identity ids,
 //! heat off, no cross edges — so flat and sharded sessions run the same
 //! kernels, the way hwtLib's `Cam` makes its valid bit a parameter
-//! rather than a second unit. The chunk-to-cycle mapping
-//! ([`byte_steps`], [`pair_steps`]) is likewise shared by every
+//! rather than a second unit. The strided chunk-to-cycle mapping
+//! ([`pair_steps`], [`pair_flush`]) is likewise shared by every
 //! session.
 
 use crate::result::Report;
@@ -87,8 +87,7 @@ pub struct ShardLane {
     /// Popcount of `dynamic`, maintained at the cycle-end advance so
     /// per-cycle accounting never re-counts the vector.
     pub(crate) num_dynamic: usize,
-    /// The shard ships a [`CompiledDfa`] and this session's stepping
-    /// mode (byte plan, chain 1) can use it. Fixed at construction.
+    /// The shard ships a [`CompiledDfa`]. Fixed at construction.
     pub(crate) dfa_capable: bool,
     /// Step this lane through the DFA table this cycle. Starts equal to
     /// `dfa_capable`; resume clears it (NFA fallback) when a restored
@@ -172,15 +171,14 @@ impl ShardLane {
     }
 }
 
-/// One engine cycle lowered to data: the symbol(s), whether starts
-/// inject, and the report-offset limit (pad suppression on a strided
-/// flush, `usize::MAX` otherwise).
+/// One engine cycle lowered to data: the symbol(s) and the
+/// report-offset limit (pad suppression on a strided flush,
+/// `usize::MAX` otherwise).
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug)]
 pub struct CycleStep {
     pub(crate) a: u8,
     pub(crate) b: u8,
-    pub(crate) inject: bool,
     pub(crate) limit: usize,
 }
 
@@ -309,7 +307,7 @@ fn transition<P: PlanBase>(
 }
 
 /// One cycle of the byte kernel. Phase 1 builds `active = match[symbol]
-/// & (dynamic ∪ injected starts ∪ start-of-data on cycle 0)` over only
+/// & (dynamic ∪ starts ∪ start-of-data on cycle 0)` over only
 /// the words the sources' summaries mark, one pass per source (a fused
 /// pass like [`step_shard_pair`]'s measured slower here); phase 2
 /// reports and expands.
@@ -326,12 +324,10 @@ pub(crate) fn step_shard_byte<P: ExecutionPlan>(
 
     sparse_clear(lane.active.as_words_mut(), &mut lane.active_any);
     let active = lane.active.as_words_mut();
-    if step.inject {
-        let start_words = plan.start_match(symbol).words();
-        let start_any = plan.start_match_any(symbol);
-        for (j, active_any) in lane.active_any.iter_mut().enumerate() {
-            or_active(active, active_any, j, start_any[j], |w| start_words[w]);
-        }
+    let start_words = plan.start_match(symbol).words();
+    let start_any = plan.start_match_any(symbol);
+    for (j, active_any) in lane.active_any.iter_mut().enumerate() {
+        or_active(active, active_any, j, start_any[j], |w| start_words[w]);
     }
     let dynamic = lane.dynamic.as_words();
     for (j, active_any) in lane.active_any.iter_mut().enumerate() {
@@ -480,10 +476,9 @@ pub(crate) fn step_pair_naive<P: StridedPlan>(
 /// have produced and needs no DFA awareness. Reports go through the same
 /// context, so output is bit-identical by construction.
 ///
-/// DFAs are only attached to zero-cross-edge component shards and only
-/// stepped when `chain == 1` (starts inject every cycle — the
-/// `all_input` fold baked into the transition table assumes it), which
-/// the lane's `dfa_capable` flag guarantees.
+/// DFAs are only attached to zero-cross-edge component shards. Starts
+/// inject on every cycle, which is the `all_input` fold baked into the
+/// transition table.
 pub(crate) fn step_shard_dfa<P: ExecutionPlan>(
     plan: &P,
     dfa: &CompiledDfa,
@@ -492,7 +487,6 @@ pub(crate) fn step_shard_dfa<P: ExecutionPlan>(
     cycle: usize,
     ctx: &mut impl LaneContext,
 ) -> StepOut {
-    debug_assert!(step.inject, "DFA stepping requires chain == 1");
     let row = plan.row_of_symbol(step.a);
     // A suspended-at-cycle-0 flow has no dynamic state, so on the first
     // cycle the lane is necessarily in the empty state and the
@@ -543,46 +537,13 @@ fn or_words(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// The byte-plan chunk-to-cycle mapping: one cycle per symbol, start
-/// injection on cycles that begin a `chain`-long group (counted from
-/// `start_cycle`, so the group phase survives chunk boundaries).
-pub(crate) fn byte_steps(
-    chunk: &[u8],
-    chain: usize,
-    start_cycle: usize,
-    mut cycle: impl FnMut(CycleStep),
-) {
-    for (i, &a) in chunk.iter().enumerate() {
-        cycle(CycleStep {
-            a,
-            b: 0,
-            inject: chain == 1 || (start_cycle + i).is_multiple_of(chain),
-            limit: usize::MAX,
-        });
-    }
-}
-
 /// The strided chunk-to-cycle mapping: one cycle per symbol pair, the
 /// dangling odd byte of a chunk carried in `carry` until the next
 /// chunk's first byte completes the pair.
-///
-/// # Panics
-///
-/// Panics if `chain != 1`: multi-step chains are a byte-plan concept.
-pub(crate) fn pair_steps(
-    chunk: &[u8],
-    carry: &mut Option<u8>,
-    chain: usize,
-    mut cycle: impl FnMut(CycleStep),
-) {
-    assert_eq!(
-        chain, 1,
-        "multi-step chains are a byte-plan concept; strided plans consume pairs"
-    );
+pub(crate) fn pair_steps(chunk: &[u8], carry: &mut Option<u8>, mut cycle: impl FnMut(CycleStep)) {
     let pair = |a, b| CycleStep {
         a,
         b,
-        inject: true,
         limit: usize::MAX,
     };
     let mut chunk = chunk;
@@ -609,7 +570,6 @@ pub(crate) fn pair_flush(carry: &mut Option<u8>, fed: usize) -> Option<CycleStep
     carry.take().map(|a| CycleStep {
         a,
         b: 0,
-        inject: true,
         limit: fed,
     })
 }

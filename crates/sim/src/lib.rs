@@ -17,8 +17,7 @@
 //!   parts (global ids, cross-shard edges, per-state heat) passed in as
 //!   a context;
 //! * [`Engine`] — the one owning engine over any [`StreamPlan`]:
-//!   [`Simulator`] (byte plan; also [`Simulator::run_multistep`] for
-//!   Impala's nibble automata), [`EncodedSimulator`] (the CAM codebook
+//!   [`Simulator`] (byte plan), [`EncodedSimulator`] (the CAM codebook
 //!   the energy model charges), [`StridedSimulator`] and
 //!   [`EncodedStridedSimulator`] (two bytes per cycle),
 //!   [`ShardedSimulator`] and [`ParallelShardedSimulator`] are its

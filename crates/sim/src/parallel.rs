@@ -536,20 +536,10 @@ impl<'p, P: ShardedExecution + 'static> ParallelShardedSession<'p, P> {
     /// The count is capped at the plan's shard count; a resolved count
     /// of 1 runs sequentially with no pool.
     pub fn with_workers(plan: &'p ShardedAutomaton<P>, workers: usize) -> Self {
-        Self::with_chain_workers(plan, 1, workers)
-    }
-
-    /// Starts a multi-step (sub-symbol) session; see
-    /// [`ShardedSession::with_chain`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chain` is zero.
-    pub fn with_chain_workers(plan: &'p ShardedAutomaton<P>, chain: usize, workers: usize) -> Self {
         let effective = worker_count(workers).min(plan.num_shards()).max(1);
         ParallelShardedSession {
             pool: None,
-            inner: ShardedSession::with_chain(plan, chain),
+            inner: ShardedSession::new(plan),
             workers: effective,
             steps: Vec::new(),
             merged_reports: Vec::new(),
@@ -611,13 +601,7 @@ impl<'p, P: ShardedExecution + 'static> ParallelShardedSession<'p, P> {
         }
         self.steps.clear();
         let steps = &mut self.steps;
-        P::plan_steps(
-            chunk,
-            &mut self.inner.carry,
-            self.inner.chain,
-            self.inner.cycle,
-            |step| steps.push(step),
-        );
+        P::plan_steps(chunk, &mut self.inner.carry, |step| steps.push(step));
         self.inner.fed += chunk.len();
         if self.steps.is_empty() {
             return;
@@ -794,8 +778,8 @@ impl<P: ShardedExecution + Clone + fmt::Debug + 'static> StreamPlan for Parallel
         Self: 'p;
     type Flavour = P;
 
-    fn open_session(&self, chain: usize) -> ParallelShardedSession<'_, P> {
-        ParallelShardedSession::with_chain_workers(&self.plan, chain, self.workers)
+    fn open_session(&self) -> ParallelShardedSession<'_, P> {
+        ParallelShardedSession::with_workers(&self.plan, self.workers)
     }
 
     fn num_shards(&self) -> usize {

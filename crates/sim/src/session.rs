@@ -50,7 +50,7 @@ use crate::sharded::ShardedExecution;
 ///
 /// Implementations guarantee *chunk-boundary equivalence*: splitting an
 /// input into any sequence of `feed` calls (including 1-byte chunks, or
-/// chunks splitting a stride pair or a multi-step group) yields a result
+/// chunks splitting a stride pair) yields a result
 /// identical to feeding it whole — same reports, same offsets, same
 /// per-cycle activity statistics.
 ///
@@ -84,8 +84,7 @@ pub trait Session {
     /// power-on state while reusing allocated capacity.
     fn reset(&mut self);
 
-    /// Total input bytes consumed since the last reset. (For sub-symbol
-    /// sessions this counts sub-symbols, i.e. stream positions.)
+    /// Total input bytes consumed since the last reset.
     fn bytes_fed(&self) -> usize;
 
     /// The result accumulated so far, without finishing. Reports from a
@@ -131,7 +130,7 @@ pub struct SuspendedFlow {
 }
 
 impl SuspendedFlow {
-    /// Input positions consumed before suspension.
+    /// Input bytes consumed before suspension.
     pub fn bytes_fed(&self) -> usize {
         self.fed
     }

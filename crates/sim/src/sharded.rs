@@ -48,8 +48,8 @@
 use crate::activity::{DfaShardCycleView, ShardCycleSummary, ShardCycleView, ShardObserver};
 use crate::engine::Engine;
 use crate::lane::{
-    byte_steps, pair_flush, pair_steps, step_pair_naive, step_shard_byte, step_shard_dfa,
-    step_shard_pair, CycleStep, LaneContext, ShardLane, StepOut,
+    pair_flush, pair_steps, step_pair_naive, step_shard_byte, step_shard_dfa, step_shard_pair,
+    CycleStep, LaneContext, ShardLane, StepOut,
 };
 use crate::result::{Report, RunResult};
 use crate::session::{FlowSession, Session, SuspendedFlow};
@@ -76,18 +76,11 @@ use cama_core::{Nfa, SteId};
 pub trait ShardedExecution: PlanBase + Sized {
     /// Maps a chunk of input bytes onto engine cycles, calling `cycle`
     /// once per cycle in order — the one chunk-to-cycle mapping every
-    /// session runs. Byte plans emit one step per symbol (start
-    /// injection gated by `chain`, counted from `start_cycle`); strided
-    /// plans emit one step per symbol pair, threading the dangling odd
-    /// byte through `carry`.
+    /// session runs. Byte plans emit one step per symbol; strided plans
+    /// emit one step per symbol pair, threading the dangling odd byte
+    /// through `carry`.
     #[doc(hidden)]
-    fn plan_steps(
-        chunk: &[u8],
-        carry: &mut Option<u8>,
-        chain: usize,
-        start_cycle: usize,
-        cycle: impl FnMut(CycleStep),
-    );
+    fn plan_steps(chunk: &[u8], carry: &mut Option<u8>, cycle: impl FnMut(CycleStep));
 
     /// The finish-time counterpart of
     /// [`plan_steps`](ShardedExecution::plan_steps): a pending strided
@@ -134,19 +127,19 @@ pub trait ShardedExecution: PlanBase + Sized {
 
 /// Byte cycles, on raw-byte and encoded rows alike.
 impl<I: SymbolIndex> ShardedExecution for CompiledPlan<ByteRows<I>> {
-    fn plan_steps(
-        chunk: &[u8],
-        _carry: &mut Option<u8>,
-        chain: usize,
-        start_cycle: usize,
-        cycle: impl FnMut(CycleStep),
-    ) {
-        byte_steps(chunk, chain, start_cycle, cycle);
+    fn plan_steps(chunk: &[u8], _carry: &mut Option<u8>, mut cycle: impl FnMut(CycleStep)) {
+        for &a in chunk {
+            cycle(CycleStep {
+                a,
+                b: 0,
+                limit: usize::MAX,
+            });
+        }
     }
 
     /// Skippable when nothing is dynamically enabled, no start state
-    /// matches this symbol (if starts inject), and no start-of-data state
-    /// matches it on cycle 0.
+    /// matches this symbol, and no start-of-data state matches it on
+    /// cycle 0.
     // Forced: the shard loop probes every shard on every cycle, and the
     // generic body is past the size the inliner takes on its own.
     #[inline(always)]
@@ -156,7 +149,7 @@ impl<I: SymbolIndex> ShardedExecution for CompiledPlan<ByteRows<I>> {
         step: CycleStep,
         first_cycle: bool,
     ) -> bool {
-        let starts_matter = step.inject && shard.start_match_possible(step.a);
+        let starts_matter = shard.start_match_possible(step.a);
         let plan = shard.plan();
         let sod_matters = first_cycle
             && shard.has_start_of_data()
@@ -183,14 +176,8 @@ impl<I: SymbolIndex> ShardedExecution for CompiledPlan<ByteRows<I>> {
 
 /// Pair cycles, on raw-byte and encoded halves alike.
 impl<I: SymbolIndex> ShardedExecution for CompiledPlan<PairRows<I>> {
-    fn plan_steps(
-        chunk: &[u8],
-        carry: &mut Option<u8>,
-        chain: usize,
-        _start_cycle: usize,
-        cycle: impl FnMut(CycleStep),
-    ) {
-        pair_steps(chunk, carry, chain, cycle);
+    fn plan_steps(chunk: &[u8], carry: &mut Option<u8>, cycle: impl FnMut(CycleStep)) {
+        pair_steps(chunk, carry, cycle);
     }
 
     fn flush_step(carry: &mut Option<u8>, fed: usize) -> Option<CycleStep> {
@@ -201,10 +188,10 @@ impl<I: SymbolIndex> ShardedExecution for CompiledPlan<PairRows<I>> {
         reports.sort_by_key(|r| (r.offset, r.ste));
     }
 
-    /// Starts inject on every pair cycle; the precomputed pair probe
-    /// answers exactly whether a statically enabled state matches `a` in
-    /// its first half and `b` in its second, and a cycle-0
-    /// start-of-data state must match both halves to fire.
+    /// The precomputed pair probe answers exactly whether a statically
+    /// enabled state matches `a` in its first half and `b` in its
+    /// second, and a cycle-0 start-of-data state must match both halves
+    /// to fire.
     #[inline]
     fn shard_idle(
         shard: &Shard<Self>,
@@ -447,9 +434,7 @@ impl ShardSinks {
 ///
 /// One immutable sharded plan can drive any number of concurrent
 /// sessions; the session owns only the per-shard lanes, the staging
-/// buffers, and the accumulated result. Multi-step (sub-symbol)
-/// execution is supported through `chain`, exactly as in
-/// [`ByteSession`](crate::ByteSession). Like the flat session, it is
+/// buffers, and the accumulated result. Like the flat session, it is
 /// generic over the per-shard plan flavour: byte plans by default, or
 /// [`CompiledEncodedAutomaton`](cama_core::compiled::CompiledEncodedAutomaton)
 /// / [`CompiledStridedAutomaton`](cama_core::compiled::CompiledStridedAutomaton)
@@ -475,7 +460,6 @@ impl ShardSinks {
 #[derive(Clone, Debug)]
 pub struct ShardedSession<'p, P: PlanBase = CompiledAutomaton> {
     plan: &'p ShardedAutomaton<P>,
-    pub(crate) chain: usize,
     pub(crate) skip_idle: bool,
     pub(crate) lanes: Vec<ShardLane>,
     /// This cycle's staged reports and activations, plus the lifetime
@@ -490,30 +474,15 @@ pub struct ShardedSession<'p, P: PlanBase = CompiledAutomaton> {
 }
 
 impl<'p, P: PlanBase> ShardedSession<'p, P> {
-    /// Starts a symbol-per-cycle session over a shared sharded plan.
+    /// Starts a session over a shared sharded plan.
     pub fn new(plan: &'p ShardedAutomaton<P>) -> Self {
-        Self::with_chain(plan, 1)
-    }
-
-    /// Starts a multi-step (sub-symbol) session: start states are
-    /// injected only on sub-steps beginning a `chain`-long group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chain` is zero.
-    pub fn with_chain(plan: &'p ShardedAutomaton<P>, chain: usize) -> Self {
-        assert!(chain > 0, "chain must be positive");
         ShardedSession {
             plan,
-            chain,
             skip_idle: true,
             lanes: plan
                 .shards()
                 .iter()
-                // DFA stepping folds "starts inject every cycle" into
-                // the transition table, so only chain-1 sessions may
-                // use an attached DFA.
-                .map(|s| ShardLane::new(s.len(), s.dfa().is_some() && chain == 1))
+                .map(|s| ShardLane::new(s.len(), s.dfa().is_some()))
                 .collect(),
             sinks: ShardSinks::new(plan.num_shards(), plan.len()),
             cycle: 0,
@@ -526,11 +495,6 @@ impl<'p, P: PlanBase> ShardedSession<'p, P> {
     /// The shared sharded plan this session executes.
     pub fn plan(&self) -> &'p ShardedAutomaton<P> {
         self.plan
-    }
-
-    /// Sub-symbols per original symbol (1 for byte sessions).
-    pub fn chain(&self) -> usize {
-        self.chain
     }
 
     /// The session's cumulative execution counters.
@@ -619,9 +583,7 @@ impl<'p, P: ShardedExecution> ShardedSession<'p, P> {
 impl<P: ShardedExecution> Session for ShardedSession<'_, P> {
     fn feed_with(&mut self, chunk: &[u8], observer: &mut impl ShardObserver) {
         let mut carry = self.carry.take();
-        P::plan_steps(chunk, &mut carry, self.chain, self.cycle, |step| {
-            self.step(step, observer)
-        });
+        P::plan_steps(chunk, &mut carry, |step| self.step(step, observer));
         self.carry = carry;
         self.fed += chunk.len();
     }
@@ -1015,21 +977,6 @@ mod tests {
             let encoded = record(ShardedSession::new(&plan));
             assert_eq!(pairs, encoded, "encoded strided {ids:?}");
         }
-    }
-
-    #[test]
-    fn multistep_chain_gates_starts() {
-        use cama_core::bitwidth::{to_nibble_nfa, to_nibble_stream};
-        let nfa = regex::compile_set(&["ab", "cd"]).unwrap();
-        let nibble = to_nibble_nfa(&nfa);
-        let stream = to_nibble_stream(b"abcdab");
-        let flat = Simulator::new(&nibble.nfa).run_multistep(&stream, nibble.chain);
-        let plan = ShardedAutomaton::compile(&nibble.nfa, 2);
-        let mut session = ShardedSession::with_chain(&plan, nibble.chain);
-        for chunk in stream.chunks(3) {
-            session.feed(chunk);
-        }
-        assert_eq!(session.finish(), flat);
     }
 
     #[test]

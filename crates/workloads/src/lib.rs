@@ -6,7 +6,8 @@
 //! selection, clustering, compression, mapping, energy) observes only
 //! the statistics of Table I/II plus the connectivity shape — so each
 //! benchmark is regenerated deterministically from those statistics
-//! (see DESIGN.md §4 for the substitution argument).
+//! (see "Modelling assumptions and invariants" in
+//! `docs/ARCHITECTURE.md` for the substitution argument).
 //!
 //! # Examples
 //!

@@ -90,19 +90,3 @@ fn strided_execution_equals_byte_execution() {
         assert_eq!(baseline, strided_offsets, "{bench}");
     }
 }
-
-#[test]
-fn nibble_execution_equals_byte_execution() {
-    use cama::core::bitwidth::{to_nibble_nfa, to_nibble_stream};
-    for bench in [Benchmark::Snort, Benchmark::ExactMatch] {
-        let nfa = bench.generate(0.005);
-        let input = bench.input(&nfa, 512, 13);
-        let baseline = Simulator::new(&nfa).run(&input).report_offsets();
-        let nibble = to_nibble_nfa(&nfa);
-        let stream = to_nibble_stream(&input);
-        let raw = Simulator::new(&nibble.nfa).run_multistep(&stream, nibble.chain);
-        let mut mapped: Vec<usize> = raw.reports.iter().map(|r| r.offset / 2).collect();
-        mapped.dedup();
-        assert_eq!(baseline, mapped, "{bench}");
-    }
-}

@@ -1,7 +1,8 @@
 //! The paper's headline quantitative claims, checked in *shape* (who
 //! wins, roughly by how much) on scaled-down workloads. Absolute numbers
 //! differ — the substrate is a simulator on synthetic inputs — but the
-//! orderings and rough factors must hold (see EXPERIMENTS.md).
+//! orderings and rough factors must hold (see "Modelling assumptions
+//! and invariants" in `docs/ARCHITECTURE.md`).
 
 use cama::arch::designs::DesignKind;
 use cama::arch::report::{evaluate_strided, evaluate_with_plan, strided_weights, DesignReport};

@@ -1,4 +1,5 @@
-//! Randomized property tests over the core invariants of DESIGN.md §6:
+//! Randomized property tests over the core invariants (see "Modelling
+//! assumptions and invariants" in `docs/ARCHITECTURE.md`):
 //! regex/Glushkov correctness, engine agreement (compiled ≡ interpreted
 //! ≡ reference, single-stream ≡ batched), encoding exactness, stride
 //! equivalence, and crossbar-remap fidelity — all with randomly
@@ -10,7 +11,6 @@
 //! the assertion message, so a failure is reproducible by construction.
 
 use cama::core::bitset::BitSet;
-use cama::core::bitwidth::{to_nibble_nfa, to_nibble_stream};
 use cama::core::compile::{
     compile_hybrid_ruleset, compile_ruleset, dfa_enabled, DfaPolicy, PlanCache, PlanRemap,
 };
@@ -161,53 +161,6 @@ fn compiled_agrees_with_interpreted_on_random_nfas() {
     }
 }
 
-/// Multi-step agreement: compiled and interpreted engines produce
-/// identical results on nibble streams, and both map back to the
-/// byte-automaton offsets.
-#[test]
-fn multistep_nibble_agreement() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x41B_000 + seed);
-        let pattern = random_pattern(&mut rng);
-        let ast = regex::parse(&pattern).unwrap();
-        if ast.is_nullable() {
-            continue;
-        }
-        let nfa = regex::compile(&pattern).unwrap();
-        let input = random_input(&mut rng);
-        let base = Simulator::new(&nfa).run(&input).report_offsets();
-
-        let nibble = to_nibble_nfa(&nfa);
-        let stream = to_nibble_stream(&input);
-
-        let compiled = Simulator::new(&nibble.nfa).run_multistep(&stream, nibble.chain);
-        let interpreted = InterpSimulator::new(&nibble.nfa).run_multistep(&stream, nibble.chain);
-        assert_eq!(
-            compiled, interpreted,
-            "seed {seed}: nibble compiled vs interpreted, pattern {pattern}"
-        );
-
-        let plan = CompiledAutomaton::compile(&nibble.nfa);
-        let batched =
-            &BatchSimulator::with_chain(&plan, nibble.chain).run_all([stream.as_slice()])[0];
-        assert_eq!(
-            &compiled, batched,
-            "seed {seed}: nibble single vs batched, pattern {pattern}"
-        );
-
-        let mut mapped: Vec<usize> = compiled
-            .reports
-            .iter()
-            .map(|r| r.offset / nibble.chain)
-            .collect();
-        mapped.dedup();
-        assert_eq!(
-            mapped, base,
-            "seed {seed}: nibble offsets, pattern {pattern}"
-        );
-    }
-}
-
 /// The threaded batch path returns exactly what the sequential path
 /// returns, in stream order.
 #[test]
@@ -311,48 +264,6 @@ fn chunked_feed_equals_one_shot_across_engines() {
             strided_one_shot.report_offsets(),
             one_shot.report_offsets(),
             "seed {seed}: strided vs byte offsets"
-        );
-    }
-}
-
-/// Multi-step chunk-boundary equivalence: chunks that split a
-/// `chain`-long sub-symbol group must not perturb start-gating.
-#[test]
-fn chunked_multistep_feed_equals_one_shot() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x5E55_1000 + seed);
-        let pattern = random_pattern(&mut rng);
-        let ast = regex::parse(&pattern).unwrap();
-        if ast.is_nullable() {
-            continue;
-        }
-        let nfa = regex::compile(&pattern).unwrap();
-        let nibble = to_nibble_nfa(&nfa);
-        let input = random_input(&mut rng);
-        let stream = to_nibble_stream(&input);
-        let chunks = random_chunks(&mut rng, &stream);
-
-        let one_shot = Simulator::new(&nibble.nfa).run_multistep(&stream, nibble.chain);
-        let plan = CompiledAutomaton::compile(&nibble.nfa);
-        let mut session = ByteSession::with_chain(&plan, nibble.chain);
-        for chunk in &chunks {
-            session.feed(chunk);
-        }
-        assert_eq!(
-            session.finish(),
-            one_shot,
-            "seed {seed}: multistep session, pattern {pattern}, chunks {chunks:?}"
-        );
-
-        let interp_engine = InterpSimulator::new(&nibble.nfa);
-        let mut interp_session = interp_engine.start_multistep(nibble.chain);
-        for chunk in &chunks {
-            interp_session.feed(chunk);
-        }
-        assert_eq!(
-            interp_session.finish(),
-            one_shot,
-            "seed {seed}: interp multistep session, pattern {pattern}"
         );
     }
 }
