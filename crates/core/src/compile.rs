@@ -20,9 +20,9 @@
 //!   structure (symbol classes, start kinds, report codes and phases,
 //!   and edges) — so two structurally identical components hash equal
 //!   no matter where their states sit in the global id space;
-//! * [`PlanCache`] memoizes compiled per-component plans by structure
-//!   hash (plus a caller-provided salt for context such as an encoding
-//!   codebook identity). Recompiling an updated ruleset pays only for
+//! * [`PlanCache`] holds one entry per structure hash (the component's
+//!   compiled plan and determinization outcome) for the units of the
+//!   last two rulesets, so recompiling an updated ruleset pays only for
 //!   the components that actually changed;
 //! * [`compile_ruleset`] drives cache misses across a worker pool
 //!   ([`worker_count`] resolves the pool size exactly like the parallel
@@ -82,6 +82,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use crate::compiled::{CompiledAutomaton, CompiledDfa, DfaBudget, Shard, ShardedAutomaton};
 use crate::graph::Automaton;
@@ -299,11 +300,12 @@ pub fn split_components<A: Automaton>(nfa: &A) -> Vec<ComponentUnit<A>> {
 /// Lifetime counters of a [`PlanCache`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Unit lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to compile.
+    /// Unit lookups that had to compile.
     pub misses: u64,
-    /// Entries evicted to stay within the capacity bound.
+    /// Entries retired because the previous compile did not use them,
+    /// plus stores refused because the cache was full.
     pub evictions: u64,
     /// Entries currently held.
     pub entries: usize,
@@ -311,40 +313,45 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct CacheKey {
-    hash: StructureHash,
-    salt: u64,
-}
+/// The compiles whose units a [`PlanCache`] keeps: an entry survives
+/// while this compile or the previous one used it.
+const RETAINED_GENERATIONS: u64 = 2;
 
+/// A determinization outcome: `None` when the caps declined it.
+type Dfa = Option<Arc<CompiledDfa>>;
+
+/// One cached component.
 #[derive(Clone, Debug)]
 struct CacheEntry<P> {
+    /// The compiled NFA shard (no DFA attached).
     shard: Shard<P>,
-    last_used: u64,
+    /// The caps the unit was last determinized under and the outcome
+    /// (`None` = declined under them).
+    dfa: Option<(DfaBudget, Dfa)>,
+    /// The last compile that used this entry.
+    generation: u64,
 }
 
-/// A bounded LRU cache of compiled per-component shards, keyed by
-/// [`StructureHash`] plus a caller-provided salt.
+/// A bounded cache of compiled per-component shards, one entry per
+/// [`StructureHash`]. An entry holds the component's compiled plan and,
+/// once [`compile_hybrid_ruleset`] asked for it, its determinization
+/// outcome under the [`DfaBudget`] caps it was built with.
 ///
-/// The salt distinguishes compilation *contexts* that produce different
-/// plans from the same structure — e.g. a DFA policy's caps
-/// ([`DfaPolicy::salt`]). Byte and strided plans compiled without extra
-/// context use salt `0` (what [`compile_ruleset`] passes).
-///
-/// **Eviction bound:** the cache holds at most
-/// [`capacity`](PlanCache::capacity) compiled components
-/// ([`DEFAULT_CAPACITY`](PlanCache::DEFAULT_CAPACITY) = 4096 unless set
-/// via [`new`](PlanCache::new)); inserting into a full cache evicts the
-/// least-recently-used entry first (deterministic key-order tie-break),
-/// and every eviction is counted in
-/// [`cache_stats`](PlanCache::cache_stats). Memory therefore stays
-/// proportional to `capacity × (largest component plan)`, never to the
-/// number of distinct rulesets ever compiled.
+/// **Retention bound:** each [`compile_ruleset`] or
+/// [`compile_hybrid_ruleset`] call is one generation. A call first
+/// retires every entry the previous call did not use, and a store into
+/// a full cache is refused instead of evicting. After any compile the
+/// cache holds at most `min(capacity, units of this ruleset ∪ units of
+/// the previous one)` entries ([`DEFAULT_CAPACITY`](PlanCache::DEFAULT_CAPACITY)
+/// = 4096 unless set via [`new`](PlanCache::new)). Retired entries and
+/// refused stores both count as evictions in
+/// [`cache_stats`](PlanCache::cache_stats). Memory follows the two most
+/// recent rulesets, never the number of rulesets ever compiled.
 #[derive(Clone, Debug)]
 pub struct PlanCache<P = CompiledAutomaton> {
     capacity: usize,
-    entries: HashMap<CacheKey, CacheEntry<P>>,
-    clock: u64,
+    entries: HashMap<StructureHash, CacheEntry<P>>,
+    generation: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -371,26 +378,11 @@ impl<P> PlanCache<P> {
         PlanCache {
             capacity,
             entries: HashMap::new(),
-            clock: 0,
+            generation: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
         }
-    }
-
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Compiled components currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no components are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Lifetime hit/miss/eviction counters plus the current occupancy.
@@ -404,17 +396,19 @@ impl<P> PlanCache<P> {
         }
     }
 
-    /// Drops every entry (counters are kept — they are lifetime
-    /// totals).
-    pub fn clear(&mut self) {
-        self.entries.clear();
+    /// Opens a generation, retiring what the previous one did not use.
+    fn next_generation(&mut self) {
+        self.generation += 1;
+        let held = self.entries.len();
+        let oldest = self.generation + 1 - RETAINED_GENERATIONS;
+        self.entries.retain(|_, entry| entry.generation >= oldest);
+        self.evictions += (held - self.entries.len()) as u64;
     }
 
-    fn lookup(&mut self, key: CacheKey) -> Option<&Shard<P>> {
-        self.clock += 1;
-        match self.entries.get_mut(&key) {
+    fn lookup(&mut self, hash: StructureHash) -> Option<&Shard<P>> {
+        match self.entries.get_mut(&hash) {
             Some(entry) => {
-                entry.last_used = self.clock;
+                entry.generation = self.generation;
                 self.hits += 1;
                 Some(&entry.shard)
             }
@@ -425,26 +419,35 @@ impl<P> PlanCache<P> {
         }
     }
 
-    fn store(&mut self, key: CacheKey, shard: Shard<P>) {
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .map(|(&k, e)| (e.last_used, k.hash, k.salt))
-                .min()
-                .map(|(_, hash, salt)| CacheKey { hash, salt })
-                .expect("eviction scan over a non-empty cache");
-            self.entries.remove(&victim);
+    fn store(&mut self, hash: StructureHash, shard: Shard<P>) {
+        if self.entries.len() >= self.capacity {
             self.evictions += 1;
+            return;
         }
-        self.clock += 1;
-        self.entries.insert(
-            key,
-            CacheEntry {
-                shard,
-                last_used: self.clock,
-            },
-        );
+        let entry = CacheEntry {
+            shard,
+            dfa: None,
+            generation: self.generation,
+        };
+        self.entries.insert(hash, entry);
+    }
+}
+
+impl PlanCache<CompiledAutomaton> {
+    /// Unit `hash`'s determinization under `budget`: its entry's
+    /// outcome under equal caps, else a subset construction of `shard`'s
+    /// plan, recorded on the entry (if its store was not refused).
+    fn determinize(&mut self, hash: StructureHash, shard: &Shard, budget: &DfaBudget) -> Dfa {
+        let entry = self.entries.get_mut(&hash);
+        match entry.as_ref().and_then(|entry| entry.dfa.as_ref()) {
+            Some((cached, outcome)) if cached == budget => return outcome.clone(),
+            _ => {}
+        }
+        let outcome = CompiledDfa::determinize(shard.plan(), budget).map(Arc::new);
+        if let Some(entry) = entry {
+            entry.dfa = Some((*budget, outcome.clone()));
+        }
+        outcome
     }
 }
 
@@ -456,33 +459,28 @@ pub struct CompileReport {
     pub components: usize,
     /// Components served from the [`PlanCache`] without compiling.
     pub cache_hits: usize,
-    /// Components compiled (and inserted into the cache).
+    /// Components compiled (and offered to the cache).
     pub cache_misses: usize,
     /// Worker threads the misses were compiled across.
     pub workers: usize,
 }
 
-/// The one cached-parallel compile path: resolve cache hits serially,
-/// compile the misses across a worker pool, publish them back to the
-/// cache, and assemble the per-component shards in unit order.
-/// `salt_of(i)` is unit `i`'s cache salt.
+/// The one cached-parallel compile path: open a cache generation, look
+/// each unit up once, compile the misses across a worker pool, publish
+/// them back to the cache, and return the per-component shards in unit
+/// order.
 fn compile_cached<A: Automaton>(
-    nfa: &A,
     units: &[ComponentUnit<A>],
     cache: &mut PlanCache<A::Plan>,
-    salt_of: impl Fn(usize) -> u64,
     workers: usize,
-) -> (ShardedAutomaton<A::Plan>, CompileReport) {
+) -> (Vec<Shard<A::Plan>>, CompileReport) {
     let workers = worker_count(workers);
-    let key = |index: usize| CacheKey {
-        hash: units[index].hash,
-        salt: salt_of(index),
-    };
+    cache.next_generation();
     let mut slots = Vec::with_capacity(units.len());
     let mut miss_indices = Vec::new();
     for (index, unit) in units.iter().enumerate() {
         let hit = cache
-            .lookup(key(index))
+            .lookup(unit.hash)
             .map(|template| template.retarget(unit.states.clone()));
         if hit.is_none() {
             miss_indices.push(index);
@@ -509,24 +507,25 @@ fn compile_cached<A: Automaton>(
     );
     // Publish the fresh compilations so the next ruleset version hits.
     for (&index, shard) in miss_indices.iter().zip(compiled) {
-        cache.store(key(index), shard.clone());
+        cache.store(units[index].hash, shard.clone());
         slots[index] = Some(shard);
     }
-
-    let mut shards: Vec<Shard<A::Plan>> = slots
+    let shards = slots
         .into_iter()
         .map(|slot| slot.expect("every unit slot filled"))
         .collect();
+    (shards, report)
+}
+
+/// The ruleset plan over `shards`, one per unit in unit order.
+fn assemble<A: Automaton>(nfa: &A, mut shards: Vec<Shard<A::Plan>>) -> ShardedAutomaton<A::Plan> {
     if shards.is_empty() {
         // Mirror compile_per_component on the empty ruleset: one empty
         // shard, so downstream shard-indexed consumers see a shard.
         let empty = nfa.extract(UNIT_NAME.to_string(), &[], &[]);
         shards.push(Shard::from_component(empty.compile_plan(), Vec::new()));
     }
-    (
-        ShardedAutomaton::assemble(nfa.len(), nfa.name().to_string(), shards),
-        report,
-    )
+    ShardedAutomaton::assemble(nfa.len(), nfa.name().to_string(), shards)
 }
 
 /// Compiles a ruleset per-component through `cache`, compiling misses
@@ -540,7 +539,8 @@ pub fn compile_ruleset<A: Automaton>(
     workers: usize,
     cache: &mut PlanCache<A::Plan>,
 ) -> (ShardedAutomaton<A::Plan>, CompileReport) {
-    compile_cached(nfa, &split_components(nfa), cache, |_| 0, workers)
+    let (shards, report) = compile_cached(&split_components(nfa), cache, workers);
+    (assemble(nfa, shards), report)
 }
 
 /// The profile-guided determinization policy [`compile_hybrid_ruleset`]
@@ -551,12 +551,11 @@ pub fn compile_ruleset<A: Automaton>(
 /// per-state heat (`cama_sim::profile::ShardingProfile::dfa_policy`
 /// fills `heat` from measured `state_active` counters) — within a
 /// global `memory_budget` over the accepted tables. The per-component
-/// [`DfaBudget`] caps are separate and *are* part of the cache salt
-/// ([`salt`](DfaPolicy::salt)): a cached determinization outcome is a
-/// deterministic function of (structure, caps), while the global
-/// budget only governs which outcomes this particular compilation
-/// accepts — so cache entries never depend on what happened to be
-/// accepted before them.
+/// [`DfaBudget`] caps are separate: a [`PlanCache`] entry keeps its
+/// determinization outcome with the caps it was built under and reuses
+/// it only under equal caps. The global budget and the heat profile
+/// only govern which outcomes one compilation accepts, so cache entries
+/// never depend on what happened to be accepted before them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DfaPolicy {
     /// Per-component subset-construction caps.
@@ -576,24 +575,6 @@ impl Default for DfaPolicy {
             memory_budget: 4 * 1024 * 1024,
             heat: Vec::new(),
         }
-    }
-}
-
-impl DfaPolicy {
-    /// The [`PlanCache`] salt for units determinized under this
-    /// policy's *caps*. Only `budget` participates — never the global
-    /// memory budget or the heat profile, which affect acceptance, not
-    /// the constructed artifact. Always non-zero, so determinized
-    /// entries can never collide with plain-NFA entries (salt 0).
-    pub fn salt(&self) -> u64 {
-        let mut salt = 0xD7A5_EED1_u64
-            ^ (self.budget.max_states as u64).wrapping_mul(0x0000_0100_0000_01B3)
-            ^ (self.budget.max_table_bytes as u64).wrapping_mul(0xC6A4_A793_5BD1_E995);
-        salt ^= salt >> 29;
-        if salt == 0 {
-            salt = 1;
-        }
-        salt
     }
 }
 
@@ -621,10 +602,10 @@ pub fn dfa_enabled() -> bool {
 /// Execution of the hybrid plan is report-bit-identical to the pure-NFA
 /// plan (asserted differentially in `tests/property.rs`).
 ///
-/// Determinized units are cached under a kind-salted [`StructureHash`]
-/// ([`DfaPolicy::salt`]), so a recompile under the same caps hits both
-/// the NFA and DFA artifacts. With `CAMA_DFA=off` (see [`dfa_enabled`])
-/// this is exactly [`compile_ruleset`].
+/// Each unit is looked up in `cache` once, as in [`compile_ruleset`],
+/// and its determinization outcome is kept on the same entry. With
+/// `CAMA_DFA=off` (see [`dfa_enabled`]) this is exactly
+/// [`compile_ruleset`].
 ///
 /// # Examples
 ///
@@ -651,6 +632,7 @@ pub fn compile_hybrid_ruleset(
         return compile_ruleset(nfa, workers, cache);
     }
     let units = split_components(nfa);
+    let (mut shards, report) = compile_cached(&units, cache, workers);
 
     // Nomination: rank units hottest-first by summed observed state
     // heat (ties and the no-profile case fall back to unit order —
@@ -667,63 +649,31 @@ pub fn compile_hybrid_ruleset(
     let mut order: Vec<usize> = (0..units.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(heats[i]), i));
 
-    // Resolve each nominated unit against the kind-salted cache —
-    // determinizing misses now, serially (hot components are few) —
-    // and meter accepted tables against the global memory budget.
-    // Declined constructions are cached too (as plain shards under the
-    // DFA salt), so the decline is also paid for only once.
-    let dfa_salt = policy.salt();
+    // Determinize each nominated unit (or reuse its entry's outcome),
+    // serially — hot components are few — and meter accepted tables
+    // against the global memory budget.
     let mut remaining = policy.memory_budget;
-    let mut salts = vec![0u64; units.len()];
-    for &i in &order {
+    for i in order {
         // A measured profile marks never-active components cold; they
         // stay NFA (their shards are skipped wholesale anyway).
         if !policy.heat.is_empty() && heats[i] == 0 {
             continue;
         }
-        let unit = &units[i];
-        let key = CacheKey {
-            hash: unit.hash,
-            salt: dfa_salt,
+        // A decline under the caps keeps the NFA shard.
+        let Some(dfa) = cache.determinize(units[i].hash, &shards[i], &policy.budget) else {
+            continue;
         };
-        let cached = cache
-            .lookup(key)
-            .map(|template| template.dfa().map(CompiledDfa::table_bytes));
-        let table_bytes = match cached {
-            Some(Some(bytes)) => Some(bytes),
-            // Cached decline under these caps: the unit stays NFA but
-            // uses the salted entry (0 bytes of table).
-            Some(None) => None,
-            None => {
-                let plan = unit.local.compile_plan();
-                let dfa = CompiledDfa::determinize(&plan, &policy.budget);
-                let bytes = dfa.as_ref().map(CompiledDfa::table_bytes);
-                let mut shard = Shard::from_component(plan, unit.states.clone());
-                if let Some(dfa) = dfa {
-                    shard = shard.with_dfa(std::sync::Arc::new(dfa));
-                }
-                cache.store(key, shard);
-                bytes
-            }
-        };
-        match table_bytes {
-            // In per-component budget; accept if the global budget
-            // still covers it (structurally identical duplicates each
-            // meter the shared table — conservative, and keeps
-            // acceptance independent of Arc sharing).
-            Some(bytes) if bytes <= remaining => {
-                remaining -= bytes;
-                salts[i] = dfa_salt;
-            }
-            // Over the remaining global budget: the DFA stays cached
-            // for future compilations, this one keeps the NFA shard.
-            Some(_) => {}
-            // Declined under the caps: use the salted NFA entry.
-            None => salts[i] = dfa_salt,
+        // Accept while the global budget covers it (structurally
+        // identical duplicates each meter the shared table, which keeps
+        // acceptance independent of Arc sharing); over it, the DFA
+        // stays cached and this compilation keeps the NFA shard.
+        let bytes = dfa.table_bytes();
+        if bytes <= remaining {
+            remaining -= bytes;
+            shards[i].attach_dfa(dfa);
         }
     }
-
-    compile_cached(nfa, &units, cache, |i| salts[i], workers)
+    (assemble(nfa, shards), report)
 }
 
 /// The sentinel for a state with no image in the new plan.
@@ -1017,6 +967,20 @@ mod tests {
         assert_eq!(stats.hits, 3);
         assert_eq!(stats.misses, 5);
         assert_eq!(stats.entries, 5);
+
+        // A hybrid compile looks each unit up once, in the entries the
+        // plain compile made; changed caps determinize afresh.
+        let mut policy = DfaPolicy::default();
+        for max_states in [policy.budget.max_states, 2] {
+            policy.budget.max_states = max_states;
+            let (plan, hybrid) = compile_hybrid_ruleset(&v2, 1, &mut cache, &policy);
+            assert_eq!((hybrid.cache_hits, hybrid.cache_misses), (4, 0));
+            if dfa_enabled() {
+                assert_eq!(plan.num_dfa_shards(), if max_states == 2 { 0 } else { 4 });
+            }
+        }
+        let stats = cache.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (11, 5));
     }
 
     #[test]
@@ -1050,17 +1014,48 @@ mod tests {
         assert_eq!(warm.cache_hits, cold.components);
     }
 
+    /// After every compile the cache holds at most `capacity` entries,
+    /// all of them units of that ruleset or the previous one — also when
+    /// one ruleset alone has more units than the capacity.
     #[test]
     fn cache_eviction_is_bounded_and_counted() {
-        let mut cache: PlanCache<CompiledAutomaton> = PlanCache::new(2);
-        for pattern in ["a", "b", "c", "d"] {
-            let nfa = ruleset(&[pattern]);
+        let mut cache: PlanCache<CompiledAutomaton> = PlanCache::new(3);
+        let mut previous = Vec::new();
+        for patterns in ["a", "b", "c", "d", "e f g h", "e f g h"] {
+            let nfa = ruleset(&patterns.split(' ').collect::<Vec<_>>());
+            let units: Vec<StructureHash> = split_components(&nfa).iter().map(|u| u.hash).collect();
             compile_ruleset(&nfa, 1, &mut cache);
+            assert!(
+                cache.entries.len() <= cache.capacity,
+                "{patterns}: capacity bound held"
+            );
+            let recent = |hash: &StructureHash| units.contains(hash) || previous.contains(hash);
+            assert!(
+                cache.entries.keys().all(recent),
+                "{patterns}: kept a unit neither of the last two rulesets used"
+            );
+            if patterns == "d" {
+                let stats = cache.cache_stats();
+                assert_eq!((stats.entries, stats.evictions, stats.misses), (2, 2, 4));
+            }
+            previous = units;
         }
+        // "d" holds one of the three slots, so g and h are refused; the
+        // repeat retires "d", hits e and f, stores g and refuses h.
         let stats = cache.cache_stats();
-        assert_eq!(stats.entries, 2, "capacity bound held");
-        assert_eq!(stats.evictions, 2);
-        assert_eq!(stats.misses, 4);
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (2, 10, 7));
+
+        // An identical hybrid recompile with room for the n units but not
+        // for 2n entries misses nothing (every table over the budget).
+        let nfa = ruleset(&["ab+c", "xy+z", "pq*r", "m[a-c]n"]);
+        let mut cache = PlanCache::new(6);
+        let over = DfaPolicy {
+            memory_budget: 0,
+            ..DfaPolicy::default()
+        };
+        compile_hybrid_ruleset(&nfa, 1, &mut cache, &over);
+        let (_, again) = compile_hybrid_ruleset(&nfa, 1, &mut cache, &over);
+        assert_eq!((again.cache_hits, cache.cache_stats().misses), (4, 4));
     }
 
     #[test]

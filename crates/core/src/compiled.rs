@@ -1515,13 +1515,12 @@ impl<P: PlanBase> Shard<P> {
     /// Panics if the shard has cross-shard edges: a [`CompiledDfa`]
     /// state is the component's whole active set, which cross traffic
     /// would invalidate.
-    pub(crate) fn with_dfa(mut self, dfa: std::sync::Arc<CompiledDfa>) -> Shard<P> {
+    pub(crate) fn attach_dfa(&mut self, dfa: std::sync::Arc<CompiledDfa>) {
         assert!(
             self.cross_targets.is_empty(),
             "DFA fast paths require self-contained component shards"
         );
         self.dfa = Some(dfa);
-        self
     }
 
     /// Clones this shard with a different local → global table — how a

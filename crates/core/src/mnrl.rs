@@ -31,9 +31,10 @@ use std::collections::HashMap;
 /// Returns [`Error::MnrlSyntax`] for malformed JSON and
 /// [`Error::InvalidAutomaton`] / [`Error::UnknownState`] for structural
 /// problems (non-`hState` nodes, dangling references, bad symbol sets)
-/// and for a present field of the wrong kind: `enable` must be a
-/// string, `report` a boolean, and `attributes.reportId` a whole number
-/// in `0..=u32::MAX`. Absent fields take their defaults.
+/// and for a present field of the wrong kind: `type` and `enable` must
+/// be strings, `report` a boolean, `outputConnections` and each port's
+/// `activate` arrays, and `attributes.reportId` a whole number in
+/// `0..=u32::MAX`. Absent fields take their defaults.
 pub fn from_str(text: &str) -> Result<Nfa> {
     let doc = json::parse(text)?;
     let name = doc.get("id").and_then(JsonValue::as_str).unwrap_or("mnrl");
@@ -50,10 +51,8 @@ pub fn from_str(text: &str) -> Result<Nfa> {
             .get("id")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| Error::InvalidAutomaton("MNRL node without id".into()))?;
-        let node_type = node
-            .get("type")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("hState");
+        let node_type = field(node, "type", node_id, "a string", JsonValue::as_str)?;
+        let node_type = node_type.unwrap_or("hState");
         if node_type != "hState" {
             return Err(Error::InvalidAutomaton(format!(
                 "unsupported MNRL node type `{node_type}`"
@@ -101,14 +100,11 @@ pub fn from_str(text: &str) -> Result<Nfa> {
     for node in nodes {
         let node_id = node.get("id").and_then(JsonValue::as_str).expect("checked");
         let from = ids[node_id];
-        let Some(connections) = node.get("outputConnections").and_then(JsonValue::as_array) else {
-            continue;
-        };
-        for port in connections {
-            let Some(activate) = port.get("activate").and_then(JsonValue::as_array) else {
-                continue;
-            };
-            for target in activate {
+        let array = JsonValue::as_array;
+        let ports = field(node, "outputConnections", node_id, "an array", array)?;
+        for port in ports.unwrap_or_default() {
+            let activate = field(port, "activate", node_id, "an array", array)?;
+            for target in activate.unwrap_or_default() {
                 let target_id = target
                     .get("id")
                     .and_then(JsonValue::as_str)
@@ -276,11 +272,11 @@ mod tests {
         assert_eq!(nfa.ste(SteId(1)).start, StartKind::None);
     }
 
-    /// A one-node document: node `n` carries `fields` before its
-    /// `attributes`, and `attrs` after the symbol set inside them.
+    /// A one-node document: untyped node `n` (an `hState`) carries `fields`
+    /// before its `attributes`, and `attrs` after the symbol set inside them.
     fn one_node(fields: &str, attrs: &str) -> String {
         format!(
-            r#"{{"id":"x","nodes":[{{"id":"n","type":"hState",{fields}
+            r#"{{"id":"x","nodes":[{{"id":"n",{fields}
             "attributes":{{"symbolSet":"[a]"{attrs}}}}}]}}"#
         )
     }
@@ -299,6 +295,13 @@ mod tests {
             r#""report":1,"#,
             r#""enable":5,"#,
             r#""enable":null,"#,
+            r#""outputConnections":{"id":"o","activate":[{"id":"nope"}]},"#,
+            r#""outputConnections":"o","#,
+            r#""outputConnections":[{"id":"o","activate":{"id":"nope"}}],"#,
+            r#""outputConnections":[{"id":"o","activate":null}],"#,
+            r#""type":5,"#,
+            r#""type":null,"#,
+            r#""type":true,"#,
         ] {
             docs.push(one_node(fields, ""));
         }
