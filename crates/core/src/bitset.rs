@@ -337,6 +337,7 @@ pub struct Iter<'a> {
 impl Iterator for Iter<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
         while self.current == 0 {
             self.word_idx += 1;

@@ -1630,6 +1630,12 @@ pub struct ShardedAutomaton<P = CompiledAutomaton> {
     /// Global state id → local index within its shard.
     local_of: Vec<u32>,
     num_cross_edges: usize,
+    /// The start index: words `sym * w..(sym + 1) * w` (`w` =
+    /// `ceil(num_shards / 64)`) mark the non-empty shards where
+    /// injecting starts on (first) symbol `sym` could fire.
+    start_shards: Vec<u64>,
+    /// The shards holding a start-of-data state, one bit per shard.
+    start_of_data_shards: Vec<u64>,
 }
 
 /// A [`ShardedAutomaton`] whose per-shard plans execute on an encoding
@@ -1826,6 +1832,24 @@ impl<P: PlanBase> ShardedAutomaton<P> {
     /// once.
     pub(crate) fn assemble(len: usize, name: String, shards: Vec<Shard<P>>) -> ShardedAutomaton<P> {
         let (shard_of, local_of) = placement(len, shards.iter().map(Shard::global_states));
+        let words = shards.len().div_ceil(64);
+        let mut start_shards = vec![0u64; ALPHABET * words];
+        let mut start_of_data_shards = vec![0u64; words];
+        // An empty shard has no start state, so it is never listed.
+        for (si, shard) in shards.iter().enumerate() {
+            let bit = 1u64 << (si % 64);
+            for (w, &mask) in shard.start_match_possible.iter().enumerate() {
+                let mut syms = mask;
+                while syms != 0 {
+                    let sym = w * 64 + syms.trailing_zeros() as usize;
+                    syms &= syms - 1;
+                    start_shards[sym * words + si / 64] |= bit;
+                }
+            }
+            if shard.has_start_of_data() {
+                start_of_data_shards[si / 64] |= bit;
+            }
+        }
         ShardedAutomaton {
             len,
             name,
@@ -1833,6 +1857,8 @@ impl<P: PlanBase> ShardedAutomaton<P> {
             shards,
             shard_of,
             local_of,
+            start_shards,
+            start_of_data_shards,
         }
     }
 
@@ -1883,6 +1909,23 @@ impl<P: PlanBase> ShardedAutomaton<P> {
     /// (the traffic the simulated global switch carries).
     pub fn num_cross_edges(&self) -> usize {
         self.num_cross_edges
+    }
+
+    /// The start index row of (first) symbol `symbol`: one bit per
+    /// shard, set for the non-empty shards whose
+    /// [`start_match_possible`](Shard::start_match_possible) probe fires
+    /// — the shards a cycle must visit even when nothing is enabled in
+    /// them. `ceil(num_shards / 64)` words; strided sessions refine each
+    /// candidate with [`Shard::pair_start_possible`].
+    pub fn start_shards(&self, symbol: u8) -> &[u64] {
+        let words = self.start_of_data_shards.len();
+        &self.start_shards[symbol as usize * words..][..words]
+    }
+
+    /// The shards holding a start-of-data state, one bit per shard — the
+    /// extra candidates of cycle 0.
+    pub fn start_of_data_shards(&self) -> &[u64] {
+        &self.start_of_data_shards
     }
 
     /// Shards carrying a determinized fast path (see [`Shard::dfa`]).
@@ -2321,6 +2364,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn start_index_lists_the_shards_each_probe_admits() {
+        // Components: a→b (all-input a), c→d (start-of-data c), and a
+        // self-looping all-input b.
+        let mut b = NfaBuilder::new();
+        let ids: Vec<SteId> = b"abcdb"
+            .iter()
+            .map(|&sym| b.add_ste(SymbolClass::singleton(sym)))
+            .collect();
+        b.set_start(ids[0], StartKind::AllInput);
+        b.set_start(ids[2], StartKind::StartOfData);
+        b.set_start(ids[4], StartKind::AllInput);
+        b.add_edge(ids[0], ids[1]);
+        b.add_edge(ids[2], ids[3]);
+        b.add_edge(ids[4], ids[4]);
+        for &report in &ids[3..] {
+            b.set_report(report, 0);
+        }
+        let nfa = b.build().unwrap();
+        let mut assignment = component_ids(&nfa).0;
+        // Sparse ids leave empty shards, which the index never lists.
+        assignment.iter_mut().for_each(|s| *s *= 2);
+        let strided = StridedNfa::from_nfa(&nfa);
+        let mut strided_assignment = component_ids(&strided).0;
+        strided_assignment.iter_mut().for_each(|s| *s *= 2);
+        fn check<P: PlanBase>(plan: &ShardedAutomaton<P>) {
+            let bit = |mask: &[u64], si: usize| mask[si / 64] >> (si % 64) & 1 == 1;
+            for sym in 0..=255u8 {
+                let row = plan.start_shards(sym);
+                assert_eq!(row.len(), plan.num_shards().div_ceil(64));
+                for (si, shard) in plan.shards().iter().enumerate() {
+                    let expect = !shard.is_empty() && shard.start_match_possible(sym);
+                    assert_eq!(bit(row, si), expect, "shard {si} symbol {sym}");
+                }
+            }
+            let sod = plan.start_of_data_shards();
+            for (si, shard) in plan.shards().iter().enumerate() {
+                assert_eq!(bit(sod, si), shard.has_start_of_data(), "shard {si}");
+            }
+            assert_eq!(sod.iter().map(|w| w.count_ones()).sum::<u32>(), 1);
+        }
+        check(&ShardedAutomaton::<CompiledAutomaton>::compile_with_assignment(&nfa, &assignment));
+        check(
+            &ShardedAutomaton::<CompiledStridedAutomaton>::compile_with_assignment(
+                &strided,
+                &strided_assignment,
+            ),
+        );
     }
 
     #[test]

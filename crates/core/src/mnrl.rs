@@ -32,9 +32,10 @@ use std::collections::HashMap;
 /// [`Error::InvalidAutomaton`] / [`Error::UnknownState`] for structural
 /// problems (non-`hState` nodes, dangling references, bad symbol sets)
 /// and for a present field of the wrong kind: `type` and `enable` must
-/// be strings, `report` a boolean, `outputConnections` and each port's
-/// `activate` arrays, and `attributes.reportId` a whole number in
-/// `0..=u32::MAX`. Absent fields take their defaults.
+/// be strings, `report` a boolean, `outputConnections` an array of port
+/// objects, each port's `activate` an array of objects with a string
+/// `id`, and `attributes.reportId` a whole number in `0..=u32::MAX`.
+/// Absent fields take their defaults.
 pub fn from_str(text: &str) -> Result<Nfa> {
     let doc = json::parse(text)?;
     let name = doc.get("id").and_then(JsonValue::as_str).unwrap_or("mnrl");
@@ -102,13 +103,19 @@ pub fn from_str(text: &str) -> Result<Nfa> {
         let from = ids[node_id];
         let array = JsonValue::as_array;
         let ports = field(node, "outputConnections", node_id, "an array", array)?;
+        let malformed = |what: &str| Error::InvalidAutomaton(format!("node `{node_id}`: {what}"));
         for port in ports.unwrap_or_default() {
+            port.as_object()
+                .ok_or_else(|| malformed("each `outputConnections` port must be an object"))?;
             let activate = field(port, "activate", node_id, "an array", array)?;
             for target in activate.unwrap_or_default() {
+                // `get` reads a non-object as lacking `id`.
                 let target_id = target
                     .get("id")
                     .and_then(JsonValue::as_str)
-                    .ok_or_else(|| Error::InvalidAutomaton("activate entry without id".into()))?;
+                    .ok_or_else(|| {
+                        malformed("each `activate` entry must be an object with a string `id`")
+                    })?;
                 let to = *ids
                     .get(target_id)
                     .ok_or_else(|| Error::UnknownState(target_id.to_string()))?;
@@ -299,6 +306,10 @@ mod tests {
             r#""outputConnections":"o","#,
             r#""outputConnections":[{"id":"o","activate":{"id":"nope"}}],"#,
             r#""outputConnections":[{"id":"o","activate":null}],"#,
+            r#""outputConnections":[5],"#,
+            r#""outputConnections":[null],"#,
+            r#""outputConnections":[{"id":"o","activate":[5]}],"#,
+            r#""outputConnections":[{"id":"o","activate":[{"id":7}]}],"#,
             r#""type":5,"#,
             r#""type":null,"#,
             r#""type":true,"#,

@@ -161,13 +161,22 @@ impl ShardLane {
     }
 
     /// Cycle end: next becomes dynamic; the old dynamic storage is
-    /// sparse-cleared and becomes next cycle's scratch.
+    /// sparse-cleared and becomes next cycle's scratch. Returns whether
+    /// the lane stays live (its new dynamic set is non-empty).
+    ///
+    /// A lane that goes idle also drops to DFA state 0: its state's
+    /// successor set is empty, so it steps exactly like the empty state,
+    /// and an idle lane then needs no reset.
     #[inline]
-    pub(crate) fn advance(&mut self) {
+    pub(crate) fn advance(&mut self) -> bool {
         std::mem::swap(&mut self.dynamic, &mut self.next);
         std::mem::swap(&mut self.dynamic_any, &mut self.next_any);
         sparse_clear(self.next.as_words_mut(), &mut self.next_any);
         self.recount();
+        if self.num_dynamic == 0 {
+            self.dfa_state = 0;
+        }
+        self.num_dynamic != 0
     }
 }
 
@@ -531,7 +540,7 @@ pub(crate) fn step_shard_dfa<P: ExecutionPlan>(
 
 /// `dst[i] |= src[i]` over `src`'s length.
 #[inline]
-fn or_words(dst: &mut [u64], src: &[u64]) {
+pub(crate) fn or_words(dst: &mut [u64], src: &[u64]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d |= s;
     }

@@ -12,9 +12,11 @@
 //! Per cycle, each worker:
 //!
 //! 1. **steps its pinned shards** through the sequential session's own
-//!    per-cycle shard loop (the same idle-skip probes and lane kernels,
-//!    selected by the [`ShardedExecution`] hooks), staging reports and
-//!    cross-shard activations locally;
+//!    per-cycle shard loop (the same candidate selection — its own live
+//!    bitmap over its pinned shards plus the plan's start index — and
+//!    the same probes and lane kernels, selected by the
+//!    [`ShardedExecution`] hooks), staging reports and cross-shard
+//!    activations locally;
 //! 2. **publishes cross-shard activations**: targets pinned to this
 //!    worker are applied directly; the rest go into per-worker-pair
 //!    *mailboxes* — double-buffered `Vec<u64>` slots indexed by cycle
@@ -25,7 +27,12 @@
 //!    parity double-buffering keeps a cycle's publishes and the next
 //!    cycle's out of the same slot;
 //! 4. **drains inbound mailboxes** into its own shards' next vectors
-//!    and advances its lanes.
+//!    and advances its visited and touched lanes.
+//!
+//! Each worker seeds its live bitmap from the session's at chunk start
+//! (masked to its pinned shards) and hands it back at chunk end, where
+//! the session ORs the workers' bitmaps together, so no word is
+//! written by two threads.
 //!
 //! At chunk end the workers' staged reports are merged and re-sorted by
 //! `(offset, state)` and their per-cycle tallies and [`ShardStats`] are
@@ -74,10 +81,10 @@ use std::thread::JoinHandle;
 use crate::activity::{NullObserver, ShardObserver};
 use crate::batch::StreamPlan;
 use crate::engine::Engine;
-use crate::lane::{CycleStep, ShardLane};
+use crate::lane::{or_words, CycleStep, ShardLane};
 use crate::result::{Report, RunResult};
 use crate::session::{FlowSession, Session, SuspendedFlow};
-use crate::sharded::{ShardSinks, ShardStats, ShardedExecution, ShardedSession};
+use crate::sharded::{LiveLanes, ShardSinks, ShardStats, ShardedExecution, ShardedSession};
 use cama_core::compiled::{CompiledAutomaton, ShardedAutomaton};
 use cama_core::Nfa;
 
@@ -220,16 +227,18 @@ impl<T> Copy for SendMut<T> {}
 // SAFETY: see `SendConst`.
 unsafe impl<T> Send for SendMut<T> {}
 
-/// One chunk of work broadcast to every worker: the planned cycle steps
-/// and the session's lane array. The pointers are valid until every
-/// worker has returned its [`ChunkOut`]; the dispatching session blocks
-/// on exactly that.
+/// One chunk of work broadcast to every worker: the planned cycle steps,
+/// the session's lane array and its live bitmap (read-only until the
+/// chunk ends). The pointers are valid until every worker has returned
+/// its [`ChunkOut`]; the dispatching session blocks on exactly that.
 #[derive(Clone, Copy, Debug)]
 struct Job {
     steps: SendConst<CycleStep>,
     steps_len: usize,
     lanes: SendMut<ShardLane>,
     lanes_len: usize,
+    live: SendConst<u64>,
+    live_len: usize,
     start_cycle: usize,
     skip_idle: bool,
 }
@@ -253,6 +262,8 @@ struct ChunkOut {
     /// Activations this worker pushed through mailboxes (cross-shard
     /// traffic that actually crossed workers).
     sent_remote: u64,
+    /// This worker's live lanes at chunk end (pinned shards only).
+    live: Vec<u64>,
 }
 
 /// Sets the pool's poison flag if the scope unwinds — peers spinning in
@@ -273,8 +284,11 @@ impl Drop for PoisonGuard<'_> {
 struct WorkerCtx<P: ShardedExecution + 'static> {
     me: usize,
     plan: SendConst<ShardedAutomaton<P>>,
-    /// Shard indices pinned to this worker (disjoint across workers).
-    my_shards: Vec<usize>,
+    /// The shards pinned to this worker (disjoint across workers), one
+    /// bit per shard.
+    mine: Vec<u64>,
+    /// How many shards are pinned to this worker.
+    num_mine: usize,
     /// The full shard → worker map, for routing staged activations.
     pinned: Arc<Vec<u32>>,
     shared: Arc<PoolShared>,
@@ -287,9 +301,10 @@ struct WorkerCtx<P: ShardedExecution + 'static> {
 fn worker_main<P: ShardedExecution + 'static>(ctx: WorkerCtx<P>) {
     let mut local_sense = false;
     let mut sinks = ShardSinks::new(ctx.num_shards, ctx.num_states);
+    let mut live = LiveLanes::new(ctx.num_shards);
     while let Ok(Msg::Run(job)) = ctx.jobs.recv() {
         let guard = PoisonGuard(&ctx.shared.poisoned);
-        let out = run_chunk::<P>(&ctx, &job, &mut local_sense, &mut sinks);
+        let out = run_chunk::<P>(&ctx, &job, &mut local_sense, &mut sinks, &mut live);
         drop(guard);
         if ctx.done.send(out).is_err() {
             // The session went away mid-flight; nothing to report to.
@@ -299,23 +314,26 @@ fn worker_main<P: ShardedExecution + 'static>(ctx: WorkerCtx<P>) {
 }
 
 /// Executes one worker's share of one chunk: per cycle, the shared
-/// shard loop ([`ShardSinks::visit`]) over the pinned shards, then the
-/// mailbox exchange, cycle boundaries enforced by the pool barrier.
+/// shard loop ([`ShardSinks::visit`]) over the candidates among the
+/// pinned shards, then the mailbox exchange, cycle boundaries enforced
+/// by the pool barrier.
 fn run_chunk<P: ShardedExecution + 'static>(
     ctx: &WorkerCtx<P>,
     job: &Job,
     local_sense: &mut bool,
     sinks: &mut ShardSinks,
+    live: &mut LiveLanes,
 ) -> ChunkOut {
     // SAFETY: the dispatching session holds the plan borrow, the step
-    // slice and the lane array alive, and blocks on this worker's
-    // `ChunkOut` before touching any of them again (its pool field
-    // drops — joining us — before the borrowed data even during
-    // unwind).
-    let (plan, steps): (&ShardedAutomaton<P>, &[CycleStep]) = unsafe {
+    // slice, the lane array and the live bitmap alive, and blocks on
+    // this worker's `ChunkOut` before touching any of them again (its
+    // pool field drops — joining us — before the borrowed data even
+    // during unwind). Nothing writes the live bitmap during the chunk.
+    let (plan, steps, session_live): (&ShardedAutomaton<P>, &[CycleStep], &[u64]) = unsafe {
         (
             &*ctx.plan.0,
             std::slice::from_raw_parts(job.steps.0, job.steps_len),
+            std::slice::from_raw_parts(job.live.0, job.live_len),
         )
     };
     let shards = plan.shards();
@@ -324,19 +342,31 @@ fn run_chunk<P: ShardedExecution + 'static>(
     let workers = ctx.shared.workers;
     let mut sent_remote = 0u64;
     let mut tallies = Vec::with_capacity(steps.len());
+    let seeded = live.lanes.as_words_mut().iter_mut();
+    for ((out, &session), &mine) in seeded.zip(session_live).zip(&ctx.mine) {
+        *out = session & mine;
+    }
 
     for (i, &step) in steps.iter().enumerate() {
         let cycle = job.start_cycle + i;
         let parity = cycle & 1;
 
-        // Compute: the shared shard loop over this worker's shards.
-        let pinned = ctx.my_shards.iter().map(|&si| {
-            // SAFETY: shard `si` is pinned to this worker alone and
-            // `my_shards` holds each index once, so this is the only
-            // live reference to its lane during compute.
+        // Compute: the shared shard loop over this worker's candidates.
+        let candidates = live.candidates(plan, step, cycle == 0, job.skip_idle, Some(&ctx.mine));
+        let pinned = candidates.map(|si| {
+            // SAFETY: candidates are pinned to this worker alone and
+            // each index comes once, so this is the only live reference
+            // to its lane during compute.
             (si, &shards[si], unsafe { &mut *lanes.add(si) })
         });
-        let tally = sinks.visit(pinned, step, cycle, job.skip_idle, &mut NullObserver);
+        let tally = sinks.visit(
+            pinned,
+            ctx.num_mine,
+            step,
+            cycle,
+            job.skip_idle,
+            &mut NullObserver,
+        );
 
         // Publish: all staged activations count as global-switch
         // traffic (parity with the sequential exchange); targets we own
@@ -349,6 +379,7 @@ fn run_chunk<P: ShardedExecution + 'static>(
                 // SAFETY: `target` is pinned to this worker.
                 let lane = unsafe { &mut *lanes.add(target) };
                 lane.activate((packed & u64::from(u32::MAX)) as usize);
+                live.touch(target);
             } else {
                 // SAFETY: slot (me → owner, parity) is written only by
                 // this worker this cycle; the owner drains it only
@@ -378,19 +409,20 @@ fn run_chunk<P: ShardedExecution + 'static>(
             let inbox =
                 unsafe { &mut *ctx.shared.mailboxes[src * workers + ctx.me].bufs[parity].get() };
             for &packed in inbox.iter() {
+                let target = (packed >> 32) as usize;
                 // SAFETY: mailbox routing only sends us shards we own.
-                let lane = unsafe { &mut *lanes.add((packed >> 32) as usize) };
+                let lane = unsafe { &mut *lanes.add(target) };
                 lane.activate((packed & u64::from(u32::MAX)) as usize);
+                live.touch(target);
             }
             inbox.clear();
         }
 
-        // Advance our lanes; peers advance theirs. The next compute
-        // reads only our own lanes, so no second barrier is needed.
-        for &si in &ctx.my_shards {
-            // SAFETY: shard `si` is pinned to this worker.
-            unsafe { &mut *lanes.add(si) }.advance();
-        }
+        // Advance our visited and touched lanes; peers advance theirs.
+        // The next compute reads only our own lanes, so no second
+        // barrier is needed.
+        // SAFETY: every scanned shard is pinned to this worker.
+        live.advance(|si| unsafe { &mut *lanes.add(si) }.advance());
 
         tallies.push([tally.num_active, tally.num_dynamic, tally.reports]);
     }
@@ -403,6 +435,7 @@ fn run_chunk<P: ShardedExecution + 'static>(
         reports: std::mem::take(&mut sinks.reports),
         tallies,
         sent_remote,
+        live: live.lanes.as_words().to_vec(),
     }
 }
 
@@ -435,15 +468,17 @@ impl WorkerPool {
         for me in 0..workers {
             let (job_tx, job_rx) = channel();
             let (done_tx, done_rx) = channel();
+            let mut mine = vec![0u64; plan.num_shards().div_ceil(64)];
+            for (si, &w) in pinned.iter().enumerate() {
+                if w as usize == me {
+                    mine[si / 64] |= 1u64 << (si % 64);
+                }
+            }
             let ctx = WorkerCtx::<P> {
                 me,
                 plan: SendConst(plan as *const ShardedAutomaton<P>),
-                my_shards: pinned_shared
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &w)| w as usize == me)
-                    .map(|(s, _)| s)
-                    .collect(),
+                num_mine: mine.iter().map(|w| w.count_ones() as usize).sum(),
+                mine,
                 pinned: Arc::clone(&pinned_shared),
                 shared: Arc::clone(&shared),
                 jobs: job_rx,
@@ -513,6 +548,7 @@ pub struct ParallelShardedSession<'p, P: ShardedExecution + 'static = CompiledAu
     steps: Vec<CycleStep>,
     /// Scratch: chunk-merge buffers.
     merged_reports: Vec<Report>,
+    merged_live: Vec<u64>,
     per_cycle: Vec<[usize; 3]>,
     /// Cumulative 64-state words swept per worker (the bench's
     /// per-worker visit counts). Monotone, like [`ShardStats`].
@@ -543,6 +579,7 @@ impl<'p, P: ShardedExecution + 'static> ParallelShardedSession<'p, P> {
             workers: effective,
             steps: Vec::new(),
             merged_reports: Vec::new(),
+            merged_live: Vec::new(),
             per_cycle: Vec::new(),
             worker_words: vec![0; effective],
             mailbox_traffic: 0,
@@ -616,13 +653,16 @@ impl<'p, P: ShardedExecution + 'static> ParallelShardedSession<'p, P> {
             steps_len: self.steps.len(),
             lanes: SendMut(self.inner.lanes.as_mut_ptr()),
             lanes_len: self.inner.lanes.len(),
+            live: SendConst(self.inner.live.lanes.as_words().as_ptr()),
+            live_len: self.inner.live.lanes.as_words().len(),
             start_cycle: self.inner.cycle,
             skip_idle: self.inner.skip_idle,
         };
-        // SAFETY (for the pointers in `job`): `steps` and `lanes` are
-        // not touched again until every worker has answered on its
-        // result channel below; a failed recv panics, and the pool
-        // field drops (joining all workers) before `inner`/`steps`.
+        // SAFETY (for the pointers in `job`): `steps`, `lanes` and the
+        // live bitmap are not touched again until every worker has
+        // answered on its result channel below; a failed recv panics,
+        // and the pool field drops (joining all workers) before
+        // `inner`/`steps`.
         for (w, tx) in pool.jobs.iter().enumerate() {
             if tx.send(Msg::Run(job)).is_err() {
                 panic!("parallel shard worker {w} exited unexpectedly");
@@ -632,6 +672,9 @@ impl<'p, P: ShardedExecution + 'static> ParallelShardedSession<'p, P> {
         self.per_cycle.clear();
         self.per_cycle.resize(self.steps.len(), [0usize; 3]);
         self.merged_reports.clear();
+        self.merged_live.clear();
+        self.merged_live
+            .resize(self.inner.live.lanes.as_words().len(), 0);
         for (w, done) in pool.done.iter().enumerate() {
             let out = done
                 .recv()
@@ -640,6 +683,7 @@ impl<'p, P: ShardedExecution + 'static> ParallelShardedSession<'p, P> {
             self.mailbox_traffic += out.sent_remote;
             self.inner.sinks.stats.merge(&out.stats);
             self.merged_reports.extend(out.reports);
+            or_words(&mut self.merged_live, &out.live);
             debug_assert_eq!(out.tallies.len(), self.per_cycle.len());
             for (acc, t) in self.per_cycle.iter_mut().zip(&out.tallies) {
                 acc[0] += t[0];
@@ -654,6 +698,9 @@ impl<'p, P: ShardedExecution + 'static> ParallelShardedSession<'p, P> {
         self.merged_reports
             .sort_unstable_by_key(|r| (r.offset, r.ste));
         self.inner.result.reports.append(&mut self.merged_reports);
+        // Workers own disjoint shards, so their bitmaps OR together.
+        let live = self.inner.live.lanes.as_words_mut();
+        live.copy_from_slice(&self.merged_live);
         for t in &self.per_cycle {
             self.inner.result.activity.record(t[0], t[1], t[2]);
         }
@@ -722,6 +769,7 @@ impl<P: ShardedExecution + Clone + 'static> Clone for ParallelShardedSession<'_,
             workers: self.workers,
             steps: Vec::new(),
             merged_reports: Vec::new(),
+            merged_live: Vec::new(),
             per_cycle: Vec::new(),
             worker_words: vec![0; self.workers],
             mailbox_traffic: 0,

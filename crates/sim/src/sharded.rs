@@ -11,15 +11,21 @@
 //! * **per-shard enable vectors** — each shard keeps its own lane over
 //!   its local state space, stepped by the same kernels a flat session
 //!   runs;
-//! * **idle-shard skipping** — a shard with nothing enabled (empty
-//!   dynamic vector, no start state matching this symbol, no
-//!   start-of-data state on cycle 0) is skipped without touching a
-//!   single word, the analogue of powering an idle array down;
+//! * **array-level enable** — a cycle visits only the *live* lanes (a
+//!   per-session bitmap of the lanes with a non-empty dynamic vector)
+//!   and the shards a start can fire in on this symbol (the plan's
+//!   per-symbol start index, [`ShardedAutomaton::start_shards`]), plus
+//!   the start-of-data shards on cycle 0. Every other shard is skipped
+//!   without being probed or touching a single word, the analogue of
+//!   leaving an idle array powered down; a candidate whose exact probe
+//!   finds nothing to do (a start-of-data or 2-stride start that does
+//!   not match) is skipped too;
 //! * **one cross-shard exchange per cycle** — activations crossing
 //!   shards are staged while shards execute and applied to the target
 //!   shards' next vectors in a single pass, making global-switch
 //!   traffic an explicit, countable event
-//!   ([`ShardStats::cross_activations`]).
+//!   ([`ShardStats::cross_activations`]). Only visited lanes and
+//!   exchange targets advance at cycle end.
 //!
 //! Results are bit-identical to the flat engine — same reports in the
 //! same order, same activity statistics — for every shard count and
@@ -48,11 +54,12 @@
 use crate::activity::{DfaShardCycleView, ShardCycleSummary, ShardCycleView, ShardObserver};
 use crate::engine::Engine;
 use crate::lane::{
-    pair_flush, pair_steps, step_pair_naive, step_shard_byte, step_shard_dfa, step_shard_pair,
-    CycleStep, LaneContext, ShardLane, StepOut,
+    or_words, pair_flush, pair_steps, step_pair_naive, step_shard_byte, step_shard_dfa,
+    step_shard_pair, CycleStep, LaneContext, ShardLane, StepOut,
 };
 use crate::result::{Report, RunResult};
 use crate::session::{FlowSession, Session, SuspendedFlow};
+use cama_core::bitset::{self, BitSet};
 use cama_core::compiled::{
     ByteRows, CompiledAutomaton, CompiledDfa, CompiledPlan, ExecutionPlan, PairRows, PlanBase,
     Shard, ShardedAutomaton, StridedPlan, SymbolIndex,
@@ -100,8 +107,10 @@ pub trait ShardedExecution: PlanBase + Sized {
         let _ = reports;
     }
 
-    /// The per-shard idle probe for one step — `true` when the shard
-    /// can be skipped without touching a state word.
+    /// The exact idle probe of one candidate shard for one step — `true`
+    /// when it can be skipped without touching a state word. Only the
+    /// candidates the live bitmap and the plan's start index admit are
+    /// probed.
     #[doc(hidden)]
     fn shard_idle(
         shard: &Shard<Self>,
@@ -140,9 +149,7 @@ impl<I: SymbolIndex> ShardedExecution for CompiledPlan<ByteRows<I>> {
     /// Skippable when nothing is dynamically enabled, no start state
     /// matches this symbol, and no start-of-data state matches it on
     /// cycle 0.
-    // Forced: the shard loop probes every shard on every cycle, and the
-    // generic body is past the size the inliner takes on its own.
-    #[inline(always)]
+    #[inline]
     fn shard_idle(
         shard: &Shard<Self>,
         lane: &ShardLane,
@@ -360,14 +367,18 @@ impl ShardSinks {
         }
     }
 
-    /// The per-cycle shard loop: idle-skip or step each `(index, shard,
-    /// lane)` for one cycle, counting into the stats and reporting each
-    /// stepped shard to `observer`. The sequential session passes every
-    /// shard; each pool worker passes its pinned ones — the same loop,
-    /// which is what makes their results bit-identical by construction.
+    /// The per-cycle shard loop: probe and step each candidate `(index,
+    /// shard, lane)` for one cycle, in ascending shard order, counting
+    /// into the stats and reporting each stepped shard to `observer`.
+    /// The candidates are [`LiveLanes::candidates`] out of the `covered`
+    /// shards the caller owns; every covered shard that is not stepped
+    /// counts as skipped. The sequential session covers every shard;
+    /// each pool worker covers its pinned ones — the same loop, which is
+    /// what makes their results bit-identical by construction.
     pub(crate) fn visit<'a, P: ShardedExecution + 'a>(
         &mut self,
         lanes: impl Iterator<Item = (usize, &'a Shard<P>, &'a mut ShardLane)>,
+        covered: usize,
         step: CycleStep,
         cycle: usize,
         skip_idle: bool,
@@ -376,12 +387,12 @@ impl ShardSinks {
         let first_cycle = cycle == 0;
         let mut tally = CycleTally::default();
         for (si, shard, lane) in lanes {
-            // Skipped shards hold no dynamically enabled state, so the
-            // cached per-lane counts sum to the flat engine's total.
+            debug_assert!(!shard.is_empty(), "empty shards are never candidates");
+            // Lanes outside the candidates hold no dynamically enabled
+            // state, so the cached per-lane counts sum to the flat
+            // engine's total.
             tally.num_dynamic += lane.num_dynamic;
-            if shard.is_empty() || (skip_idle && P::shard_idle(shard, lane, step, first_cycle)) {
-                tally.skipped += 1;
-                self.stats.skipped_shard_cycles += 1;
+            if skip_idle && P::shard_idle(shard, lane, step, first_cycle) {
                 continue;
             }
             tally.visited += 1;
@@ -425,8 +436,117 @@ impl ShardSinks {
                 None => observer.on_shard_cycle(&shard_view),
             }
         }
+        tally.skipped = covered - tally.visited;
+        self.stats.skipped_shard_cycles += tally.skipped as u64;
         tally
     }
+}
+
+/// Which lanes a pass over shards must look at: the live lanes (those
+/// with a non-empty dynamic set) and one cycle's scratch set — first
+/// the candidates, then the lanes to advance — one bit per shard. A
+/// [`ShardedSession`] owns one over every shard; each pool worker owns
+/// one over its pinned shards.
+#[derive(Clone, Debug)]
+pub(crate) struct LiveLanes {
+    /// The lanes whose dynamic set is non-empty.
+    pub(crate) lanes: BitSet,
+    /// Empty between cycles.
+    scan: BitSet,
+}
+
+impl LiveLanes {
+    pub(crate) fn new(num_shards: usize) -> LiveLanes {
+        LiveLanes {
+            lanes: BitSet::new(num_shards),
+            scan: BitSet::new(num_shards),
+        }
+    }
+
+    /// Calls `reset` on every live lane and empties the set.
+    pub(crate) fn clear(&mut self, reset: impl FnMut(usize)) {
+        self.lanes.iter().for_each(reset);
+        self.lanes.clear();
+    }
+
+    /// This cycle's candidate shards, ascending: the live lanes, the
+    /// shards a start can fire in on `step` (the plan's start index),
+    /// and on the first cycle the start-of-data shards — or, with
+    /// idle-skipping off, every non-empty shard. A pool worker passes
+    /// its pinned-shard mask as `mine`.
+    pub(crate) fn candidates<P: PlanBase>(
+        &mut self,
+        plan: &ShardedAutomaton<P>,
+        step: CycleStep,
+        first_cycle: bool,
+        skip_idle: bool,
+        mine: Option<&[u64]>,
+    ) -> bitset::Iter<'_> {
+        let scan = self.scan.as_words_mut();
+        if skip_idle {
+            let starts = plan.start_shards(step.a);
+            for ((out, &live), &start) in scan.iter_mut().zip(self.lanes.as_words()).zip(starts) {
+                *out = live | start;
+            }
+            if first_cycle {
+                or_words(scan, plan.start_of_data_shards());
+            }
+        } else {
+            for (si, shard) in plan.shards().iter().enumerate() {
+                if !shard.is_empty() {
+                    scan[si / 64] |= 1u64 << (si % 64);
+                }
+            }
+        }
+        if let Some(mine) = mine {
+            for (out, &m) in scan.iter_mut().zip(mine) {
+                *out &= m;
+            }
+        }
+        self.scan.iter()
+    }
+
+    /// Marks a lane that received a cross-shard activation for this
+    /// cycle's advance.
+    #[inline]
+    pub(crate) fn touch(&mut self, shard: usize) {
+        self.scan.insert(shard);
+    }
+
+    /// Cycle end: advances the candidates and touched lanes through
+    /// `advance` (which returns whether the lane stays live) and
+    /// rebuilds the live set from the answers. Every live lane is a
+    /// candidate, so no other lane can hold dynamic state.
+    pub(crate) fn advance(&mut self, mut advance: impl FnMut(usize) -> bool) {
+        let words = self.scan.as_words_mut().iter_mut();
+        for (w, (scan, live)) in words.zip(self.lanes.as_words_mut()).enumerate() {
+            let mut bits = std::mem::take(scan);
+            let mut now = 0;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                if advance(w * 64 + bit as usize) {
+                    now |= 1u64 << bit;
+                }
+            }
+            *live = now;
+        }
+    }
+}
+
+/// `(index, shard, lane)` for each index of `candidates` (ascending).
+fn pick<'a, P>(
+    shards: &'a [Shard<P>],
+    lanes: &'a mut [ShardLane],
+    candidates: impl Iterator<Item = usize>,
+) -> impl Iterator<Item = (usize, &'a Shard<P>, &'a mut ShardLane)> {
+    let mut rest = lanes.iter_mut();
+    let mut next = 0;
+    candidates.map(move |si| {
+        let lane = rest.nth(si - next).expect("candidates ascend");
+        next = si + 1;
+        (si, &shards[si], lane)
+    })
 }
 
 /// A streaming session over a [`ShardedAutomaton`]: the sharded
@@ -462,6 +582,11 @@ pub struct ShardedSession<'p, P: PlanBase = CompiledAutomaton> {
     plan: &'p ShardedAutomaton<P>,
     pub(crate) skip_idle: bool,
     pub(crate) lanes: Vec<ShardLane>,
+    /// The lanes with dynamic state, which every cycle visits.
+    pub(crate) live: LiveLanes,
+    /// DFA-capable lanes `resume` dropped to NFA stepping; `reset`
+    /// returns them to DFA stepping even if they went idle.
+    fallback: Vec<u32>,
     /// This cycle's staged reports and activations, plus the lifetime
     /// counters.
     pub(crate) sinks: ShardSinks,
@@ -484,6 +609,8 @@ impl<'p, P: PlanBase> ShardedSession<'p, P> {
                 .iter()
                 .map(|s| ShardLane::new(s.len(), s.dfa().is_some()))
                 .collect(),
+            live: LiveLanes::new(plan.num_shards()),
+            fallback: Vec::new(),
             sinks: ShardSinks::new(plan.num_shards(), plan.len()),
             cycle: 0,
             carry: None,
@@ -510,11 +637,14 @@ impl<'p, P: PlanBase> ShardedSession<'p, P> {
         )
     }
 
-    /// Restores power-on state (stats excepted), keeping capacity.
+    /// Restores power-on state (stats excepted), keeping capacity. Only
+    /// live and fallback lanes hold anything to reset.
     fn reset_state(&mut self) {
-        for lane in &mut self.lanes {
-            lane.reset();
+        let lanes = &mut self.lanes;
+        for si in self.fallback.drain(..) {
+            lanes[si as usize].reset();
         }
+        self.live.clear(|si| lanes[si].reset());
         self.sinks.exchange.clear();
         self.sinks.reports.clear();
         self.cycle = 0;
@@ -536,16 +666,19 @@ impl<'p, P: ShardedExecution> ShardedSession<'p, P> {
         Session::finish_with(self, observer)
     }
 
-    /// Executes one cycle: the shard loop over every shard, then the
-    /// once-per-cycle cross-shard exchange, the lane advance, the
-    /// report commit (in ascending (offset, state) order, matching the
-    /// flat engine's within-cycle order), and the cycle accounting.
+    /// Executes one cycle: the shard loop over the candidate shards,
+    /// then the once-per-cycle cross-shard exchange, the advance of the
+    /// visited and touched lanes, the report commit (in ascending
+    /// (offset, state) order, matching the flat engine's within-cycle
+    /// order), and the cycle accounting.
     fn step(&mut self, step: CycleStep, observer: &mut impl ShardObserver) {
-        let lanes = self.plan.shards().iter().zip(self.lanes.iter_mut());
+        let plan = self.plan;
+        let candidates = self
+            .live
+            .candidates(plan, step, self.cycle == 0, self.skip_idle, None);
         let tally = self.sinks.visit(
-            lanes
-                .enumerate()
-                .map(|(si, (shard, lane))| (si, shard, lane)),
+            pick(plan.shards(), &mut self.lanes, candidates),
+            plan.num_shards(),
             step,
             self.cycle,
             self.skip_idle,
@@ -555,12 +688,13 @@ impl<'p, P: ShardedExecution> ShardedSession<'p, P> {
         let sinks = &mut self.sinks;
         sinks.stats.cross_activations += sinks.exchange.len() as u64;
         for &packed in &sinks.exchange {
-            self.lanes[(packed >> 32) as usize].activate((packed & u64::from(u32::MAX)) as usize);
+            let target = (packed >> 32) as usize;
+            self.lanes[target].activate((packed & u64::from(u32::MAX)) as usize);
+            self.live.touch(target);
         }
         sinks.exchange.clear();
-        for lane in &mut self.lanes {
-            lane.advance();
-        }
+        let lanes = &mut self.lanes;
+        self.live.advance(|si| lanes[si].advance());
 
         // For byte plans all of a cycle's offsets are equal, so this is
         // exactly the flat engine's within-cycle state order.
@@ -617,14 +751,14 @@ impl<P: ShardedExecution> FlowSession for ShardedSession<'_, P> {
     fn suspend(&mut self) -> SuspendedFlow {
         let mut dynamic = Vec::new();
         let mut dfa = Vec::new();
-        for (si, (shard, lane)) in self.plan.shards().iter().zip(&self.lanes).enumerate() {
-            for local in lane.dynamic.iter() {
-                dynamic.push(shard.global_states()[local]);
-            }
+        for si in self.live.lanes.iter() {
+            let lane = &self.lanes[si];
+            let globals = self.plan.shard(si).global_states();
+            dynamic.extend(lane.dynamic.iter().map(|local| globals[local]));
             // Record a resume hint for every live DFA-stepped lane so
             // same-plan resume skips the set-to-state lookup. Idle DFA
-            // lanes are implicitly in state 0 and need no hint.
-            if lane.is_dfa && !lane.dynamic_is_empty() {
+            // lanes are in state 0 and need no hint.
+            if lane.is_dfa {
                 dfa.push((si as u32, lane.dfa_state));
             }
         }
@@ -649,9 +783,15 @@ impl<P: ShardedExecution> FlowSession for ShardedSession<'_, P> {
         for &global in &flow.dynamic {
             let (shard, local) = self.plan.placement_of(global as usize);
             self.lanes[shard as usize].enable(local as usize);
+            self.live.lanes.insert(shard as usize);
         }
+        // Idle lanes are in power-on state (DFA state 0 where capable);
+        // only the restored live lanes need their mode re-derived. Hints
+        // ascend by shard, like this walk.
+        let mut hints = flow.dfa.iter().peekable();
         let mut locals = Vec::new();
-        for (si, (shard, lane)) in self.plan.shards().iter().zip(&mut self.lanes).enumerate() {
+        for si in self.live.lanes.iter() {
+            let lane = &mut self.lanes[si];
             lane.recount();
             if !lane.dfa_capable {
                 continue;
@@ -664,41 +804,32 @@ impl<P: ShardedExecution> FlowSession for ShardedSession<'_, P> {
             // kernels are report-equivalent, only the cost differs.
             locals.clear();
             locals.extend(lane.dynamic.iter().map(|l| l as u32));
-            let dfa = shard.dfa().expect("dfa_capable lane has a DFA");
-            if locals.is_empty() {
-                lane.is_dfa = true;
-                lane.dfa_state = 0;
-                continue;
-            }
-            let hinted = flow
-                .dfa
-                .iter()
-                .find(|&&(s, _)| s as usize == si)
+            let dfa = self
+                .plan
+                .shard(si)
+                .dfa()
+                .expect("dfa_capable lane has a DFA");
+            while hints.next_if(|&&(s, _)| (s as usize) < si).is_some() {}
+            let hinted = hints
+                .next_if(|&&(s, _)| s as usize == si)
                 .map(|&(_, state)| state)
                 .filter(|&state| dfa.dynamics(state) == locals.as_slice());
             match hinted.or_else(|| dfa.resume_state(&locals)) {
-                Some(state) => {
-                    lane.is_dfa = true;
-                    lane.dfa_state = state;
-                }
+                Some(state) => lane.dfa_state = state,
                 None => {
                     lane.is_dfa = false;
-                    lane.dfa_state = 0;
+                    self.fallback.push(si as u32);
                 }
             }
         }
     }
 
     fn is_idle(&self) -> bool {
-        self.carry.is_none() && self.lanes.iter().all(ShardLane::dynamic_is_empty)
+        self.carry.is_none() && self.live.lanes.is_empty()
     }
 
-    fn for_each_active_shard(&self, mut f: impl FnMut(usize)) {
-        for (si, lane) in self.lanes.iter().enumerate() {
-            if !lane.dynamic_is_empty() {
-                f(si);
-            }
-        }
+    fn for_each_active_shard(&self, f: impl FnMut(usize)) {
+        self.live.lanes.iter().for_each(f);
     }
 
     fn set_skip_idle(&mut self, on: bool) {
@@ -976,6 +1107,98 @@ mod tests {
             let plan = encoding.compile_sharded(&strided, &ids);
             let encoded = record(ShardedSession::new(&plan));
             assert_eq!(pairs, encoded, "encoded strided {ids:?}");
+        }
+    }
+
+    /// A DFA-capable lane that `resume` dropped to NFA stepping goes
+    /// idle without being reset; `finish` and `suspend` must still
+    /// return it to DFA stepping, and a suspended session must hold no
+    /// live lane.
+    #[test]
+    fn idle_fallback_lane_returns_to_dfa_stepping_on_reset() {
+        use crate::activity::DfaShardCycleView;
+        use crate::session::SuspendedFlow;
+        use cama_core::compile::{compile_hybrid_ruleset, dfa_enabled, DfaPolicy, PlanCache};
+
+        /// The shards stepped through their DFA and through the NFA
+        /// kernel.
+        #[derive(Default)]
+        struct Modes {
+            dfa: Vec<usize>,
+            nfa: Vec<usize>,
+        }
+        impl ShardObserver for Modes {
+            fn on_shard_cycle(&mut self, view: &ShardCycleView<'_>) {
+                self.nfa.push(view.shard);
+            }
+            fn on_dfa_shard_cycle(&mut self, view: &DfaShardCycleView<'_>) {
+                self.dfa.push(view.shard_view.shard);
+            }
+            fn on_cycle_end(&mut self, _: &ShardCycleSummary) {}
+        }
+        fn modes(session: &mut ShardedSession<'_>, input: &[u8]) -> Modes {
+            let mut modes = Modes::default();
+            session.feed_sharded_with(input, &mut modes);
+            modes
+        }
+        fn active_shards(session: &ShardedSession<'_>) -> Vec<usize> {
+            let mut active = Vec::new();
+            session.for_each_active_shard(|shard| active.push(shard));
+            active
+        }
+
+        let nfa = regex::compile_set(&["ab+c", "xyz"]).unwrap();
+        let mut cache = PlanCache::new(8);
+        let (plan, _) = compile_hybrid_ruleset(&nfa, 1, &mut cache, &DfaPolicy::default());
+        // `c` alone is the successor set of no DFA state of `ab+c`
+        // (`b`'s is {b, c}), so resuming it falls back to NFA stepping.
+        let c = (0..nfa.len() as u32)
+            .find(|&g| nfa.ste(SteId(g)).class.contains(b'c'))
+            .unwrap();
+        let shard = plan.placement_of(c as usize).0 as usize;
+        let has_dfa = plan.shard(shard).dfa().is_some();
+        assert_eq!(has_dfa, dfa_enabled());
+        let parked = || SuspendedFlow {
+            cycle: 3,
+            fed: 3,
+            dynamic: vec![c],
+            ..SuspendedFlow::default()
+        };
+
+        let mut session = ShardedSession::new(&plan);
+        session.resume(parked());
+        assert_eq!(active_shards(&session), vec![shard]);
+        let stepped = modes(&mut session, b"cz");
+        assert_eq!(stepped.nfa, vec![shard], "fallback steps the NFA kernel");
+        assert!(stepped.dfa.is_empty());
+        assert!(session.is_idle(), "the fallback lane went idle");
+        assert_eq!(session.finish().report_offsets(), vec![3]);
+        let stepped = modes(&mut session, b"abbc");
+        if has_dfa {
+            assert_eq!(stepped.dfa, vec![shard; 4], "DFA stepping after finish");
+            assert!(stepped.nfa.is_empty());
+        }
+        assert_eq!(session.finish().report_offsets(), vec![3]);
+
+        // The same through suspend: once with the fallback lane idle,
+        // once with it still live.
+        for input in [&b"cz"[..], b""] {
+            session.resume(parked());
+            session.feed(input);
+            let flow = session.suspend();
+            assert_eq!(flow.dynamic.is_empty(), !input.is_empty());
+            assert!(session.is_idle());
+            assert!(active_shards(&session).is_empty());
+            let stepped = modes(&mut session, b"ab");
+            if has_dfa {
+                assert_eq!(stepped.dfa, vec![shard; 2], "DFA stepping after suspend");
+            }
+            assert_eq!(active_shards(&session), vec![shard]);
+            let flow = session.suspend();
+            assert_eq!(flow.dynamic.len(), 2, "b and c enabled");
+            assert_eq!(flow.dfa.len(), usize::from(has_dfa), "one resume hint");
+            assert!(session.is_idle());
+            assert!(active_shards(&session).is_empty());
         }
     }
 

@@ -30,9 +30,10 @@ use cama::sim::control::{
 use cama::sim::frame::{encode_close, encode_frame};
 use cama::sim::{
     AutomataEngine, BatchSimulator, ByteSession, EncodedSession, EncodedSimulator,
-    EncodedStridedSimulator, FlowSession, FrameDecoder, InterpSimulator, ParallelShardedPlan,
-    ParallelShardedSession, RunResult, Session, ShardedSimulator, Simulator, StreamId, StreamPlan,
-    StridedSimulator,
+    EncodedStridedSimulator, FlatSession, FlowSession, FrameDecoder, InterpSimulator,
+    ParallelShardedPlan, ParallelShardedSession, RunResult, Session, ShardCycleSummary,
+    ShardCycleView, ShardObserver, ShardStats, ShardedExecution, ShardedSession, ShardedSimulator,
+    Simulator, StreamId, StreamPlan, StridedSimulator,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -64,6 +65,12 @@ fn random_input(rng: &mut StdRng) -> Vec<u8> {
 /// A random homogeneous NFA: 2–12 states with random (possibly negated)
 /// classes, random edges, at least one start and one reporting state.
 fn random_nfa(rng: &mut StdRng) -> Nfa {
+    random_nfa_with(rng, false)
+}
+
+/// [`random_nfa`], optionally making every third state (from the third
+/// on) a start-of-data state.
+fn random_nfa_with(rng: &mut StdRng, start_of_data: bool) -> Nfa {
     let n = rng.random_range(2..12usize);
     let mut builder = NfaBuilder::new();
     for i in 0..n {
@@ -75,6 +82,9 @@ fn random_nfa(rng: &mut StdRng) -> Nfa {
         let id = builder.add_ste(class);
         if i % 3 == 0 {
             builder.set_start(id, StartKind::AllInput);
+        }
+        if start_of_data && i % 3 == 2 {
+            builder.set_start(id, StartKind::StartOfData);
         }
         if i % 4 == 1 {
             builder.set_report(id, i as u32);
@@ -1434,6 +1444,224 @@ fn parallel_sharded_equals_sequential_across_plans() {
             &chunks,
             &format!("seed {seed}: encoded strided"),
         );
+    }
+}
+
+/// Per cycle, the shards a sharded session must visit, derived from a
+/// flat session's observer views of the same flavour — never from a
+/// sharded session's own bookkeeping: shard `s` is visited on cycle `c`
+/// exactly when, at `c`, it holds a dynamically enabled state, an
+/// active start state, or (on cycle 0) an active start-of-data state.
+/// Also records, per cycle, the shards holding a dynamically enabled
+/// state — what `for_each_active_shard` must list before that cycle.
+struct VisitOracle<'a> {
+    /// Global state id → shard.
+    shard_of: Vec<usize>,
+    all_input: &'a BitSet,
+    start_of_data: &'a BitSet,
+    dynamic: std::collections::BTreeSet<usize>,
+    visited: std::collections::BTreeSet<usize>,
+    cycles: Vec<Vec<usize>>,
+    dynamic_cycles: Vec<Vec<usize>>,
+}
+
+impl ShardObserver for VisitOracle<'_> {
+    fn on_shard_cycle(&mut self, view: &ShardCycleView<'_>) {
+        // A flat lane's local ids are the global ids.
+        for g in view.dynamic_enabled.iter() {
+            self.dynamic.insert(self.shard_of[g]);
+        }
+        for g in view.active.iter() {
+            if self.all_input.contains(g) || (view.cycle == 0 && self.start_of_data.contains(g)) {
+                self.visited.insert(self.shard_of[g]);
+            }
+        }
+    }
+
+    fn on_cycle_end(&mut self, _: &ShardCycleSummary) {
+        let dynamic: Vec<usize> = std::mem::take(&mut self.dynamic).into_iter().collect();
+        let mut visited = std::mem::take(&mut self.visited);
+        visited.extend(&dynamic);
+        self.cycles.push(visited.into_iter().collect());
+        self.dynamic_cycles.push(dynamic);
+    }
+}
+
+/// The shards `session` lists as holding dynamic state.
+fn active_shards(session: &impl FlowSession) -> Vec<usize> {
+    let mut active = Vec::new();
+    session.for_each_active_shard(|shard| active.push(shard));
+    active
+}
+
+/// The shards a sharded session visited, cycle by cycle, in visit order.
+#[derive(Default)]
+struct Visits {
+    current: Vec<usize>,
+    cycles: Vec<Vec<usize>>,
+}
+
+impl ShardObserver for Visits {
+    fn on_shard_cycle(&mut self, view: &ShardCycleView<'_>) {
+        self.current.push(view.shard);
+    }
+
+    fn on_cycle_end(&mut self, _: &ShardCycleSummary) {
+        self.cycles.push(std::mem::take(&mut self.current));
+    }
+}
+
+/// Array-level enable: on every plan flavour, over per-component and
+/// `i % 2` (cross-edge) assignments, sharded sessions visit exactly the
+/// shards the flat-session oracle says hold something to do, cycle by
+/// cycle, and their `shard_cycles` / `skipped_shard_cycles` agree with
+/// it — through random chunking, a mid-stream suspend/resume into a
+/// second session, and a 2-worker `ParallelShardedSession` (whose stats
+/// the oracle checks directly, so a stale live bit both paths shared
+/// would still show).
+#[test]
+fn visited_shards_equal_flat_oracle_across_plans() {
+    /// Oracle cycles → the expected `(shard_cycles, skipped)` counters.
+    fn expected_stats(cycles: &[Vec<usize>], num_shards: usize) -> (Vec<u64>, u64) {
+        let mut shard_cycles = vec![0u64; num_shards];
+        for &s in cycles.iter().flatten() {
+            shard_cycles[s] += 1;
+        }
+        let visited: u64 = shard_cycles.iter().sum();
+        (shard_cycles, (cycles.len() * num_shards) as u64 - visited)
+    }
+    fn counters(stats: &ShardStats) -> (Vec<u64>, u64) {
+        (stats.shard_cycles.clone(), stats.skipped_shard_cycles)
+    }
+
+    fn check<F: ShardedExecution, P: ShardedExecution + 'static>(
+        flat: &F,
+        sharded: &ShardedAutomaton<P>,
+        input: &[u8],
+        chunks: &[&[u8]],
+        cut: usize,
+        label: &str,
+    ) {
+        let mut oracle = VisitOracle {
+            shard_of: (0..sharded.len())
+                .map(|g| sharded.placement_of(g).0 as usize)
+                .collect(),
+            all_input: flat.all_input_mask(),
+            start_of_data: flat.start_of_data_mask(),
+            dynamic: Default::default(),
+            visited: Default::default(),
+            cycles: Vec::new(),
+            dynamic_cycles: Vec::new(),
+        };
+        let mut session = FlatSession::new(flat);
+        for chunk in chunks {
+            session.feed_with(chunk, &mut oracle);
+        }
+        let expected = session.finish_with(&mut oracle);
+        let cycles = oracle.cycles;
+        let stats = expected_stats(&cycles, sharded.num_shards());
+        // Between chunks: the shards holding dynamic state before the
+        // next cycle (none once the input is consumed).
+        let check_active = |cycle: usize, active: Vec<usize>, when: &str| {
+            if let Some(expect) = oracle.dynamic_cycles.get(cycle) {
+                assert_eq!(
+                    &active, expect,
+                    "{label}: {when}, active before cycle {cycle}"
+                );
+            }
+        };
+
+        // Sequential, randomly chunked.
+        let mut visits = Visits::default();
+        let mut seq = ShardedSession::new(sharded);
+        for chunk in chunks {
+            seq.feed_with(chunk, &mut visits);
+            check_active(
+                seq.pending().activity.cycles,
+                active_shards(&seq),
+                "chunked",
+            );
+        }
+        assert_eq!(seq.finish_with(&mut visits), expected, "{label}: result");
+        assert_eq!(visits.cycles, cycles, "{label}: visited shards");
+        assert_eq!(counters(seq.stats()), stats, "{label}: counters");
+
+        // Suspended at `cut`, resumed into a second session.
+        let mut visits = Visits::default();
+        let mut a = ShardedSession::new(sharded);
+        a.feed_with(&input[..cut], &mut visits);
+        let parked = a.suspend();
+        let mut b = ShardedSession::new(sharded);
+        b.resume(parked);
+        b.feed_with(&input[cut..], &mut visits);
+        assert_eq!(b.finish_with(&mut visits), expected, "{label}: resumed");
+        assert_eq!(visits.cycles, cycles, "{label}: resumed, cut {cut}");
+        let mut merged = a.take_stats();
+        merged.merge(b.stats());
+        assert_eq!(counters(&merged), stats, "{label}: resumed counters");
+
+        // Two pool workers, chunked, then suspended into a second pool.
+        let mut par = ParallelShardedSession::with_workers(sharded, 2);
+        for chunk in chunks {
+            par.feed(chunk);
+            check_active(
+                par.pending().activity.cycles,
+                active_shards(&par),
+                "parallel",
+            );
+        }
+        assert_eq!(par.finish(), expected, "{label}: parallel");
+        assert_eq!(counters(par.stats()), stats, "{label}: parallel counters");
+        let mut a = ParallelShardedSession::with_workers(sharded, 2);
+        a.feed(&input[..cut]);
+        let parked = a.suspend();
+        let mut b = ParallelShardedSession::with_workers(sharded, 2);
+        b.resume(parked);
+        b.feed(&input[cut..]);
+        assert_eq!(b.finish(), expected, "{label}: parallel resumed");
+        let mut merged = a.take_stats();
+        merged.merge(b.stats());
+        assert_eq!(
+            counters(&merged),
+            stats,
+            "{label}: parallel resumed counters"
+        );
+    }
+
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x5EE_0000 + seed);
+        let nfa = random_nfa_with(&mut rng, true);
+        let input = random_input(&mut rng);
+        let chunks = random_chunks(&mut rng, &input);
+        let cut = rng.random_range(0..=input.len());
+        let strided = StridedNfa::from_nfa(&nfa);
+        let encoding = EncodingPlan::for_nfa(&nfa);
+        let strided_encoding = StridedEncoding::for_strided(&strided);
+        let layouts = |components: Vec<u32>| {
+            let halved = (0..components.len() as u32).map(|i| i % 2).collect();
+            [("cc", components), ("i%2", halved)]
+        };
+
+        let byte = CompiledAutomaton::compile(&nfa);
+        let encoded = encoding.compile(&nfa);
+        for (name, ids) in layouts(graph::component_ids(&nfa).0) {
+            let label = format!("seed {seed}: byte/{name}");
+            let plan = ShardedAutomaton::compile_with_assignment(&nfa, &ids);
+            check(&byte, &plan, &input, &chunks, cut, &label);
+            let label = format!("seed {seed}: encoded/{name}");
+            let plan = encoding.compile_sharded(&nfa, &ids);
+            check(&encoded, &plan, &input, &chunks, cut, &label);
+        }
+        let pairs = CompiledStridedAutomaton::compile(&strided);
+        let encoded_pairs = strided_encoding.compile(&strided);
+        for (name, ids) in layouts(graph::component_ids(&strided).0) {
+            let label = format!("seed {seed}: strided/{name}");
+            let plan = ShardedAutomaton::compile_with_assignment(&strided, &ids);
+            check(&pairs, &plan, &input, &chunks, cut, &label);
+            let label = format!("seed {seed}: encoded strided/{name}");
+            let plan = strided_encoding.compile_sharded(&strided, &ids);
+            check(&encoded_pairs, &plan, &input, &chunks, cut, &label);
+        }
     }
 }
 
