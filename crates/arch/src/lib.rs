@@ -38,6 +38,8 @@
 //! # Ok::<(), cama_core::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod designs;
 pub mod energy;

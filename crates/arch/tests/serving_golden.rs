@@ -3,7 +3,7 @@
 //! serving designs over two workloads with one odd-length stream each
 //! (a 2-stride flow ending in a flush cycle). The energy model uses no
 //! transcendental functions, so the bits hold on every IEEE-754
-//! platform and kernel tier.
+//! platform.
 
 use cama_arch::{evaluate_serving, evaluate_serving_by_tenant, DesignKind, EnergyBreakdown};
 use cama_core::{regex, Nfa};

@@ -13,7 +13,6 @@ use cama_core::compiled::{
     CompiledAutomaton, CompiledStridedAutomaton, DfaBudget, ShardedAutomaton,
 };
 use cama_core::graph;
-use cama_core::kernel::{self, Kernel};
 use cama_core::regex;
 use cama_core::stride::StridedNfa;
 use cama_core::Nfa;
@@ -648,46 +647,6 @@ fn bench_strided(c: &mut Criterion) {
             plan_words.skipped_shard_cycles,
         );
     }
-
-    // Forced-scalar vs dispatched-SIMD wall clock on the full-sweep
-    // config (the kernels stream whole rows there, so the dispatch
-    // tier dominates). Measured directly so the delta lands in every
-    // bench artifact, including --test smoke runs. Trials alternate
-    // between the two kernels and the minimum is kept, so transient
-    // interference hits both sides equally instead of whichever ran
-    // second.
-    const ROUNDS: u32 = 10;
-    const TRIALS: u32 = 25;
-    let time_naive = |forced: Option<Kernel>| {
-        kernel::force(forced);
-        let mut session = StridedSession::new(&byte_plan);
-        session.set_selective(false);
-        session.feed(&input);
-        black_box(session.finish());
-        let start = std::time::Instant::now();
-        for _ in 0..ROUNDS {
-            session.feed(black_box(&input));
-            black_box(session.finish());
-        }
-        let elapsed = start.elapsed();
-        kernel::force(None);
-        elapsed
-    };
-    let mut scalar = std::time::Duration::MAX;
-    let mut simd = std::time::Duration::MAX;
-    for _ in 0..TRIALS {
-        scalar = scalar.min(time_naive(Some(Kernel::Scalar)));
-        simd = simd.min(time_naive(None));
-    }
-    let faster = 100.0 * (scalar.as_secs_f64() - simd.as_secs_f64()) / scalar.as_secs_f64();
-    println!(
-        "  kernel dispatch wall clock (snort_byte_naive_scan, {ROUNDS}x{INPUT_LEN}B): \
-         scalar {:.3} ms, {} {:.3} ms ({faster:.1}% faster); {}",
-        scalar.as_secs_f64() * 1e3,
-        kernel::active().name(),
-        simd.as_secs_f64() * 1e3,
-        kernel::describe(),
-    );
 }
 
 criterion_group!(

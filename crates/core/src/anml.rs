@@ -44,9 +44,10 @@ use std::fmt::Write as _;
 ///
 /// # Errors
 ///
-/// Returns an [`Error::AnmlSyntax`] for malformed XML, and
-/// [`Error::UnknownState`] / [`Error::InvalidAutomaton`] for dangling
-/// references or invalid symbol sets.
+/// Returns an [`Error::AnmlSyntax`] for malformed XML (a repeated
+/// attribute included), [`Error::UnknownState`] for a dangling
+/// reference, and [`Error::InvalidAutomaton`] for an invalid symbol set
+/// or an STE with more than one `<report-on-match>`.
 pub fn from_str(text: &str) -> Result<Nfa> {
     let root = xml::parse_document(text)?;
     let network = if root.name == "automata-network" {
@@ -92,7 +93,13 @@ pub fn from_str(text: &str) -> Result<Nfa> {
                 )))
             }
         }
-        if let Some(report) = element.children_named("report-on-match").next() {
+        let mut reports = element.children_named("report-on-match");
+        if let Some(report) = reports.next() {
+            if reports.next().is_some() {
+                return Err(Error::InvalidAutomaton(format!(
+                    "STE `{text_id}` has more than one report-on-match"
+                )));
+            }
             let code = report
                 .attr("reportcode")
                 .map(|c| {
@@ -116,19 +123,35 @@ pub fn from_str(text: &str) -> Result<Nfa> {
         let from = ids[text_id];
         for activation in element.children_named("activate-on-match") {
             let target = activation.attr("element").ok_or_else(|| {
-                Error::InvalidAutomaton("activate-on-match without element".into())
+                Error::InvalidAutomaton(format!(
+                    "STE `{text_id}` has activate-on-match without element"
+                ))
             })?;
-            // References may be qualified as `network.id:port`; keep the
-            // final id segment.
-            let target = target.rsplit([':', '.']).next().unwrap_or(target);
-            let to = *ids
-                .get(target)
-                .ok_or_else(|| Error::UnknownState(target.to_string()))?;
+            let to =
+                resolve(&ids, target).ok_or_else(|| Error::UnknownState(target.to_string()))?;
             builder.add_edge(from, to);
         }
     }
 
     builder.build()
+}
+
+/// Resolves an `activate-on-match` reference. The exact id wins; only
+/// when no STE has it is the reference read as qualified
+/// (`network.id:port`): with and then without its `:port` suffix, each
+/// `.`-prefix is stripped in turn, so the longest id that names an STE
+/// is taken and an id holding `.` or `:` is never mistaken for a
+/// shorter one.
+fn resolve(ids: &HashMap<&str, SteId>, target: &str) -> Option<SteId> {
+    fn suffixes(reference: &str) -> impl Iterator<Item = &str> {
+        std::iter::successors(Some(reference), |id| {
+            id.split_once('.').map(|(_, rest)| rest)
+        })
+    }
+    let unported = target.rsplit_once(':').map_or(target, |(id, _port)| id);
+    suffixes(target)
+        .chain(suffixes(unported))
+        .find_map(|id| ids.get(id).copied())
 }
 
 /// Parses an ANML `symbol-set` expression into a [`SymbolClass`](crate::SymbolClass).
@@ -280,6 +303,83 @@ mod tests {
         assert_eq!(parse_symbol_set("x").unwrap(), SymbolClass::singleton(b'x'));
         assert_eq!(parse_symbol_set("[0-9]").unwrap().len(), 10);
         assert!(parse_symbol_set("ab").is_err());
+    }
+
+    #[test]
+    fn references_resolve_by_exact_id_before_stripping_qualifiers() {
+        let doc = |with_b: bool| {
+            format!(
+                r#"<automata-network id="w">
+                  <state-transition-element id="x" symbol-set="[x]" start="all-input">
+                    <activate-on-match element="a.b"/>
+                    <activate-on-match element="p:q"/>
+                    <activate-on-match element="w.a.b:in"/>
+                  </state-transition-element>
+                  <state-transition-element id="a.b" symbol-set="[y]"/>
+                  <state-transition-element id="p:q" symbol-set="[z]"/>
+                  {}
+                </automata-network>"#,
+                if with_b {
+                    r#"<state-transition-element id="b" symbol-set="[b]"/>"#
+                } else {
+                    ""
+                }
+            )
+        };
+        for with_b in [true, false] {
+            let nfa = from_str(&doc(with_b)).unwrap();
+            assert_eq!(
+                nfa.successors(SteId(0)),
+                &[SteId(1), SteId(2)],
+                "with_b {with_b}"
+            );
+        }
+        // A dangling reference is reported as written.
+        let dangling = doc(false).replace(r#"element="p:q""#, r#"element="w.ghost:in""#);
+        assert_eq!(
+            from_str(&dangling),
+            Err(Error::UnknownState("w.ghost:in".into()))
+        );
+    }
+
+    #[test]
+    fn activation_without_element_names_its_ste() {
+        let doc = r#"<automata-network id="w">
+          <state-transition-element id="src" symbol-set="[x]" start="all-input">
+            <activate-on-match/>
+          </state-transition-element>
+        </automata-network>"#;
+        match from_str(doc) {
+            Err(Error::InvalidAutomaton(message)) => {
+                assert!(message.contains("`src`"), "{message}")
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn second_report_on_match_is_an_error() {
+        let doc = r#"<automata-network id="w">
+          <state-transition-element id="r" symbol-set="[x]" start="all-input">
+            <report-on-match reportcode="1"/>
+            <report-on-match reportcode="bogus"/>
+          </state-transition-element>
+        </automata-network>"#;
+        match from_str(doc) {
+            Err(Error::InvalidAutomaton(message)) => assert!(message.contains("`r`"), "{message}"),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn duplicate_attribute_is_a_syntax_error() {
+        let doc = r#"<automata-network id="w">
+          <state-transition-element id="a" symbol-set="[x]" symbol-set="[y]"/>
+        </automata-network>"#;
+        assert!(matches!(
+            from_str(doc),
+            Err(Error::AnmlSyntax { line: 2, .. })
+        ));
     }
 
     #[test]

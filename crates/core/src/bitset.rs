@@ -188,57 +188,6 @@ impl BitSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// Word-level intersection into a destination: `out = self & other`,
-    /// 64 bits per operation. `out`'s previous contents are overwritten.
-    ///
-    /// This is the building-block form of the compiled engine's
-    /// matching step (`active = match_vector & enabled`); the engine
-    /// itself fuses the same computation with its popcounts and scans
-    /// in `cama-sim`, while plan consumers that want the intersection
-    /// materialized use this combinator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sets have different capacities.
-    pub fn and_into(&self, other: &BitSet, out: &mut BitSet) {
-        assert_eq!(self.len, other.len, "bitset length mismatch");
-        assert_eq!(self.len, out.len, "bitset length mismatch");
-        kernel::and2_into(&self.words, &other.words, &mut out.words);
-    }
-
-    /// Word-level three-way intersection into a destination:
-    /// `out = self & b & c`, 64 bits per operation. `out`'s previous
-    /// contents are overwritten.
-    ///
-    /// This is the materialized building-block form of the strided
-    /// engine's fused pair step (`active = first[a] & second[b] &
-    /// enabled`); the engine itself fuses the same AND with its
-    /// popcounts and scans per dirty word, while plan consumers that
-    /// want the three-way intersection materialized use this
-    /// combinator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sets have different capacities.
-    pub fn and3_into(&self, b: &BitSet, c: &BitSet, out: &mut BitSet) {
-        assert_eq!(self.len, b.len, "bitset length mismatch");
-        assert_eq!(self.len, c.len, "bitset length mismatch");
-        assert_eq!(self.len, out.len, "bitset length mismatch");
-        kernel::and3_into(&self.words, &b.words, &c.words, &mut out.words);
-    }
-
-    /// Word-level union into a destination: `out = self | other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sets have different capacities.
-    pub fn or_into(&self, other: &BitSet, out: &mut BitSet) {
-        assert_eq!(self.len, other.len, "bitset length mismatch");
-        assert_eq!(self.len, out.len, "bitset length mismatch");
-        out.words.copy_from_slice(&self.words);
-        kernel::or_into(&other.words, &mut out.words);
-    }
-
     /// Iterates over the indices of set bits in ascending order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
@@ -355,11 +304,11 @@ impl Iterator for Iter<'_> {
 /// A borrowed, fixed-width row of bits — the view type returned by the
 /// compiled plans' per-symbol match-table accessors.
 ///
-/// Rows live contiguously inside a flat cache-blocked
-/// [`RowTable`](crate::compiled) `Vec<u64>`, so unlike [`BitSet`] a row
-/// does not own its words; it is a `Copy` view that exposes the same
-/// read-side API (`contains`, `iter`, `count`, …) plus [`Row::words`]
-/// for the SIMD kernels in [`crate::kernel`]. Bits at positions
+/// Rows live back to back, each at its exact `len.div_ceil(64)` words,
+/// inside one flat [`RowTable`](crate::compiled) `Vec<u64>`, so unlike
+/// [`BitSet`] a row does not own its words; it is a `Copy` view that
+/// exposes the same read-side API (`contains`, `iter`, `count`, …) plus
+/// [`Row::words`] for the per-cycle word loops. Bits at positions
 /// `>= len()` are always zero.
 ///
 /// # Examples
@@ -433,7 +382,7 @@ impl<'a> Row<'a> {
         }
     }
 
-    /// The backing words — the contiguous slice the SIMD kernels stream.
+    /// The backing words — the contiguous slice the word loops read.
     pub fn words(&self) -> &'a [u64] {
         self.words
     }
@@ -642,53 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn and_or_into_destinations() {
-        let a = BitSet::from_indices(130, [0, 63, 64, 100, 129]);
-        let b = BitSet::from_indices(130, [63, 64, 99, 129]);
-        let mut out = BitSet::full(130);
-        a.and_into(&b, &mut out);
-        assert_eq!(out.iter().collect::<Vec<_>>(), vec![63, 64, 129]);
-        a.or_into(&b, &mut out);
-        assert_eq!(
-            out.iter().collect::<Vec<_>>(),
-            vec![0, 63, 64, 99, 100, 129]
-        );
-    }
-
-    #[test]
-    fn and3_into_matches_chained_intersections() {
-        let a = BitSet::from_indices(200, [0, 63, 64, 100, 128, 199]);
-        let b = BitSet::from_indices(200, [0, 63, 64, 99, 128, 199]);
-        let c = BitSet::from_indices(200, [0, 64, 100, 128, 199]);
-        let mut out = BitSet::full(200);
-        a.and3_into(&b, &c, &mut out);
-        let mut chained = a.clone();
-        chained.intersect_with(&b);
-        chained.intersect_with(&c);
-        assert_eq!(out, chained);
-        assert_eq!(out.iter().collect::<Vec<_>>(), vec![0, 64, 128, 199]);
-        // Disjoint third operand empties the result.
-        let empty = BitSet::new(200);
-        a.and3_into(&b, &empty, &mut out);
-        assert!(out.is_empty());
-        // Zero-capacity sets are a no-op.
-        let zero = BitSet::new(0);
-        let mut zout = BitSet::new(0);
-        zero.and3_into(&zero, &zero, &mut zout);
-        assert!(zout.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn and3_into_length_mismatch_panics() {
-        let a = BitSet::new(8);
-        let b = BitSet::new(8);
-        let c = BitSet::new(16);
-        let mut out = BitSet::new(8);
-        a.and3_into(&b, &c, &mut out);
-    }
-
-    #[test]
     fn iter_and_matches_materialized_intersection() {
         let a = BitSet::from_indices(200, [1, 64, 65, 127, 128, 199]);
         let b = BitSet::from_indices(200, [1, 65, 128, 130, 199]);
@@ -702,15 +604,6 @@ mod tests {
         assert_eq!(a.iter_and(&empty).count(), 0);
         let zero = BitSet::new(0);
         assert_eq!(zero.iter_and(&zero).count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn and_into_length_mismatch_panics() {
-        let a = BitSet::new(8);
-        let b = BitSet::new(8);
-        let mut out = BitSet::new(16);
-        a.and_into(&b, &mut out);
     }
 
     #[test]

@@ -580,8 +580,8 @@ impl Default for DfaPolicy {
 
 /// `false` when the `CAMA_DFA` environment variable is `off` or `0`:
 /// the pure-NFA override lane ([`compile_hybrid_ruleset`] then compiles
-/// exactly what [`compile_ruleset`] compiles), mirroring
-/// `CAMA_KERNEL=scalar` for the word-slice kernels.
+/// exactly what [`compile_ruleset`] compiles), so a whole test suite can
+/// run with every component on the NFA word loops.
 pub fn dfa_enabled() -> bool {
     match std::env::var("CAMA_DFA") {
         Ok(value) => {

@@ -102,27 +102,24 @@ impl ReportTable {
     }
 }
 
-/// A flat, cache-blocked table of fixed-width bit rows — the storage
-/// layout of every per-symbol match table.
+/// A flat table of fixed-width bit rows — the storage layout of every
+/// per-symbol match table.
 ///
-/// All rows live in one `Vec<u64>` at a constant stride padded to a
-/// multiple of 4 words (one 256-bit kernel lane), so consecutive rows
-/// never share a 32-byte group and [`row`](RowTable::row) is always a
-/// contiguous slice the SIMD kernels in [`crate::kernel`] can stream.
-/// Each row's one-bit-per-word nonzero summary (the selective-precharge
+/// All rows live back to back in one `Vec<u64>`, each at its exact
+/// `len.div_ceil(64)` words, so [`row`](RowTable::row) is one contiguous
+/// slice and a table of `n` rows holds `n × len.div_ceil(64)` words. Each
+/// row's one-bit-per-word nonzero summary (the selective-precharge
 /// analogue: 64-state words that cannot match a symbol are never
 /// visited) is packed the same way in a second flat array.
 #[derive(Clone, Debug)]
 struct RowTable {
     /// Bits per row.
     len: usize,
-    /// Exact words per row (`len.div_ceil(64)`).
+    /// Words per row (`len.div_ceil(64)`).
     words_per_row: usize,
-    /// Padded row stride in words (multiple of 4).
-    stride: usize,
     /// Words per row summary (`words_per_row.div_ceil(64)`).
     summary_words: usize,
-    /// `num_rows * stride` words; padding words stay zero.
+    /// `num_rows * words_per_row` words.
     data: Vec<u64>,
     /// `num_rows * summary_words` words.
     summaries: Vec<u64>,
@@ -136,13 +133,12 @@ impl RowTable {
     /// Panics if any row's capacity differs from `len`.
     fn from_rows(len: usize, rows: &[BitSet]) -> RowTable {
         let words_per_row = len.div_ceil(64);
-        let stride = words_per_row.next_multiple_of(4);
         let summary_words = words_per_row.div_ceil(64);
-        let mut data = vec![0u64; rows.len() * stride];
+        let mut data = Vec::with_capacity(rows.len() * words_per_row);
         let mut summaries = vec![0u64; rows.len() * summary_words];
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(row.len(), len, "row capacity mismatch");
-            data[i * stride..i * stride + words_per_row].copy_from_slice(row.as_words());
+            data.extend_from_slice(row.as_words());
             kernel::summarize(
                 row.as_words(),
                 &mut summaries[i * summary_words..(i + 1) * summary_words],
@@ -151,7 +147,6 @@ impl RowTable {
         RowTable {
             len,
             words_per_row,
-            stride,
             summary_words,
             data,
             summaries,
@@ -181,7 +176,7 @@ impl RowTable {
     /// Row `i` as a borrowed exact-length view.
     #[inline]
     fn row(&self, i: usize) -> Row<'_> {
-        let start = i * self.stride;
+        let start = i * self.words_per_row;
         Row::from_words(self.len, &self.data[start..start + self.words_per_row])
     }
 
@@ -1980,6 +1975,42 @@ mod tests {
     use crate::regex;
     use crate::symbol::SymbolClass;
     use crate::{NfaBuilder, SteId};
+
+    #[test]
+    fn row_table_packs_exact_width_rows_that_round_trip() {
+        for words in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 65, 127, 260] {
+            // Full top words and a partial top word.
+            for len in [words * 64, (words * 64).saturating_sub(5)] {
+                let mut sparse = BitSet::new(len);
+                for i in (0..len).filter(|i| i % 7 == 0 || i % 64 == 63) {
+                    sparse.insert(i);
+                }
+                let mut high = BitSet::new(len);
+                if let Some(last) = len.checked_sub(1) {
+                    high.insert(last);
+                }
+                let rows = [BitSet::full(len), BitSet::new(len), sparse, high];
+                let table = RowTable::from_rows(len, &rows);
+                assert_eq!(table.data.len(), rows.len() * len.div_ceil(64), "len {len}");
+                assert_eq!(
+                    table.summaries.len(),
+                    rows.len() * len.div_ceil(64).div_ceil(64),
+                    "len {len}"
+                );
+                for (i, row) in rows.iter().enumerate() {
+                    assert_eq!(table.row(i), *row, "len {len}, row {i}");
+                    let summary = table.summary(i);
+                    for (w, &word) in row.as_words().iter().enumerate() {
+                        let bit = summary[w / 64] >> (w % 64) & 1 == 1;
+                        assert_eq!(bit, word != 0, "len {len}, row {i}, word {w}");
+                    }
+                    let marked: u32 = summary.iter().map(|s| s.count_ones()).sum();
+                    let nonzero = row.as_words().iter().filter(|&&w| w != 0).count();
+                    assert_eq!(marked as usize, nonzero, "len {len}, row {i}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn match_table_covers_all_states() {

@@ -10,8 +10,9 @@
 //! * [`regex`] — a regex parser and Glushkov compiler to homogeneous NFAs;
 //! * [`anml`] and [`mnrl`] — readers/writers for the interchange formats
 //!   used by ANMLZoo and the automata-processing toolchains;
-//! * [`kernel`] — runtime-dispatched SIMD word-slice kernels
-//!   (AVX2/SSE2/scalar) that the match/AND hot loops execute on;
+//! * [`kernel`] — the scalar whole-slice word loops (row summaries,
+//!   union, intersection test, popcount, the non-selective 2-stride
+//!   sweep);
 //! * [`compile`] — ruleset-scale compilation: per-component units,
 //!   structure-hashed plan caching, parallel compile drivers, and the
 //!   [`PlanRemap`] that live hot swap translates state ids through;
@@ -36,7 +37,7 @@
 //! # Ok::<(), cama_core::Error>(())
 //! ```
 
-#![warn(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod anml;
 pub mod bitset;

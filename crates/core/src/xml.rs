@@ -31,7 +31,8 @@ impl XmlElement {
         }
     }
 
-    /// Returns the value of the first attribute with the given name.
+    /// Returns the value of the attribute with the given name (a parsed
+    /// element holds each name at most once).
     pub fn attr(&self, name: &str) -> Option<&str> {
         self.attrs
             .iter()
@@ -90,8 +91,9 @@ pub fn escape(text: &str) -> String {
 /// # Errors
 ///
 /// Returns [`Error::AnmlSyntax`] (with a line number) for malformed
-/// input: mismatched tags, unterminated constructs, missing root, or
-/// elements nested deeper than [`MAX_NESTING`].
+/// input: mismatched tags, unterminated constructs, missing root, a
+/// repeated attribute name in one tag, or elements nested deeper than
+/// [`MAX_NESTING`].
 pub fn parse_document(input: &str) -> Result<XmlElement> {
     let mut parser = Parser {
         input: input.as_bytes(),
@@ -231,6 +233,11 @@ impl Parser<'_> {
                 }
                 Some(_) => {
                     let key = self.name()?;
+                    // Unique Att Spec: a repeated attribute makes the
+                    // document not well-formed.
+                    if element.attr(&key).is_some() {
+                        return Err(self.error(&format!("duplicate attribute `{key}`")));
+                    }
                     self.skip_whitespace();
                     if self.peek() != Some(b'=') {
                         return Err(self.error("expected `=` in attribute"));
@@ -415,6 +422,20 @@ mod tests {
         let text = root.to_xml();
         let parsed = parse_document(&text).unwrap();
         assert_eq!(parsed, root);
+    }
+
+    #[test]
+    fn duplicate_attributes_error_with_line() {
+        let err = parse_document("<a>\n<b v=\"1\" w=\"2\"\n v='1'/>\n</a>").unwrap_err();
+        match err {
+            Error::AnmlSyntax { line, message } => {
+                assert_eq!(line, 3);
+                assert!(message.contains("`v`"), "{message}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        // Distinct names, even ones sharing a prefix, are fine.
+        assert!(parse_document(r#"<a v="1" vv="2" v-w="3"/>"#).is_ok());
     }
 
     #[test]

@@ -40,6 +40,8 @@
 //! # Ok::<(), cama_core::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod clustering;
 pub mod code;
 pub mod codebook;

@@ -14,6 +14,8 @@
 //!   diagonal-remapped reduced crossbar with `k_dia = 43` (RRCB, §IV.B),
 //!   and the RRCB's full-crossbar reconfiguration.
 
+#![forbid(unsafe_code)]
+
 pub mod cam_array;
 pub mod crossbar;
 pub mod models;

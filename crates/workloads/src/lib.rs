@@ -20,6 +20,8 @@
 //! assert_eq!(stream.len(), 4096);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod classgen;
 pub mod input;
 pub mod spec;

@@ -1297,59 +1297,39 @@ fn symbol_class_set_algebra() {
     }
 }
 
-/// The kernel-dispatch invariant: every engine produces bit-identical
-/// `RunResult`s whether the word-slice kernels run forced-scalar or on
-/// whatever SIMD tier the runtime dispatcher picked for this CPU —
-/// one-shot and chunked, flat, sharded, strided (selective and naive),
-/// and encoded. The forced override is process-global and the results
-/// are identical on every tier by construction, so flipping it while
-/// sibling tests run concurrently is safe.
+/// The non-selective 2-stride scan — every word precharged, one fused
+/// sweep per pair cycle, the paper's baseline — is the only caller of
+/// that sweep. One-shot and randomly chunked, it equals the selective
+/// strided engine exactly and the flat byte engine's report offsets.
 #[test]
-fn kernels_scalar_and_dispatched_agree_across_engines() {
-    use cama::core::compiled::CompiledStridedAutomaton;
-    use cama::core::kernel::{self, Kernel};
+fn non_selective_strided_scan_equals_selective_and_flat() {
     use cama::sim::StridedSession;
-
-    fn collect(nfa: &Nfa, input: &[u8], chunks: &[&[u8]]) -> Vec<RunResult> {
-        let mut results = vec![Simulator::new(nfa).run(input)];
-        for shards in shard_counts() {
-            results.push(ShardedSimulator::new(nfa, shards).run(input));
-        }
-        let strided = StridedNfa::from_nfa(nfa);
-        results.push(StridedSimulator::new(&strided).run(input));
-        // The non-selective strided session is the heaviest kernel
-        // consumer (one fused sweep per pair cycle); feed it chunked.
-        let plan = CompiledStridedAutomaton::compile(&strided);
-        let mut naive = StridedSession::new(&plan);
-        naive.set_selective(false);
-        for chunk in chunks {
-            naive.feed(chunk);
-        }
-        results.push(naive.finish());
-        results.push(EncodedSimulator::new(nfa).run(input));
-        results.push(EncodedStridedSimulator::new(&strided).run(input));
-        results.push(via_session(&Simulator::new(nfa), chunks));
-        results.push(via_session(&ShardedSimulator::new(nfa, 2), chunks));
-        results
-    }
 
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x51_3D00 + seed);
-        let nfa = random_nfa(&mut rng);
+        let nfa = random_nfa_with(&mut rng, true);
         let input = random_input(&mut rng);
         let chunks = random_chunks(&mut rng, &input);
 
-        kernel::force(Some(Kernel::Scalar));
-        let scalar = collect(&nfa, &input, &chunks);
-        kernel::force(None);
-        let dispatched = collect(&nfa, &input, &chunks);
-
-        for (i, (s, d)) in scalar.iter().zip(&dispatched).enumerate() {
+        let strided = StridedNfa::from_nfa(&nfa);
+        let selective = StridedSimulator::new(&strided).run(&input);
+        let flat = Simulator::new(&nfa).run(&input).report_offsets();
+        let plan = CompiledStridedAutomaton::compile(&strided);
+        for (label, pieces) in [("one-shot", vec![&input[..]]), ("chunked", chunks)] {
+            let mut naive = StridedSession::new(&plan);
+            naive.set_selective(false);
+            for piece in &pieces {
+                naive.feed(piece);
+            }
+            let result = naive.finish();
             assert_eq!(
-                s,
-                d,
-                "seed {seed}, engine {i}: forced-scalar vs dispatched {}",
-                kernel::active().name()
+                result, selective,
+                "seed {seed}, {label}: naive vs selective"
+            );
+            assert_eq!(
+                result.report_offsets(),
+                flat,
+                "seed {seed}, {label}: naive vs flat byte engine"
             );
         }
     }
