@@ -838,7 +838,7 @@ impl PlanRemap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::ShardedStridedAutomaton;
+    use crate::compiled::{ExecutionPlan, PlanBase, ShardedStridedAutomaton};
     use crate::nfa::NfaBuilder;
     use crate::regex;
     use crate::stride::StridedNfa;
@@ -1056,6 +1056,104 @@ mod tests {
         compile_hybrid_ruleset(&nfa, 1, &mut cache, &over);
         let (_, again) = compile_hybrid_ruleset(&nfa, 1, &mut cache, &over);
         assert_eq!((again.cache_hits, cache.cache_stats().misses), (4, 4));
+    }
+
+    /// Every `(global state, code, offset)` report of `plan` on `input`,
+    /// each component shard stepped through its DFA when it carries one
+    /// and through its match rows otherwise.
+    fn walk_reports(plan: &ShardedAutomaton, input: &[u8]) -> Vec<(u32, u32, usize)> {
+        let mut out = Vec::new();
+        for shard in plan.shards() {
+            let (local, globals) = (shard.plan(), shard.global_states());
+            let mut emit = |state: usize, code, offset| out.push((globals[state], code, offset));
+            if let Some(dfa) = shard.dfa() {
+                let mut state = 0;
+                for (offset, &byte) in input.iter().enumerate() {
+                    let row = local.row_of_symbol(byte);
+                    state = match offset {
+                        0 => dfa.first(row),
+                        _ => dfa.next(state, row),
+                    };
+                    let (locals, codes) = dfa.reports(state);
+                    for (&l, &code) in locals.iter().zip(codes) {
+                        emit(l as usize, code, offset);
+                    }
+                }
+                continue;
+            }
+            let mut enabled = local.all_input_mask().clone();
+            enabled.union_with(local.start_of_data_mask());
+            for (offset, &byte) in input.iter().enumerate() {
+                let mut active = local.match_vector(byte).to_bitset();
+                active.intersect_with(&enabled);
+                enabled.copy_from(local.all_input_mask());
+                for state in active.iter() {
+                    if let Some(code) = local.report_code(state) {
+                        emit(state, code, offset);
+                    }
+                    for &next in local.successors(state) {
+                        enabled.insert(next as usize);
+                    }
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// DFA tables are as wide as the byte classes a component tells
+    /// apart, so a global budget that 256-column tables overflow admits
+    /// every component, and the hybrid plan reports what the NFA plan
+    /// reports.
+    #[test]
+    fn class_width_tables_fit_a_budget_per_byte_tables_overflow() {
+        let letters = |i: u8| [b'a' + i, b'a' + (i + 1) % 26].map(char::from);
+        let patterns: Vec<String> = (0..24u8)
+            .map(|i| {
+                let [a, b] = letters(i);
+                format!("{a}{b}+[0-9]x")
+            })
+            .collect();
+        let nfa = ruleset(&patterns.iter().map(String::as_str).collect::<Vec<_>>());
+        let per_byte = |plan: &ShardedAutomaton| -> usize {
+            let states = |s: &Shard| s.dfa().map_or(0, CompiledDfa::num_states);
+            plan.shards()
+                .iter()
+                .map(|s| (states(s) + 1) * 256 * 4)
+                .sum()
+        };
+        let policy = DfaPolicy {
+            memory_budget: 16 * 1024,
+            ..DfaPolicy::default()
+        };
+        let mut cache = PlanCache::default();
+        let (hybrid, _) = compile_hybrid_ruleset(&nfa, 1, &mut cache, &policy);
+        let (nfa_plan, _) = compile_ruleset(&nfa, 1, &mut PlanCache::default());
+        if dfa_enabled() {
+            assert_eq!(hybrid.num_dfa_shards(), patterns.len());
+            let tables: usize = hybrid
+                .shards()
+                .iter()
+                .filter_map(|s| s.dfa().map(CompiledDfa::table_bytes))
+                .sum();
+            assert!(tables <= policy.memory_budget, "{tables} table bytes");
+            assert!(
+                per_byte(&hybrid) > 4 * policy.memory_budget,
+                "256-column tables would take {} bytes",
+                per_byte(&hybrid)
+            );
+        }
+        assert_eq!(nfa_plan.num_dfa_shards(), 0);
+        // Every pattern once, with 1–3 repeats, then a near miss.
+        let mut input = String::new();
+        for i in 0..24u8 {
+            let [a, b] = letters(i);
+            let repeats = b.to_string().repeat(1 + i as usize % 3);
+            input += &format!("{a}{repeats}{}x {a}{b}x ", i % 10);
+        }
+        let reports = walk_reports(&hybrid, input.as_bytes());
+        assert_eq!(reports.len(), patterns.len());
+        assert_eq!(reports, walk_reports(&nfa_plan, input.as_bytes()));
     }
 
     #[test]

@@ -23,22 +23,26 @@
 //!
 //! | plan | row source | a cycle's match vector |
 //! |---|---|---|
-//! | [`CompiledAutomaton`] | [`ByteRows`]`<`[`RawBytes`]`>` | `rows[symbol]` |
+//! | [`CompiledAutomaton`] | [`ByteRows`]`<`[`ByteClasses`]`>` | `rows[class(symbol)]` |
 //! | [`CompiledEncodedAutomaton`] | [`ByteRows`]`<`[`Codebook`]`>` | `rows[code(symbol)]` |
-//! | [`CompiledStridedAutomaton`] | [`PairRows`]`<`[`RawBytes`]`>` | `first[a] & second[b]` |
+//! | [`CompiledStridedAutomaton`] | [`PairRows`]`<`[`ByteClasses`]`>` | `first[class1(a)] & second[class2(b)]` |
 //! | [`CompiledEncodedStridedAutomaton`] | [`PairRows`]`<`[`Codebook`]`>` | `first[code1(a)] & second[code2(b)]` |
 //!
 //! A byte-cycle source holds one row table plus precompiled start rows
 //! (`rows & all-input`). A pair-cycle source holds one table per half of
 //! the 2-stride search word plus the first half's start rows, which
-//! avoids the 64 Ki-entry squared-alphabet table. Either is indexed by
-//! the raw byte through the zero-sized [`RawBytes`] identity, or through
-//! a [`Codebook`]: CAMA's input encoder, whose rows are derived by
-//! evaluating every state's stored CAM entries (negated entries
-//! included) against each code, so the functional engine exercises
-//! exactly the entry layout the energy model charges for. The index is
-//! a type parameter: the per-cycle lookup has no branch on the flavour,
-//! and byte plans hold no encoder table.
+//! avoids the 64 Ki-entry squared-alphabet table. Either is indexed
+//! through a 256-entry lookup, the software form of CAMA's input
+//! encoder. For raw-byte plans that lookup is [`ByteClasses`]: bytes
+//! that every state accepts alike share one row, so a component that
+//! tells `k` byte classes apart stores `k` rows, not 256 (CAMA's case
+//! for storing narrow codes instead of one-hot symbol classes, made
+//! lossless). For encoded plans it is a [`Codebook`], whose rows are
+//! derived by evaluating every state's stored CAM entries (negated
+//! entries included) against each code, so the functional engine
+//! exercises exactly the entry layout the energy model charges for. The
+//! index is a type parameter: the per-cycle lookup has no branch on the
+//! flavour.
 //!
 //! With this plan the per-cycle step is word-level:
 //! `active = match_vector & enabled`, 64 states at a time, which is what
@@ -231,11 +235,11 @@ pub trait PlanBase: Sync {
 /// one-bit-per-word summaries, and packed report codes.
 ///
 /// Implemented once, by every plan over a [`ByteRows`] source — rows
-/// indexed by the raw 8-bit symbol ([`CompiledAutomaton`]) or by the
-/// code the input encoder produces for it ([`CompiledEncodedAutomaton`])
-/// — so a single stepping loop in `cama-sim`, and a single
-/// [`ShardedAutomaton`] shell, drives both layouts. The paired-symbol
-/// counterpart is [`StridedPlan`].
+/// indexed by the byte class of the 8-bit symbol ([`CompiledAutomaton`])
+/// or by the code the input encoder produces for it
+/// ([`CompiledEncodedAutomaton`]) — so a single stepping loop in
+/// `cama-sim`, and a single [`ShardedAutomaton`] shell, drives both
+/// layouts. The paired-symbol counterpart is [`StridedPlan`].
 pub trait ExecutionPlan: PlanBase {
     /// The match vector of `symbol`: every state accepting it, as a
     /// contiguous [`Row`] into the flat match table.
@@ -261,17 +265,18 @@ pub trait ExecutionPlan: PlanBase {
     /// first.
     fn report_code_unchecked(&self, state: usize) -> u32;
 
-    /// The match-row index of an input symbol: `symbol` itself for byte
-    /// plans, the encoder's code for encoded plans. Two symbols with
-    /// equal row indices are indistinguishable to the plan, which is
-    /// what [`CompiledDfa::determinize`] exploits to build one
+    /// The match-row index of an input symbol: its [`ByteClasses`] class
+    /// for byte plans, the encoder's code for encoded plans. Two symbols
+    /// with equal row indices are indistinguishable to the plan, which
+    /// is what [`CompiledDfa::determinize`] exploits to build one
     /// transition column per *row*, not per raw byte.
     fn row_of_symbol(&self, symbol: u8) -> u32;
 
     /// Number of distinct match-row indices
     /// ([`row_of_symbol`](Self::row_of_symbol) is always `< alphabet_rows`):
-    /// 256 for byte plans, `num_codes + 1` for encoded plans (one extra
-    /// row for out-of-codebook symbols).
+    /// the number of byte classes the plan tells apart (`1..=256`) for
+    /// byte plans, `num_codes + 1` for encoded plans (one extra row for
+    /// out-of-codebook symbols).
     fn alphabet_rows(&self) -> usize;
 }
 
@@ -285,10 +290,11 @@ pub trait ExecutionPlan: PlanBase {
 /// selective precharge.
 ///
 /// Implemented once, by every plan over a [`PairRows`] source — halves
-/// indexed by raw bytes ([`CompiledStridedAutomaton`]) or each routed
-/// through its own codebook ([`CompiledEncodedStridedAutomaton`]) — so a
-/// single paired stepping loop in `cama-sim`, and the same
-/// [`ShardedAutomaton`] shell, drives both.
+/// each indexed by its own byte classes ([`CompiledStridedAutomaton`])
+/// or each routed through its own codebook
+/// ([`CompiledEncodedStridedAutomaton`]) — so a single paired stepping
+/// loop in `cama-sim`, and the same [`ShardedAutomaton`] shell, drives
+/// both.
 pub trait StridedPlan: PlanBase {
     /// The first-half match vector: states whose first class accepts
     /// `a`, as a contiguous [`Row`] into the flat table.
@@ -341,7 +347,7 @@ pub trait ShardPlan: PlanBase {
 }
 
 /// How a match-row source turns an input symbol into a row index: the
-/// raw byte itself ([`RawBytes`]) or its learned code ([`Codebook`]).
+/// byte's class ([`ByteClasses`]) or its learned code ([`Codebook`]).
 pub trait SymbolIndex: Sync {
     /// The match row `symbol` selects.
     fn row(&self, symbol: u8) -> usize;
@@ -350,19 +356,66 @@ pub trait SymbolIndex: Sync {
     fn num_rows(&self) -> usize;
 }
 
-/// The identity [`SymbolIndex`]: one match row per raw byte. Zero-sized,
-/// so byte plans hold no encoder table.
-#[derive(Clone, Copy, Debug)]
-pub struct RawBytes;
+/// The [`SymbolIndex`] of raw-byte plans: a 256-entry byte → class map.
+/// Two bytes share a class, and so one match row, when every state of
+/// the plan accepts both or neither, so a plan stores one row per class
+/// its states tell apart instead of one per byte. Classes are numbered
+/// by their lowest byte.
+#[derive(Clone, Debug)]
+pub struct ByteClasses {
+    /// Byte → class row.
+    map: [u8; ALPHABET],
+    /// Number of classes (`1..=256`).
+    classes: u16,
+}
 
-impl SymbolIndex for RawBytes {
+impl ByteClasses {
+    /// The byte classes of `len` states, whose symbol classes
+    /// `state_classes` yields in state order, and their class-indexed
+    /// match table: row `c` holds every state accepting the bytes of
+    /// class `c`.
+    fn build(
+        len: usize,
+        state_classes: impl Iterator<Item = SymbolClass> + Clone,
+    ) -> (ByteClasses, Vec<BitSet>) {
+        // Split one block of all bytes by every state's class: two bytes
+        // stay together iff no state accepts one and not the other.
+        let mut blocks = vec![SymbolClass::FULL];
+        for class in state_classes.clone() {
+            for i in 0..blocks.len() {
+                let (inside, outside) = (blocks[i] & class, blocks[i] & !class);
+                if !inside.is_empty() && !outside.is_empty() {
+                    blocks[i] = inside;
+                    blocks.push(outside);
+                }
+            }
+        }
+        blocks.sort_by_key(SymbolClass::min_symbol);
+        let mut map = [0u8; ALPHABET];
+        for (row, block) in blocks.iter().enumerate() {
+            for byte in block.iter() {
+                map[byte as usize] = row as u8;
+            }
+        }
+        let mut table = vec![BitSet::new(len); blocks.len()];
+        for (state, class) in state_classes.enumerate() {
+            for byte in class.iter() {
+                table[map[byte as usize] as usize].insert(state);
+            }
+        }
+        let classes = blocks.len() as u16;
+        (ByteClasses { map, classes }, table)
+    }
+}
+
+impl SymbolIndex for ByteClasses {
     #[inline]
     fn row(&self, symbol: u8) -> usize {
-        symbol as usize
+        self.map[symbol as usize] as usize
     }
 
     fn num_rows(&self) -> usize {
-        ALPHABET
+        self.classes as usize
     }
 }
 
@@ -564,8 +617,9 @@ pub struct CompiledPlan<R> {
     rows: R,
 }
 
-/// The byte plan: rows indexed directly by the raw 8-bit symbol.
-pub type CompiledAutomaton = CompiledPlan<ByteRows<RawBytes>>;
+/// The byte plan: one row per byte class the states tell apart, indexed
+/// through the 8-bit symbol's [`ByteClasses`] class.
+pub type CompiledAutomaton = CompiledPlan<ByteRows<ByteClasses>>;
 
 /// The encoding-aware byte plan: rows indexed by the codes of an
 /// encoding codebook (CAMA's remapped input alphabet), built with
@@ -579,8 +633,9 @@ pub type CompiledEncodedAutomaton = CompiledPlan<ByteRows<Codebook>>;
 
 /// The 2-stride plan compiled from a [`StridedNfa`]: a state accepts
 /// the pair `(a, b)` when its first class contains `a` and its second
-/// class contains `b`, so the pair match vector is `first[a] & second[b]`.
-pub type CompiledStridedAutomaton = CompiledPlan<PairRows<RawBytes>>;
+/// class contains `b`, so the pair match vector is `first[a] & second[b]`,
+/// each half indexed through its own [`ByteClasses`].
+pub type CompiledStridedAutomaton = CompiledPlan<PairRows<ByteClasses>>;
 
 /// The encoding-aware 2-stride plan: each half of the pair datapath gets
 /// its own codebook, and a pair cycle ANDs the two halves' rows — the
@@ -591,18 +646,6 @@ pub type CompiledStridedAutomaton = CompiledPlan<PairRows<RawBytes>>;
 /// [`CodebookSpec`] per half; `cama_encoding::StridedEncoding::compile`
 /// is the canonical caller.
 pub type CompiledEncodedStridedAutomaton = CompiledPlan<PairRows<Codebook>>;
-
-/// The raw-byte match table of per-state classes: row `symbol` holds
-/// every state whose class contains it.
-fn class_table(len: usize, classes: impl Iterator<Item = SymbolClass>) -> Vec<BitSet> {
-    let mut table = vec![BitSet::new(len); ALPHABET];
-    for (state, class) in classes.enumerate() {
-        for symbol in class.iter() {
-            table[symbol as usize].insert(state);
-        }
-    }
-    table
-}
 
 impl<R> CompiledPlan<R> {
     /// The one body builder. `state(i, successors)` appends state `i`'s
@@ -850,8 +893,9 @@ impl CompiledAutomaton {
     /// Compiles `nfa` into its dense execution plan.
     pub fn compile(nfa: &Nfa) -> CompiledAutomaton {
         Self::of_nfa(nfa, |all_input| {
-            let table = class_table(nfa.len(), nfa.stes().iter().map(|s| s.class));
-            ByteRows::new(RawBytes, &table, all_input)
+            let (classes, table) =
+                ByteClasses::build(nfa.len(), nfa.stes().iter().map(|s| s.class));
+            ByteRows::new(classes, &table, all_input)
         })
     }
 }
@@ -914,10 +958,7 @@ impl CompiledStridedAutomaton {
     pub fn compile(nfa: &StridedNfa) -> CompiledStridedAutomaton {
         Self::of_strided(nfa, |all_input| {
             let half = |class: fn(&StridedSte) -> SymbolClass| {
-                (
-                    RawBytes,
-                    class_table(nfa.len(), nfa.states().iter().map(class)),
-                )
+                ByteClasses::build(nfa.len(), nfa.states().iter().map(class))
             };
             PairRows::new(half(|s| s.first), half(|s| s.second), all_input)
         })
@@ -1050,21 +1091,24 @@ impl Default for DfaBudget {
 /// and observers keep reading truthful state).
 ///
 /// Transition columns are indexed by *match row*
-/// ([`ExecutionPlan::row_of_symbol`]): raw bytes for byte plans, encoder
-/// codes for encoded plans, so an encoded component's table is
-/// `states × (num_codes + 1)`, not `states × 256`.
+/// ([`ExecutionPlan::row_of_symbol`]): byte classes for byte plans,
+/// encoder codes for encoded plans, so a byte component's table is
+/// `states × classes` and an encoded one's `states × (num_codes + 1)`,
+/// not `states × 256`.
 ///
 /// # Examples
 ///
 /// ```
-/// use cama_core::compiled::{CompiledAutomaton, CompiledDfa, DfaBudget};
+/// use cama_core::compiled::{CompiledAutomaton, CompiledDfa, DfaBudget, ExecutionPlan};
 /// use cama_core::regex;
 ///
 /// let nfa = regex::compile("ab+c")?;
 /// let plan = CompiledAutomaton::compile(&nfa);
 /// let dfa = CompiledDfa::determinize(&plan, &DfaBudget::default()).unwrap();
+/// // One column per byte class: `a`, `b`, `c` and every other byte.
+/// assert_eq!(dfa.alphabet(), 4);
 /// // State 0 is the empty active set; stepping is one table load.
-/// let after_a = dfa.next(0, u32::from(b'a'));
+/// let after_a = dfa.next(0, plan.row_of_symbol(b'a'));
 /// assert_eq!(dfa.members(after_a).len(), 1);
 /// # Ok::<(), cama_core::Error>(())
 /// ```
@@ -1298,8 +1342,9 @@ impl CompiledDfa {
         self.member_offsets.len() - 1
     }
 
-    /// Transition-table row width (256 for byte plans, `num_codes + 1`
-    /// for encoded plans).
+    /// Transition-table row width: the plan's
+    /// [`alphabet_rows`](ExecutionPlan::alphabet_rows) (its byte classes
+    /// for byte plans, `num_codes + 1` for encoded plans).
     pub fn alphabet(&self) -> usize {
         self.alphabet
     }
@@ -1311,16 +1356,37 @@ impl CompiledDfa {
     }
 
     /// One table load: the state after consuming a symbol whose match
-    /// row is `row`, from `state`, on any cycle after the first.
+    /// row ([`ExecutionPlan::row_of_symbol`], not the byte itself) is
+    /// `row`, from `state`, on any cycle after the first.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if `row` is not below
+    /// [`alphabet`](Self::alphabet); release builds may then read
+    /// another state's transitions.
     #[inline]
     pub fn next(&self, state: u32, row: u32) -> u32 {
+        debug_assert!(
+            (row as usize) < self.alphabet,
+            "match row {row} out of the DFA's {} columns",
+            self.alphabet
+        );
         self.next[state as usize * self.alphabet + row as usize]
     }
 
     /// The cycle-0 transition for match row `row` (start-of-data states
     /// inject only there). Only meaningful out of state 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not below [`alphabet`](Self::alphabet).
     #[inline]
     pub fn first(&self, row: u32) -> u32 {
+        debug_assert!(
+            (row as usize) < self.alphabet,
+            "match row {row} out of the DFA's {} columns",
+            self.alphabet
+        );
         self.first[row as usize]
     }
 
@@ -2012,23 +2078,114 @@ mod tests {
         }
     }
 
+    /// The 256 per-byte match columns of states accepting `classes`, one
+    /// per state: what a class-indexed row source must reproduce.
+    fn byte_columns(len: usize, classes: impl Iterator<Item = SymbolClass>) -> Vec<BitSet> {
+        let mut columns = vec![BitSet::new(len); ALPHABET];
+        for (state, class) in classes.enumerate() {
+            for byte in class.iter() {
+                columns[byte as usize].insert(state);
+            }
+        }
+        columns
+    }
+
+    /// Checks a byte-class index against the per-byte `columns` it
+    /// stands for: bytes share a row iff their columns are equal, rows
+    /// are numbered by lowest byte, and there are as many as there are
+    /// distinct columns.
+    fn check_classes(index: &ByteClasses, columns: &[BitSet], what: &str) {
+        let mut rows = 0;
+        for byte in 0..=255u8 {
+            let row = index.row(byte);
+            match (0..byte).find(|&lower| columns[lower as usize] == columns[byte as usize]) {
+                Some(lower) => assert_eq!(row, index.row(lower), "{what}: byte {byte}"),
+                None => {
+                    assert_eq!(row, rows, "{what}: byte {byte} opens the next class");
+                    rows += 1;
+                }
+            }
+        }
+        assert_eq!(index.num_rows(), rows, "{what}");
+    }
+
+    /// Byte-class automata: negated classes, `.`, single bytes, ranges,
+    /// the empty automaton, and 256 states each taking one distinct
+    /// byte (256 classes, so the map's top index is used).
+    fn class_automata() -> Vec<Nfa> {
+        let sets: [&[&str]; 6] = [
+            &["(a|b)e*cd+"],
+            &["[^a-c]x", "a.b"],
+            &[".", "q"],
+            &["[0-9]+[a-f]", r"[\x80-\xff]\x00", "z"],
+            &[r"x[^\n]*y", "[A-Z][a-z]+"],
+            &["abc"],
+        ];
+        let mut nfas: Vec<Nfa> = sets
+            .iter()
+            .map(|set| regex::compile_set(set).unwrap())
+            .collect();
+        nfas.push(NfaBuilder::new().build().unwrap());
+        let mut b = NfaBuilder::new();
+        for byte in 0..=255u8 {
+            let id = b.add_ste(SymbolClass::singleton(byte));
+            b.set_start(id, StartKind::AllInput);
+            b.set_report(id, byte.into());
+        }
+        nfas.push(b.build().unwrap());
+        nfas
+    }
+
     #[test]
     fn match_table_covers_all_states() {
-        let nfa = regex::compile("(a|b)e*cd+").unwrap();
-        let plan = CompiledAutomaton::compile(&nfa);
-        for symbol in 0..=255u8 {
-            let expected: Vec<usize> = nfa
-                .stes()
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.class.contains(symbol))
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(
-                plan.match_vector(symbol).iter().collect::<Vec<_>>(),
-                expected,
-                "symbol {symbol}"
-            );
+        for nfa in class_automata() {
+            let plan = CompiledAutomaton::compile(&nfa);
+            let columns = byte_columns(nfa.len(), nfa.stes().iter().map(|s| s.class));
+            check_classes(&plan.rows.index, &columns, "byte plan");
+            for byte in 0..=255u8 {
+                assert_eq!(
+                    plan.match_vector(byte),
+                    columns[byte as usize],
+                    "byte {byte}"
+                );
+                let mut starts = columns[byte as usize].clone();
+                starts.intersect_with(plan.all_input_mask());
+                assert_eq!(plan.start_match(byte), starts, "byte {byte}");
+            }
+            // One stored row per class, not per byte.
+            let k = plan.alphabet_rows();
+            let words = nfa.len().div_ceil(64);
+            assert_eq!(plan.rows.matches.data.len(), k * words);
+            assert_eq!(plan.rows.starts.data.len(), k * words);
+            if nfa.len() == ALPHABET {
+                assert_eq!((k, plan.row_of_symbol(255)), (ALPHABET, 255));
+            }
+        }
+    }
+
+    #[test]
+    fn strided_byte_class_rows_equal_per_byte_columns_per_half() {
+        for nfa in class_automata() {
+            let strided = StridedNfa::from_nfa(&nfa);
+            let plan = CompiledStridedAutomaton::compile(&strided);
+            let rows = &plan.rows;
+            let first = byte_columns(strided.len(), strided.states().iter().map(|s| s.first));
+            let second = byte_columns(strided.len(), strided.states().iter().map(|s| s.second));
+            check_classes(&rows.first_index, &first, "first half");
+            check_classes(&rows.second_index, &second, "second half");
+            for byte in 0..=255u8 {
+                let b = byte as usize;
+                assert_eq!(plan.first_vector(byte), first[b], "first, byte {byte}");
+                assert_eq!(plan.second_vector(byte), second[b], "second, byte {byte}");
+                let mut starts = first[b].clone();
+                starts.intersect_with(plan.all_input_mask());
+                assert_eq!(StridedPlan::first_start_match(&plan, byte), starts);
+            }
+            let words = strided.len().div_ceil(64);
+            let (k1, k2) = (rows.first_index.num_rows(), rows.second_index.num_rows());
+            assert_eq!(rows.first.data.len(), k1 * words);
+            assert_eq!(rows.first_starts.data.len(), k1 * words);
+            assert_eq!(rows.second.data.len(), k2 * words);
         }
     }
 
@@ -2762,6 +2919,62 @@ mod tests {
         assert_eq!(reserved, encoded.num_codes() as u32);
         assert_eq!(dfa.next(0, reserved), 0);
         assert_eq!(dfa.first(reserved), 0);
+    }
+
+    #[test]
+    fn determinize_byte_plan_has_one_column_per_class_in_per_byte_order() {
+        // The per-byte construction: an identity codebook over every
+        // byte gives one column per byte (plus an unreachable reserved
+        // row).
+        let full: Vec<u8> = (0u8..=255).collect();
+        for pattern in ["(a|b)e*cd+", "[^a]b", "x[0-9]+.y", "ab+c"] {
+            let nfa = regex::compile(pattern).unwrap();
+            let plan = CompiledAutomaton::compile(&nfa);
+            let dfa = CompiledDfa::determinize(&plan, &DfaBudget::default()).unwrap();
+            assert_eq!(dfa.alphabet(), plan.alphabet_rows(), "{pattern}");
+            assert!(dfa.alphabet() < 16, "{pattern}: {} columns", dfa.alphabet());
+            assert_eq!(
+                dfa.table_bytes(),
+                (dfa.num_states() + 1) * dfa.alphabet() * 4
+            );
+            // Classes numbered by lowest byte intern the same states in
+            // the same order as the per-byte construction.
+            let per_byte = identity_encoded(&nfa, &full);
+            let wide = CompiledDfa::determinize(&per_byte, &DfaBudget::default()).unwrap();
+            assert_eq!(wide.alphabet(), 257);
+            assert_eq!(dfa.num_states(), wide.num_states(), "{pattern}");
+            for byte in 0..=255u8 {
+                let (row, column) = (plan.row_of_symbol(byte), u32::from(byte));
+                assert_eq!(dfa.first(row), wide.first(column), "{pattern}");
+                for state in 0..dfa.num_states() as u32 {
+                    assert_eq!(dfa.members(state), wide.members(state), "{pattern}");
+                    assert_eq!(dfa.next(state, row), wide.next(state, column));
+                }
+            }
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "out of the DFA's")]
+    fn dfa_next_rejects_a_row_beyond_its_columns() {
+        let nfa = regex::compile("ab+c").unwrap();
+        let plan = CompiledAutomaton::compile(&nfa);
+        let dfa = CompiledDfa::determinize(&plan, &DfaBudget::default()).unwrap();
+        // Row `alphabet` of state 0 is column 0 of state 1 in the flat
+        // table: only the row check catches it.
+        assert!(dfa.num_states() > 1);
+        dfa.next(0, dfa.alphabet() as u32);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "out of the DFA's")]
+    fn dfa_first_rejects_a_row_beyond_its_columns() {
+        let nfa = regex::compile("ab+c").unwrap();
+        let plan = CompiledAutomaton::compile(&nfa);
+        let dfa = CompiledDfa::determinize(&plan, &DfaBudget::default()).unwrap();
+        dfa.first(u32::from(b'a'));
     }
 
     #[test]

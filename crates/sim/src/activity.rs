@@ -84,8 +84,9 @@ pub struct DfaShardCycleView<'a> {
     pub dfa_state: u32,
     /// Total states in the shard's DFA (table rows).
     pub dfa_states: usize,
-    /// Transition-table row count per state (256 for byte plans, the
-    /// codebook size for encoded plans).
+    /// Transition-table row count per state: the plan's match rows (its
+    /// byte classes for byte plans, the codebook size plus the reserved
+    /// row for encoded plans).
     pub alphabet: usize,
 }
 

@@ -3,8 +3,8 @@
 //! Per cycle (one input symbol), exactly the two steps of Figure 1:
 //!
 //! 1. **State matching** — the set of STEs whose class contains the
-//!    symbol. The compiled plan precomputes a full 256-entry symbol →
-//!    match-vector table, so this is one table lookup.
+//!    symbol. The compiled plan precomputes a 256-entry symbol → row
+//!    map and one match vector per row, so this is two table lookups.
 //! 2. **State transition** — `active = matched ∧ enabled`, word-level
 //!    (64 states per operation); report active reporting STEs through
 //!    the packed report table; the next enable vector is the union of
