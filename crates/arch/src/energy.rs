@@ -541,8 +541,9 @@ impl<'a> EnergyObserver<'a> {
 /// ([`compile_hybrid_ruleset`](cama_core::compile::compile_hybrid_ruleset)).
 ///
 /// The partition-level [`EnergyObserver`] is execution-style agnostic:
-/// the DFA kernel writes the same activity bits the NFA kernel would,
-/// so it charges hybrid runs identically to pure-NFA runs.
+/// a DFA shard-cycle's view lends the same activity ids the NFA
+/// kernel's bit sets would hold, so it charges hybrid runs identically
+/// to pure-NFA runs.
 /// `HybridShardEnergy` instead charges what the engine *did* per
 /// visited shard-cycle:
 ///

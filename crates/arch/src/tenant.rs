@@ -43,7 +43,7 @@ use crate::report::{serve_design, ServingReport};
 use cama_core::Nfa;
 use cama_encoding::EncodingPlan;
 use cama_sim::control::TenantId;
-use cama_sim::{ShardCycleSummary, ShardCycleView, ShardObserver};
+use cama_sim::{LocalSet, ShardCycleSummary, ShardCycleView, ShardObserver};
 
 /// One tenant's slice of a serving run's architectural activity.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -183,10 +183,18 @@ impl<'a> TenantAccountant<'a> {
     }
 }
 
-/// Nonzero 64-bit words of a bit set — active words at observation
-/// granularity.
-fn active_words(bits: &cama_core::bitset::BitSet) -> u64 {
-    bits.as_words().iter().filter(|&&w| w != 0).count() as u64
+/// The 64-state words an ascending set of local ids touches — active
+/// words at observation granularity.
+fn active_words(set: LocalSet<'_>) -> u64 {
+    let mut words = 0;
+    let mut last = usize::MAX;
+    for local in set.iter() {
+        if local / 64 != last {
+            last = local / 64;
+            words += 1;
+        }
+    }
+    words
 }
 
 impl ShardObserver for TenantAccountant<'_> {

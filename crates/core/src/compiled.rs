@@ -1086,9 +1086,9 @@ impl Default for DfaBudget {
 /// precomputed member list (the active set — activity accounting),
 /// report list (reporting members with codes — emitted verbatim, so
 /// hybrid reports are bit-identical to NFA stepping), and dynamic list
-/// (`succ(S)`, the enable set the *next* cycle sees — what the engine
-/// writes through to its lane bitsets so suspend/resume, idle probes,
-/// and observers keep reading truthful state).
+/// (`succ(S)`, the enable set the *next* cycle sees). A lane stepping
+/// the DFA holds only its state id: liveness, suspend and the
+/// observers' enable and active sets are read from these lists.
 ///
 /// Transition columns are indexed by *match row*
 /// ([`ExecutionPlan::row_of_symbol`]): byte classes for byte plans,
@@ -1133,29 +1133,13 @@ pub struct CompiledDfa {
     /// cycle's enable vector contains.
     dynamic_offsets: Vec<u32>,
     dynamics: Vec<u32>,
-    /// Sorted dynamic set → first constructed state with that `succ`
-    /// set. Two states with equal `succ` sets are forward-equivalent
-    /// (their own members/reports were already emitted), which is all a
-    /// resumed suspended flow needs.
-    resume: std::collections::HashMap<Vec<u32>, u32>,
-    /// 64-state words spanned by the component (`ceil(len / 64)`).
-    words: usize,
-    /// Word-occupancy summary words (`ceil(words / 64)`).
-    any_words: usize,
-    /// Per-state packed active-set bits, `num_states × words` — the
-    /// write-through fast path ORs these into the lane instead of
-    /// looping over members, so a dense active set costs O(words), not
-    /// O(states), per cycle.
-    active_bits: Vec<u64>,
-    /// Per-state occupancy summaries for `active_bits`,
-    /// `num_states × any_words` (bit `w % 64` of summary word `w / 64`
-    /// set iff active word `w` is non-zero).
-    active_any: Vec<u64>,
-    /// Per-state packed `succ(S)` bits, `num_states × words` — the
-    /// next-cycle enable words the engine writes through to its lane.
-    dynamic_bits: Vec<u64>,
-    /// Occupancy summaries for `dynamic_bits`.
-    dynamic_any: Vec<u64>,
+    /// One state per distinct `succ` set — the first constructed — in
+    /// ascending order of that set, for
+    /// [`resume_state`](Self::resume_state)'s binary search. Two states
+    /// with equal `succ` sets are forward-equivalent (their own
+    /// members/reports were already emitted), which is all a resumed
+    /// suspended flow needs.
+    resume_order: Vec<u32>,
 }
 
 impl CompiledDfa {
@@ -1246,7 +1230,6 @@ impl CompiledDfa {
         let mut report_codes = Vec::new();
         let mut dynamic_offsets = vec![0u32];
         let mut dynamics_flat = Vec::new();
-        let mut resume: std::collections::HashMap<Vec<u32>, u32> = std::collections::HashMap::new();
 
         let mut s = 0usize;
         while s < states.len() {
@@ -1278,45 +1261,12 @@ impl CompiledDfa {
             }
             member_offsets.push(members_flat.len() as u32);
             report_offsets.push(report_locals.len() as u32);
-            let dyn_set = set_of(&succ);
-            resume.entry(dyn_set.clone()).or_insert(s as u32);
-            dynamics_flat.extend_from_slice(&dyn_set);
+            dynamics_flat.extend(set_of(&succ));
             dynamic_offsets.push(dynamics_flat.len() as u32);
             s += 1;
         }
 
-        // Packed word bitmaps per state, so the engine's write-through
-        // is a word-level OR-copy rather than a per-member loop.
-        let any_words = words.div_ceil(64).max(1);
-        let num_states = member_offsets.len() - 1;
-        let mut active_bits = vec![0u64; num_states * words];
-        let mut active_any = vec![0u64; num_states * any_words];
-        let mut dynamic_bits = vec![0u64; num_states * words];
-        let mut dynamic_any = vec![0u64; num_states * any_words];
-        let pack = |flat: &[u32], offsets: &[u32], bits: &mut [u64], any: &mut [u64]| {
-            for state in 0..num_states {
-                let span = offsets[state] as usize..offsets[state + 1] as usize;
-                for &local in &flat[span] {
-                    let w = local as usize / 64;
-                    bits[state * words + w] |= 1u64 << (local % 64);
-                    any[state * any_words + w / 64] |= 1u64 << (w % 64);
-                }
-            }
-        };
-        pack(
-            &members_flat,
-            &member_offsets,
-            &mut active_bits,
-            &mut active_any,
-        );
-        pack(
-            &dynamics_flat,
-            &dynamic_offsets,
-            &mut dynamic_bits,
-            &mut dynamic_any,
-        );
-
-        Some(CompiledDfa {
+        let mut dfa = CompiledDfa {
             alphabet: rows,
             next,
             first,
@@ -1327,14 +1277,15 @@ impl CompiledDfa {
             report_codes,
             dynamic_offsets,
             dynamics: dynamics_flat,
-            resume,
-            words,
-            any_words,
-            active_bits,
-            active_any,
-            dynamic_bits,
-            dynamic_any,
-        })
+            resume_order: Vec::new(),
+        };
+        // A stable sort keeps equal sets in construction order, so the
+        // dedup keeps each set's first constructed state.
+        let mut order: Vec<u32> = (0..dfa.num_states() as u32).collect();
+        order.sort_by(|&a, &b| dfa.dynamics(a).cmp(dfa.dynamics(b)));
+        order.dedup_by(|later, first| dfa.dynamics(*later) == dfa.dynamics(*first));
+        dfa.resume_order = order;
+        Some(dfa)
     }
 
     /// Number of subset states (state 0 is the empty active set).
@@ -1407,44 +1358,27 @@ impl CompiledDfa {
     }
 
     /// `succ(state)`: the sorted dynamic set the next cycle's enable
-    /// vector contains — what the engine writes through to its lane.
+    /// vector contains. A lane in `state` is live exactly when this is
+    /// non-empty.
     #[inline]
     pub fn dynamics(&self, state: u32) -> &[u32] {
         let s = state as usize;
         &self.dynamics[self.dynamic_offsets[s] as usize..self.dynamic_offsets[s + 1] as usize]
     }
 
-    /// The active set of `state` as packed 64-state words plus its
-    /// occupancy summary (`bits`, `any`) — OR these into a lane's
-    /// active words/summary for an O(words) write-through.
-    #[inline]
-    pub fn active_words(&self, state: u32) -> (&[u64], &[u64]) {
-        let s = state as usize;
-        (
-            &self.active_bits[s * self.words..(s + 1) * self.words],
-            &self.active_any[s * self.any_words..(s + 1) * self.any_words],
-        )
-    }
-
-    /// `succ(state)` as packed words plus occupancy summary — the
-    /// next-cycle enable words a lane's write-through ORs in.
-    #[inline]
-    pub fn dynamic_words(&self, state: u32) -> (&[u64], &[u64]) {
-        let s = state as usize;
-        (
-            &self.dynamic_bits[s * self.words..(s + 1) * self.words],
-            &self.dynamic_any[s * self.any_words..(s + 1) * self.any_words],
-        )
-    }
-
     /// The state a suspended flow resumes into, given its sorted dynamic
-    /// set — some state whose `succ` set equals it (forward-equivalent:
-    /// everything the flow can still do depends only on the dynamic
-    /// set). `None` if no constructed state has that `succ` set (e.g.
-    /// the snapshot came from a different plan); the caller falls back
-    /// to NFA stepping for the lane.
+    /// set: the first constructed state whose `succ` set equals it
+    /// (forward-equivalent: everything the flow can still do depends
+    /// only on the dynamic set). `None` if no constructed state has that
+    /// `succ` set (e.g. the snapshot came from a different plan); the
+    /// caller falls back to NFA stepping for the lane.
     pub fn resume_state(&self, dynamics: &[u32]) -> Option<u32> {
-        self.resume.get(dynamics).copied()
+        let order = &self.resume_order;
+        let at = order.partition_point(|&state| self.dynamics(state) < dynamics);
+        order
+            .get(at)
+            .copied()
+            .filter(|&state| self.dynamics(state) == dynamics)
     }
 }
 
@@ -2999,5 +2933,26 @@ mod tests {
         // reachable `succ` set and such a snapshot must fall back to
         // NFA stepping.
         assert_eq!(dfa.resume_state(&[0]), None);
+    }
+
+    #[test]
+    fn resume_state_picks_the_first_constructed_of_equal_sets() {
+        // `a` and `b` both lead to `c`, so the states {a} and {b} share
+        // the dynamic set {c}.
+        let nfa = regex::compile("(a|b)c").unwrap();
+        let plan = CompiledAutomaton::compile(&nfa);
+        let dfa = CompiledDfa::determinize(&plan, &DfaBudget::default()).unwrap();
+        let c = (0..nfa.len() as u32)
+            .find(|&s| nfa.ste(SteId(s)).class.contains(b'c'))
+            .unwrap();
+        let sharing: Vec<u32> = (0..dfa.num_states() as u32)
+            .filter(|&state| dfa.dynamics(state) == [c])
+            .collect();
+        assert!(sharing.len() >= 2, "{sharing:?}");
+        assert_eq!(dfa.resume_state(&[c]), Some(sharing[0]));
+        // Absent sets: below, between and above every constructed one.
+        assert_eq!(dfa.resume_state(&[0, c]), None);
+        assert_eq!(dfa.resume_state(&[u32::MAX]), None);
+        assert_eq!(dfa.resume_state(&[]), Some(0));
     }
 }

@@ -42,7 +42,9 @@ pub fn match_ends(ast: &Ast, input: &[u8], start: usize) -> BTreeSet<usize> {
             .flat_map(|child| match_ends(child, input, start))
             .collect(),
         Ast::Star(inner) => closure_ends(inner, input, start, true),
-        Ast::Plus(inner) => closure_ends(inner, input, start, false),
+        // A nullable body can iterate once over nothing, so `+` then
+        // matches empty too.
+        Ast::Plus(inner) => closure_ends(inner, input, start, inner.is_nullable()),
         Ast::Optional(inner) => {
             let mut ends = match_ends(inner, input, start);
             ends.insert(start);
@@ -158,6 +160,16 @@ mod tests {
         assert_eq!(scan_report_offsets(&ast, b"beecdd"), vec![4, 5]);
         assert_eq!(scan_report_offsets(&ast, b"acd"), vec![2]);
         assert!(scan_report_offsets(&ast, b"aed").is_empty());
+    }
+
+    #[test]
+    fn plus_over_a_nullable_body_matches_empty() {
+        let ast = parse("x(b*)+").unwrap();
+        assert_eq!(scan_report_offsets(&ast, b"x"), vec![0]);
+        assert_eq!(scan_report_offsets(&ast, b"xbb"), vec![0, 1, 2]);
+        let ast = parse("x(b?)+y").unwrap();
+        assert_eq!(scan_report_offsets(&ast, b"xy"), vec![1]);
+        assert_eq!(scan_report_offsets(&ast, b"xbby"), vec![3]);
     }
 
     #[test]

@@ -17,10 +17,60 @@ use cama_core::bitset::BitSet;
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullObserver;
 
+/// A borrowed set of one shard's **local** state ids, as a
+/// [`ShardCycleView`] lends it: the NFA kernels' bit set, or a DFA
+/// state's precomputed id list. Either way [`iter`](LocalSet::iter)
+/// yields the ids in ascending order.
+#[derive(Clone, Copy, Debug)]
+pub enum LocalSet<'a> {
+    /// A bit set over the shard's local state space.
+    Bits(&'a BitSet),
+    /// Ascending, distinct local ids.
+    Sorted(&'a [u32]),
+}
+
+impl<'a> LocalSet<'a> {
+    /// The local ids, ascending.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = usize> + 'a {
+        match *self {
+            LocalSet::Bits(bits) => LocalIter::Bits(bits.iter()),
+            LocalSet::Sorted(ids) => LocalIter::Sorted(ids.iter()),
+        }
+    }
+
+    /// How many ids the set holds.
+    #[inline]
+    pub fn count(&self) -> usize {
+        match *self {
+            LocalSet::Bits(bits) => bits.count(),
+            LocalSet::Sorted(ids) => ids.len(),
+        }
+    }
+}
+
+/// [`LocalSet::iter`]'s iterator.
+enum LocalIter<'a> {
+    Bits(cama_core::bitset::Iter<'a>),
+    Sorted(std::slice::Iter<'a, u32>),
+}
+
+impl Iterator for LocalIter<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            LocalIter::Bits(bits) => bits.next(),
+            LocalIter::Sorted(ids) => ids.next().map(|&id| id as usize),
+        }
+    }
+}
+
 /// A read-only view of one *visited shard's* cycle, valid only during
 /// the [`ShardObserver::on_shard_cycle`] call.
 ///
-/// Bit sets are in the shard's **local** state space; translate a local
+/// Sets are in the shard's **local** state space; translate a local
 /// index through [`global_state`](ShardCycleView::global_state) to
 /// recover the global state id. Shards the engine skipped (nothing
 /// enabled — the powered-down arrays) produce no view at all, which is
@@ -38,14 +88,18 @@ pub struct ShardCycleView<'a> {
     /// Local index → global state id; `None` when they coincide (a flat
     /// lane).
     pub(crate) globals: Option<&'a [u32]>,
+    /// States in the shard's local state space.
+    pub(crate) states: usize,
     /// Dynamically enabled local states (last cycle's Next Vector;
     /// excludes the statically always-enabled `all-input` start states,
     /// which the hardware models account for separately since they
-    /// never toggle).
-    pub dynamic_enabled: &'a BitSet,
+    /// never toggle). A DFA-stepped shard lends the dynamic set of the
+    /// state it held before this cycle's step.
+    pub dynamic_enabled: LocalSet<'a>,
     /// Local states that matched *and* were enabled this cycle — the
-    /// states that access the transition switches.
-    pub active: &'a BitSet,
+    /// states that access the transition switches. A DFA-stepped shard
+    /// lends the members of the state it landed in.
+    pub active: LocalSet<'a>,
     /// Reports emitted by this shard this cycle.
     pub reports: usize,
 }
@@ -60,7 +114,7 @@ impl ShardCycleView<'_> {
 
     /// States in the shard (its local state space).
     pub fn num_states(&self) -> usize {
-        self.dynamic_enabled.len()
+        self.states
     }
 }
 
@@ -71,10 +125,10 @@ impl ShardCycleView<'_> {
 /// row instead of the word-sliced NFA kernel, so an energy model may
 /// want to charge them differently (one row search of the transition
 /// table rather than per-state CAM activity). The embedded
-/// [`ShardCycleView`] is fully populated — the DFA kernel writes the
-/// same active/next bit sets the NFA kernel would — so observers that
-/// don't care about the execution style can ignore this hook entirely:
-/// the default forwards to
+/// [`ShardCycleView`] is fully populated — it lends the DFA states'
+/// precomputed lists, which hold exactly the ids the NFA kernel's bit
+/// sets would — so observers that don't care about the execution style
+/// can ignore this hook entirely: the default forwards to
 /// [`on_shard_cycle`](ShardObserver::on_shard_cycle).
 #[derive(Debug)]
 pub struct DfaShardCycleView<'a> {

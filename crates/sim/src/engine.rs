@@ -24,9 +24,9 @@
 //! is the one owning engine over any [`StreamPlan`]; [`Simulator`] and
 //! the other simulators are its aliases.
 
-use crate::activity::{ShardCycleSummary, ShardCycleView, ShardObserver};
+use crate::activity::{LocalSet, ShardCycleSummary, ShardCycleView, ShardObserver};
 use crate::batch::StreamPlan;
-use crate::lane::{CycleStep, FlatContext, ShardLane};
+use crate::lane::{CycleStep, FlatContext, NfaLane};
 use crate::session::{AutomataEngine, FlowSession, Session, SuspendedFlow};
 use crate::sharded::ShardedExecution;
 use cama_core::compiled::CompiledAutomaton;
@@ -69,7 +69,7 @@ pub use crate::result::{Report, RunResult};
 #[derive(Clone, Debug)]
 pub struct FlatSession<'p, P = CompiledAutomaton> {
     plan: &'p P,
-    pub(crate) lane: ShardLane,
+    pub(crate) lane: NfaLane,
     cycle: usize,
     /// Strided plans: first byte of a pair whose second byte has not
     /// arrived yet.
@@ -91,7 +91,7 @@ impl<'p, P: ShardedExecution> FlatSession<'p, P> {
     pub fn new(plan: &'p P) -> Self {
         FlatSession {
             plan,
-            lane: ShardLane::new(plan.len(), false),
+            lane: NfaLane::new(plan.len()),
             cycle: 0,
             carry: None,
             fed: 0,
@@ -110,7 +110,7 @@ impl<'p, P: ShardedExecution> FlatSession<'p, P> {
     /// and the lane advance.
     fn step(&mut self, step: CycleStep, observer: &mut impl ShardObserver) {
         let context = &mut FlatContext(&mut self.result.reports);
-        let out = P::step_lane(self.plan, None, &mut self.lane, step, self.cycle, context);
+        let out = P::step_lane(self.plan, &mut self.lane, step, self.cycle, context);
         self.words_visited += out.words;
         self.result
             .activity
@@ -120,8 +120,9 @@ impl<'p, P: ShardedExecution> FlatSession<'p, P> {
             symbol: step.a,
             shard: 0,
             globals: None,
-            dynamic_enabled: &self.lane.dynamic,
-            active: &self.lane.active,
+            states: self.plan.len(),
+            dynamic_enabled: LocalSet::Bits(&self.lane.dynamic),
+            active: LocalSet::Bits(&self.lane.active),
             reports: out.reports,
         });
         observer.on_cycle_end(&ShardCycleSummary {
@@ -371,6 +372,24 @@ mod tests {
                     String::from_utf8_lossy(input)
                 );
             }
+        }
+    }
+
+    /// `+` over a body that matches empty: one empty iteration is a
+    /// match, so the engine and the oracle both report it.
+    #[test]
+    fn agrees_with_reference_on_plus_over_a_nullable_body() {
+        for (pattern, input, expect) in
+            [("x(b*)+", &b"x"[..], vec![0]), ("x(b?)+y", b"xy", vec![1])]
+        {
+            let ast = regex::parse(pattern).unwrap();
+            let nfa = regex::compile(pattern).unwrap();
+            assert_eq!(
+                reference::scan_report_offsets(&ast, input),
+                expect,
+                "{pattern}"
+            );
+            assert_eq!(offsets(&nfa, input), expect, "{pattern}");
         }
     }
 

@@ -12,7 +12,7 @@
 //! all three engine flavours through the same streaming [`Session`]
 //! interface.
 
-use crate::activity::{NullObserver, ShardCycleSummary, ShardCycleView, ShardObserver};
+use crate::activity::{LocalSet, NullObserver, ShardCycleSummary, ShardCycleView, ShardObserver};
 use crate::result::{Report, RunResult};
 use crate::session::{AutomataEngine, Session};
 use cama_core::bitset::BitSet;
@@ -173,8 +173,9 @@ impl InterpSession<'_> {
             symbol,
             shard: 0,
             globals: None,
-            dynamic_enabled: &self.dynamic,
-            active: &self.active,
+            states: self.dynamic.len(),
+            dynamic_enabled: LocalSet::Bits(&self.dynamic),
+            active: LocalSet::Bits(&self.active),
             reports: reports_this_cycle,
         });
         observer.on_cycle_end(&ShardCycleSummary {

@@ -1,20 +1,23 @@
-//! The stepping core: one lane of enable/active vectors and the
-//! per-cycle kernels that step it.
+//! The stepping core: the per-stream lanes and the per-cycle kernels
+//! that step them.
 //!
 //! Every engine in this crate runs the two steps of Figure 1 per input
 //! symbol, per CAM array: *state matching* (which states accept the
 //! symbol) then *state transition* (`active = matched ∧ enabled`,
-//! reports, next enable vector). A [`ShardLane`] is one array's
-//! per-stream half of that loop, and the kernels here are the only code
-//! that steps one:
+//! reports, next enable vector). An [`NfaLane`] is one array's
+//! per-stream half of that loop — enable/active vectors — and a
+//! [`ShardLane`] is a sharded session's per-shard lane: a determinized
+//! shard's DFA state, or an `NfaLane`. The kernels here are the only
+//! code that steps one:
 //!
 //! * [`step_shard_byte`] — one symbol per cycle on an
 //!   [`ExecutionPlan`] (raw-byte or encoded rows);
 //! * [`step_shard_pair`] — one symbol pair per cycle on a
 //!   [`StridedPlan`], with [`step_pair_naive`] as its
 //!   precharge-every-word baseline;
-//! * [`step_shard_dfa`] — the hybrid fast path: one dense-table lookup
-//!   per cycle on a determinized component.
+//! * [`step_shard_dfa`] — the hybrid fast path: one dense-table load
+//!   per cycle on a determinized component, then the landed state's
+//!   reports and heat.
 //!
 //! The selective kernels visit only the 64-state words that can be
 //! active this cycle — the intersection of the plan's per-symbol match
@@ -67,17 +70,17 @@ pub(crate) fn popcount_dirty(words: &[u64], summary: &[u64]) -> usize {
     count
 }
 
-/// One simulated CAM array's mutable half of a stream: local
-/// enable/active vectors plus their one-bit-per-word summaries (kept in
-/// lockstep so clears and scans only touch dirty words), and the lane's
-/// stepping mode.
+/// One simulated CAM array's mutable half of a stream under the NFA
+/// kernels: local enable/active vectors plus their one-bit-per-word
+/// summaries (kept in lockstep so clears and scans only touch dirty
+/// words).
 ///
 /// Public only because it appears in the `#[doc(hidden)]` hooks of
 /// [`ShardedExecution`](crate::ShardedExecution); not part of the
 /// supported API.
 #[doc(hidden)]
 #[derive(Clone, Debug)]
-pub struct ShardLane {
+pub struct NfaLane {
     pub(crate) dynamic: BitSet,
     pub(crate) next: BitSet,
     pub(crate) active: BitSet,
@@ -87,24 +90,16 @@ pub struct ShardLane {
     /// Popcount of `dynamic`, maintained at the cycle-end advance so
     /// per-cycle accounting never re-counts the vector.
     pub(crate) num_dynamic: usize,
-    /// The shard ships a [`CompiledDfa`]. Fixed at construction.
-    pub(crate) dfa_capable: bool,
-    /// Step this lane through the DFA table this cycle. Starts equal to
-    /// `dfa_capable`; resume clears it (NFA fallback) when a restored
-    /// dynamic set has no corresponding DFA state.
-    pub(crate) is_dfa: bool,
-    /// Current DFA state (0 = empty set) when `is_dfa`.
-    pub(crate) dfa_state: u32,
     /// Pair lanes: step with [`step_pair_naive`] (every word
     /// precharged) instead of selective visitation. A session setting,
     /// so it survives resets.
     pub(crate) precharge_all: bool,
 }
 
-impl ShardLane {
-    pub(crate) fn new(len: usize, dfa_capable: bool) -> ShardLane {
+impl NfaLane {
+    pub(crate) fn new(len: usize) -> NfaLane {
         let summary_words = len.div_ceil(64).div_ceil(64);
-        ShardLane {
+        NfaLane {
             dynamic: BitSet::new(len),
             next: BitSet::new(len),
             active: BitSet::new(len),
@@ -112,15 +107,12 @@ impl ShardLane {
             next_any: vec![0; summary_words],
             active_any: vec![0; summary_words],
             num_dynamic: 0,
-            dfa_capable,
-            is_dfa: dfa_capable,
-            dfa_state: 0,
             precharge_all: false,
         }
     }
 
     /// Restores power-on state, keeping capacity and the stepping
-    /// settings.
+    /// setting.
     pub(crate) fn reset(&mut self) {
         self.dynamic.clear();
         self.next.clear();
@@ -129,8 +121,6 @@ impl ShardLane {
         self.next_any.iter_mut().for_each(|w| *w = 0);
         self.active_any.iter_mut().for_each(|w| *w = 0);
         self.num_dynamic = 0;
-        self.is_dfa = self.dfa_capable;
-        self.dfa_state = 0;
     }
 
     #[inline]
@@ -163,20 +153,80 @@ impl ShardLane {
     /// Cycle end: next becomes dynamic; the old dynamic storage is
     /// sparse-cleared and becomes next cycle's scratch. Returns whether
     /// the lane stays live (its new dynamic set is non-empty).
-    ///
-    /// A lane that goes idle also drops to DFA state 0: its state's
-    /// successor set is empty, so it steps exactly like the empty state,
-    /// and an idle lane then needs no reset.
     #[inline]
     pub(crate) fn advance(&mut self) -> bool {
         std::mem::swap(&mut self.dynamic, &mut self.next);
         std::mem::swap(&mut self.dynamic_any, &mut self.next_any);
         sparse_clear(self.next.as_words_mut(), &mut self.next_any);
         self.recount();
-        if self.num_dynamic == 0 {
-            self.dfa_state = 0;
-        }
         self.num_dynamic != 0
+    }
+}
+
+/// One shard's lane in a sharded session (16 bytes).
+///
+/// A shard that ships a [`CompiledDfa`] holds only its DFA state: its
+/// dynamic and active sets are the state's precomputed lists, so it
+/// owns no vector. Only an NFA shard, or a DFA-capable lane that
+/// `resume` could not map onto a DFA state (NFA fallback, until the
+/// session resets), boxes an [`NfaLane`].
+#[derive(Clone, Debug)]
+pub(crate) enum ShardLane {
+    /// The DFA state (0 = the empty set). The cycle stores a landed
+    /// state with an empty dynamic set as 0 — it steps exactly like the
+    /// empty state, since a transition reads only the dynamic set — so
+    /// the lane is live exactly when its state is not 0.
+    Dfa(u32),
+    /// Stepped by the NFA kernels.
+    Nfa(Box<NfaLane>),
+}
+
+impl ShardLane {
+    /// A power-on lane over `len` local states: DFA state 0 for a
+    /// shard with a DFA, an NFA lane otherwise.
+    pub(crate) fn new(len: usize, dfa_capable: bool) -> ShardLane {
+        if dfa_capable {
+            ShardLane::Dfa(0)
+        } else {
+            ShardLane::Nfa(Box::new(NfaLane::new(len)))
+        }
+    }
+
+    /// Whether the lane holds dynamically enabled state.
+    #[inline]
+    pub(crate) fn is_live(&self) -> bool {
+        match self {
+            ShardLane::Dfa(state) => *state != 0,
+            ShardLane::Nfa(lane) => !lane.dynamic_is_empty(),
+        }
+    }
+
+    /// Restores power-on state, keeping an NFA lane's capacity.
+    pub(crate) fn reset(&mut self) {
+        match self {
+            ShardLane::Dfa(state) => *state = 0,
+            ShardLane::Nfa(lane) => lane.reset(),
+        }
+    }
+
+    /// Applies a cross-shard activation. Only NFA shards receive them:
+    /// DFAs are attached to shards without cross-shard edges.
+    #[inline]
+    pub(crate) fn activate(&mut self, local: usize) {
+        match self {
+            ShardLane::Nfa(lane) => lane.activate(local),
+            ShardLane::Dfa(_) => unreachable!("a DFA shard has no cross-shard edges"),
+        }
+    }
+
+    /// Cycle end; returns whether the lane stays live. A DFA lane's
+    /// state was already settled by its step.
+    #[inline]
+    pub(crate) fn advance(&mut self) -> bool {
+        match self {
+            ShardLane::Dfa(state) => *state != 0,
+            ShardLane::Nfa(lane) => lane.advance(),
+        }
     }
 }
 
@@ -271,7 +321,7 @@ fn or_active(
 #[inline(always)]
 fn transition<P: PlanBase>(
     plan: &P,
-    lane: &mut ShardLane,
+    lane: &mut NfaLane,
     ctx: &mut impl LaneContext,
     report_of: impl Fn(usize) -> Option<(u32, usize)>,
 ) -> (usize, usize) {
@@ -322,7 +372,7 @@ fn transition<P: PlanBase>(
 /// reports and expands.
 pub(crate) fn step_shard_byte<P: ExecutionPlan>(
     plan: &P,
-    lane: &mut ShardLane,
+    lane: &mut NfaLane,
     step: CycleStep,
     cycle: usize,
     ctx: &mut impl LaneContext,
@@ -390,7 +440,7 @@ fn pair_report<P: StridedPlan>(
 /// offsets; `step.limit` suppresses pad-byte reports.
 pub(crate) fn step_shard_pair<P: StridedPlan>(
     plan: &P,
-    lane: &mut ShardLane,
+    lane: &mut NfaLane,
     step: CycleStep,
     cycle: usize,
     ctx: &mut impl LaneContext,
@@ -442,7 +492,7 @@ pub(crate) fn step_shard_pair<P: StridedPlan>(
 /// selective visitation against. Results are identical.
 pub(crate) fn step_pair_naive<P: StridedPlan>(
     plan: &P,
-    lane: &mut ShardLane,
+    lane: &mut NfaLane,
     step: CycleStep,
     cycle: usize,
     ctx: &mut impl LaneContext,
@@ -473,17 +523,15 @@ pub(crate) fn step_pair_naive<P: StridedPlan>(
     }
 }
 
-/// One cycle of the hybrid DFA fast path: the whole active-set
-/// computation collapses into a single dense-table lookup — `first[row]`
-/// on cycle 0 (start-of-data folded in), `next[state, row]` afterwards
-/// — followed by O(words) precomputed writes.
+/// One cycle of the hybrid DFA fast path: one dense-table load —
+/// `first[row]` on cycle 0 (start-of-data folded in), `next[state, row]`
+/// afterwards — then the landed state's reports and per-state heat,
+/// read from its precomputed lists. Returns the landed state.
 ///
-/// The kernel *writes through* to the lane's active/next bit sets
-/// (members and dynamics of the landed DFA state), so everything
-/// downstream — idle probes, suspend/resume, `is_idle`, observers, the
-/// cycle-end advance — sees exactly the state [`step_shard_byte`] would
-/// have produced and needs no DFA awareness. Reports go through the same
-/// context, so output is bit-identical by construction.
+/// The lane holds nothing but its state, so this is the whole step.
+/// Reports go through the same context as the NFA kernels' and heat
+/// stays exact — the member walk is the one O(active-set) loop — so
+/// output and heat are bit-identical to [`step_shard_byte`]'s.
 ///
 /// DFAs are only attached to zero-cross-edge component shards. Starts
 /// inject on every cycle, which is the `all_input` fold baked into the
@@ -491,33 +539,21 @@ pub(crate) fn step_pair_naive<P: StridedPlan>(
 pub(crate) fn step_shard_dfa<P: ExecutionPlan>(
     plan: &P,
     dfa: &CompiledDfa,
-    lane: &mut ShardLane,
+    state: u32,
     step: CycleStep,
     cycle: usize,
     ctx: &mut impl LaneContext,
-) -> StepOut {
+) -> (u32, StepOut) {
     let row = plan.row_of_symbol(step.a);
     // A suspended-at-cycle-0 flow has no dynamic state, so on the first
     // cycle the lane is necessarily in the empty state and the
     // start-of-data column applies.
-    debug_assert!(cycle != 0 || lane.dfa_state == 0);
+    debug_assert!(cycle != 0 || state == 0);
     let state = if cycle == 0 {
         dfa.first(row)
     } else {
-        dfa.next(lane.dfa_state, row)
+        dfa.next(state, row)
     };
-    lane.dfa_state = state;
-
-    // Word-level write-through: OR the state's precomputed active and
-    // next-enable bitmaps into the lane — O(words) per cycle even for
-    // dense active sets.
-    sparse_clear(lane.active.as_words_mut(), &mut lane.active_any);
-    let (bits, any) = dfa.active_words(state);
-    or_words(lane.active.as_words_mut(), bits);
-    or_words(&mut lane.active_any, any);
-
-    // Per-state heat stays exact (the profile and the energy model read
-    // it) — the member list is the one remaining O(active-set) walk.
     let members = dfa.members(state);
     for &local in members {
         ctx.heat(local as usize);
@@ -526,16 +562,12 @@ pub(crate) fn step_shard_dfa<P: ExecutionPlan>(
     for (&local, &code) in report_locals.iter().zip(report_codes) {
         ctx.report(local as usize, code, cycle);
     }
-
-    let (next_bits, next_any) = dfa.dynamic_words(state);
-    or_words(lane.next.as_words_mut(), next_bits);
-    or_words(&mut lane.next_any, next_any);
-
-    StepOut {
+    let out = StepOut {
         num_active: members.len(),
         reports: report_locals.len(),
         words: 0,
-    }
+    };
+    (state, out)
 }
 
 /// `dst[i] |= src[i]` over `src`'s length.

@@ -10,12 +10,13 @@
 //! `cama-arch` can attach energy/activity observers to a single trusted
 //! engine:
 //!
-//! * `lane` (internal) — the stepping core: one lane of enable/active
-//!   vectors and the per-cycle kernels (byte, pair, DFA, and the
-//!   non-selective pair baseline). Flat sessions step one lane; sharded
-//!   sessions and the worker pool step one per shard, the shard-only
-//!   parts (global ids, cross-shard edges, per-state heat) passed in as
-//!   a context;
+//! * `lane` (internal) — the stepping core: the per-stream lanes and
+//!   the per-cycle kernels (byte, pair, DFA, and the non-selective pair
+//!   baseline). Flat sessions step one lane of enable/active vectors;
+//!   sharded sessions and the worker pool step one lane per shard — a
+//!   determinized shard's is only its DFA state — the shard-only parts
+//!   (global ids, cross-shard edges, per-state heat) passed in as a
+//!   context;
 //! * [`Engine`] — the one owning engine over any [`StreamPlan`]:
 //!   [`Simulator`] (byte plan), [`EncodedSimulator`] (the CAM codebook
 //!   the energy model charges), [`StridedSimulator`] and
@@ -122,7 +123,7 @@ pub mod sharded;
 pub mod strided;
 
 pub use activity::{
-    ActivitySummary, DfaShardCycleView, ShardCycleSummary, ShardCycleView, ShardObserver,
+    ActivitySummary, DfaShardCycleView, LocalSet, ShardCycleSummary, ShardCycleView, ShardObserver,
 };
 pub use batch::{BatchSimulator, ShardedBatch, StreamPlan, SwapReport, SwapVerdict};
 pub use buffers::BufferStats;

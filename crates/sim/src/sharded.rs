@@ -8,11 +8,11 @@
 //! switch. [`ShardedSession`] is the software form of that
 //! decomposition:
 //!
-//! * **per-shard enable vectors** — each shard keeps its own lane over
-//!   its local state space, stepped by the same kernels a flat session
-//!   runs;
+//! * **per-shard lanes** — each shard keeps its own lane over its local
+//!   state space: enable vectors stepped by the same kernels a flat
+//!   session runs, or, for a shard that ships a DFA, only its DFA state;
 //! * **array-level enable** — a cycle visits only the *live* lanes (a
-//!   per-session bitmap of the lanes with a non-empty dynamic vector)
+//!   per-session bitmap of the lanes with a non-empty dynamic set)
 //!   and the shards a start can fire in on this symbol (the plan's
 //!   per-symbol start index, [`ShardedAutomaton::start_shards`]), plus
 //!   the start-of-data shards on cycle 0. Every other shard is skipped
@@ -51,11 +51,13 @@
 //! # Ok::<(), cama_core::Error>(())
 //! ```
 
-use crate::activity::{DfaShardCycleView, ShardCycleSummary, ShardCycleView, ShardObserver};
+use crate::activity::{
+    DfaShardCycleView, LocalSet, ShardCycleSummary, ShardCycleView, ShardObserver,
+};
 use crate::engine::Engine;
 use crate::lane::{
     or_words, pair_flush, pair_steps, step_pair_naive, step_shard_byte, step_shard_dfa,
-    step_shard_pair, CycleStep, LaneContext, ShardLane, StepOut,
+    step_shard_pair, CycleStep, LaneContext, NfaLane, ShardLane, StepOut,
 };
 use crate::result::{Report, RunResult};
 use crate::session::{FlowSession, Session, SuspendedFlow};
@@ -108,30 +110,36 @@ pub trait ShardedExecution: PlanBase + Sized {
     }
 
     /// The exact idle probe of one candidate shard for one step — `true`
-    /// when it can be skipped without touching a state word. Only the
-    /// candidates the live bitmap and the plan's start index admit are
-    /// probed.
+    /// when it can be skipped without touching a state word: its lane
+    /// is not `live` (holds no dynamically enabled state) and no start
+    /// can fire. Only the candidates the live bitmap and the plan's
+    /// start index admit are probed.
     #[doc(hidden)]
-    fn shard_idle(
-        shard: &Shard<Self>,
-        lane: &ShardLane,
-        step: CycleStep,
-        first_cycle: bool,
-    ) -> bool;
+    fn shard_idle(shard: &Shard<Self>, live: bool, step: CycleStep, first_cycle: bool) -> bool;
 
-    /// Steps one lane through one cycle with this flavour's kernel —
-    /// the DFA table when `dfa` is given (byte plans only), otherwise
-    /// the NFA word kernel (or, for a pair lane with `precharge_all`
-    /// set, its non-selective baseline).
+    /// Steps an NFA lane through one cycle with this flavour's word
+    /// kernel (or, for a pair lane with `precharge_all` set, its
+    /// non-selective baseline).
     #[doc(hidden)]
     fn step_lane(
         plan: &Self,
-        dfa: Option<&CompiledDfa>,
-        lane: &mut ShardLane,
+        lane: &mut NfaLane,
         step: CycleStep,
         cycle: usize,
         ctx: &mut impl LaneContext,
     ) -> StepOut;
+
+    /// Steps a DFA lane in `state` through one cycle; returns the landed
+    /// state. Only byte plans carry DFAs.
+    #[doc(hidden)]
+    fn step_dfa(
+        plan: &Self,
+        dfa: &CompiledDfa,
+        state: u32,
+        step: CycleStep,
+        cycle: usize,
+        ctx: &mut impl LaneContext,
+    ) -> (u32, StepOut);
 }
 
 /// Byte cycles, on raw-byte and encoded rows alike.
@@ -150,12 +158,7 @@ impl<I: SymbolIndex> ShardedExecution for CompiledPlan<ByteRows<I>> {
     /// matches this symbol, and no start-of-data state matches it on
     /// cycle 0.
     #[inline]
-    fn shard_idle(
-        shard: &Shard<Self>,
-        lane: &ShardLane,
-        step: CycleStep,
-        first_cycle: bool,
-    ) -> bool {
+    fn shard_idle(shard: &Shard<Self>, live: bool, step: CycleStep, first_cycle: bool) -> bool {
         let starts_matter = shard.start_match_possible(step.a);
         let plan = shard.plan();
         let sod_matters = first_cycle
@@ -163,21 +166,29 @@ impl<I: SymbolIndex> ShardedExecution for CompiledPlan<ByteRows<I>> {
             && !plan
                 .match_vector(step.a)
                 .is_disjoint(plan.start_of_data_mask().as_row());
-        lane.dynamic_is_empty() && !starts_matter && !sod_matters
+        !live && !starts_matter && !sod_matters
     }
 
     fn step_lane(
         plan: &Self,
-        dfa: Option<&CompiledDfa>,
-        lane: &mut ShardLane,
+        lane: &mut NfaLane,
         step: CycleStep,
         cycle: usize,
         ctx: &mut impl LaneContext,
     ) -> StepOut {
-        match dfa {
-            Some(dfa) => step_shard_dfa(plan, dfa, lane, step, cycle, ctx),
-            None => step_shard_byte(plan, lane, step, cycle, ctx),
-        }
+        step_shard_byte(plan, lane, step, cycle, ctx)
+    }
+
+    #[inline]
+    fn step_dfa(
+        plan: &Self,
+        dfa: &CompiledDfa,
+        state: u32,
+        step: CycleStep,
+        cycle: usize,
+        ctx: &mut impl LaneContext,
+    ) -> (u32, StepOut) {
+        step_shard_dfa(plan, dfa, state, step, cycle, ctx)
     }
 }
 
@@ -200,12 +211,7 @@ impl<I: SymbolIndex> ShardedExecution for CompiledPlan<PairRows<I>> {
     /// second, and a cycle-0 start-of-data state must match both halves
     /// to fire.
     #[inline]
-    fn shard_idle(
-        shard: &Shard<Self>,
-        lane: &ShardLane,
-        step: CycleStep,
-        first_cycle: bool,
-    ) -> bool {
+    fn shard_idle(shard: &Shard<Self>, live: bool, step: CycleStep, first_cycle: bool) -> bool {
         let starts_matter = shard.pair_start_possible(step.a, step.b);
         let plan = shard.plan();
         let sod_matters = first_cycle && shard.has_start_of_data() && {
@@ -216,23 +222,32 @@ impl<I: SymbolIndex> ShardedExecution for CompiledPlan<PairRows<I>> {
                 .enumerate()
                 .any(|(w, &m)| m & first[w] & second[w] != 0)
         };
-        lane.dynamic_is_empty() && !starts_matter && !sod_matters
+        !live && !starts_matter && !sod_matters
     }
 
     fn step_lane(
         plan: &Self,
-        dfa: Option<&CompiledDfa>,
-        lane: &mut ShardLane,
+        lane: &mut NfaLane,
         step: CycleStep,
         cycle: usize,
         ctx: &mut impl LaneContext,
     ) -> StepOut {
-        debug_assert!(dfa.is_none(), "strided shards carry no DFA");
         if lane.precharge_all {
             step_pair_naive(plan, lane, step, cycle, ctx)
         } else {
             step_shard_pair(plan, lane, step, cycle, ctx)
         }
+    }
+
+    fn step_dfa(
+        _plan: &Self,
+        _dfa: &CompiledDfa,
+        _state: u32,
+        _step: CycleStep,
+        _cycle: usize,
+        _ctx: &mut impl LaneContext,
+    ) -> (u32, StepOut) {
+        unreachable!("strided shards carry no DFA")
     }
 }
 
@@ -388,53 +403,68 @@ impl ShardSinks {
         let mut tally = CycleTally::default();
         for (si, shard, lane) in lanes {
             debug_assert!(!shard.is_empty(), "empty shards are never candidates");
-            // Lanes outside the candidates hold no dynamically enabled
-            // state, so the cached per-lane counts sum to the flat
-            // engine's total.
-            tally.num_dynamic += lane.num_dynamic;
-            if skip_idle && P::shard_idle(shard, lane, step, first_cycle) {
+            if skip_idle && P::shard_idle(shard, lane.is_live(), step, first_cycle) {
                 continue;
             }
             tally.visited += 1;
             self.stats.shard_cycles[si] += 1;
-            // A DFA-stepped shard searches one transition-table row
-            // instead of sweeping its state words — the modeling choice
-            // behind the hybrid visited-words win.
-            self.stats.words_visited += if lane.is_dfa {
-                1
-            } else {
-                shard.plan().len().div_ceil(64) as u64
-            };
-            let dfa = shard.dfa().filter(|_| lane.is_dfa);
+            let globals = shard.global_states();
             let mut ctx = ShardContext {
                 shard,
-                globals: shard.global_states(),
+                globals,
                 reports: &mut self.reports,
                 exchange: &mut self.exchange,
                 state_active: &mut self.stats.state_active,
             };
-            let out = P::step_lane(shard.plan(), dfa, lane, step, cycle, &mut ctx);
-            tally.num_active += out.num_active;
-            tally.reports += out.reports;
-
-            let shard_view = ShardCycleView {
+            let view = |dynamic_enabled, active, reports| ShardCycleView {
                 cycle,
                 symbol: step.a,
                 shard: si,
-                globals: Some(shard.global_states()),
-                dynamic_enabled: &lane.dynamic,
-                active: &lane.active,
-                reports: out.reports,
+                globals: Some(globals),
+                states: shard.len(),
+                dynamic_enabled,
+                active,
+                reports,
             };
-            match dfa {
-                Some(dfa) => observer.on_dfa_shard_cycle(&DfaShardCycleView {
-                    shard_view,
-                    dfa_state: lane.dfa_state,
-                    dfa_states: dfa.num_states(),
-                    alphabet: dfa.alphabet(),
-                }),
-                None => observer.on_shard_cycle(&shard_view),
-            }
+            // Lanes not stepped hold no dynamically enabled state, so
+            // the stepped lanes' counts sum to the flat engine's total.
+            let out = match lane {
+                ShardLane::Dfa(state) => {
+                    let dfa = shard.dfa().expect("a DFA lane's shard ships a DFA");
+                    // A DFA-stepped shard searches one transition-table
+                    // row instead of sweeping its state words — the
+                    // modeling choice behind the hybrid visited-words
+                    // win.
+                    self.stats.words_visited += 1;
+                    let dynamics = dfa.dynamics(*state);
+                    tally.num_dynamic += dynamics.len();
+                    let (landed, out) =
+                        P::step_dfa(shard.plan(), dfa, *state, step, cycle, &mut ctx);
+                    let active = LocalSet::Sorted(dfa.members(landed));
+                    observer.on_dfa_shard_cycle(&DfaShardCycleView {
+                        shard_view: view(LocalSet::Sorted(dynamics), active, out.reports),
+                        dfa_state: landed,
+                        dfa_states: dfa.num_states(),
+                        alphabet: dfa.alphabet(),
+                    });
+                    // Nothing enabled next: the lane goes idle, and steps
+                    // exactly like the empty state from here.
+                    let live = !dfa.dynamics(landed).is_empty();
+                    *state = if live { landed } else { 0 };
+                    out
+                }
+                ShardLane::Nfa(lane) => {
+                    self.stats.words_visited += shard.plan().len().div_ceil(64) as u64;
+                    tally.num_dynamic += lane.num_dynamic;
+                    let out = P::step_lane(shard.plan(), lane, step, cycle, &mut ctx);
+                    let (dynamic, active) =
+                        (LocalSet::Bits(&lane.dynamic), LocalSet::Bits(&lane.active));
+                    observer.on_shard_cycle(&view(dynamic, active, out.reports));
+                    out
+                }
+            };
+            tally.num_active += out.num_active;
+            tally.reports += out.reports;
         }
         tally.skipped = covered - tally.visited;
         self.stats.skipped_shard_cycles += tally.skipped as u64;
@@ -585,7 +615,8 @@ pub struct ShardedSession<'p, P: PlanBase = CompiledAutomaton> {
     /// The lanes with dynamic state, which every cycle visits.
     pub(crate) live: LiveLanes,
     /// DFA-capable lanes `resume` dropped to NFA stepping; `reset`
-    /// returns them to DFA stepping even if they went idle.
+    /// returns them to DFA state 0, dropping their NFA lanes, even if
+    /// they went idle.
     fallback: Vec<u32>,
     /// This cycle's staged reports and activations, plus the lifetime
     /// counters.
@@ -637,12 +668,12 @@ impl<'p, P: PlanBase> ShardedSession<'p, P> {
         )
     }
 
-    /// Restores power-on state (stats excepted), keeping capacity. Only
-    /// live and fallback lanes hold anything to reset.
+    /// Restores power-on state (stats excepted), keeping NFA lanes'
+    /// capacity. Only live and fallback lanes hold anything to reset.
     fn reset_state(&mut self) {
         let lanes = &mut self.lanes;
         for si in self.fallback.drain(..) {
-            lanes[si as usize].reset();
+            lanes[si as usize] = ShardLane::Dfa(0);
         }
         self.live.clear(|si| lanes[si].reset());
         self.sinks.exchange.clear();
@@ -750,16 +781,23 @@ impl<P: ShardedExecution> Session for ShardedSession<'_, P> {
 impl<P: ShardedExecution> FlowSession for ShardedSession<'_, P> {
     fn suspend(&mut self) -> SuspendedFlow {
         let mut dynamic = Vec::new();
-        let mut dfa = Vec::new();
+        let mut hints = Vec::new();
         for si in self.live.lanes.iter() {
-            let lane = &self.lanes[si];
-            let globals = self.plan.shard(si).global_states();
-            dynamic.extend(lane.dynamic.iter().map(|local| globals[local]));
-            // Record a resume hint for every live DFA-stepped lane so
-            // same-plan resume skips the set-to-state lookup. Idle DFA
-            // lanes are in state 0 and need no hint.
-            if lane.is_dfa {
-                dfa.push((si as u32, lane.dfa_state));
+            let shard = self.plan.shard(si);
+            let globals = shard.global_states();
+            match &self.lanes[si] {
+                ShardLane::Dfa(state) => {
+                    let dfa = shard.dfa().expect("a DFA lane's shard ships a DFA");
+                    let locals = dfa.dynamics(*state).iter();
+                    dynamic.extend(locals.map(|&local| globals[local as usize]));
+                    // A resume hint for every live DFA-stepped lane, so
+                    // same-plan resume skips the set-to-state lookup.
+                    // Idle DFA lanes are in state 0 and need no hint.
+                    hints.push((si as u32, *state));
+                }
+                ShardLane::Nfa(lane) => {
+                    dynamic.extend(lane.dynamic.iter().map(|local| globals[local]));
+                }
             }
         }
         let flow = SuspendedFlow {
@@ -768,7 +806,7 @@ impl<P: ShardedExecution> FlowSession for ShardedSession<'_, P> {
             dynamic,
             carry: self.carry.take(),
             result: std::mem::take(&mut self.result),
-            dfa,
+            dfa: hints,
         };
         self.reset_state();
         flow
@@ -780,48 +818,55 @@ impl<P: ShardedExecution> FlowSession for ShardedSession<'_, P> {
         self.fed = flow.fed;
         self.carry = flow.carry;
         self.result = flow.result;
-        for &global in &flow.dynamic {
+        // Place every restored state as `shard << 32 | local`, in the
+        // exchange buffer (empty between cycles), and sort: a flow
+        // translated from another plan is sorted by global id, which
+        // need not be any shard's local order.
+        let placed = &mut self.sinks.exchange;
+        placed.extend(flow.dynamic.iter().map(|&global| {
             let (shard, local) = self.plan.placement_of(global as usize);
-            self.lanes[shard as usize].enable(local as usize);
-            self.live.lanes.insert(shard as usize);
-        }
-        // Idle lanes are in power-on state (DFA state 0 where capable);
-        // only the restored live lanes need their mode re-derived. Hints
-        // ascend by shard, like this walk.
+            u64::from(shard) << 32 | u64::from(local)
+        }));
+        placed.sort_unstable();
+        // Hints ascend by shard, like this walk.
         let mut hints = flow.dfa.iter().peekable();
         let mut locals = Vec::new();
-        for si in self.live.lanes.iter() {
-            let lane = &mut self.lanes[si];
-            lane.recount();
-            if !lane.dfa_capable {
-                continue;
-            }
-            // Re-derive the DFA state from the restored dynamic set. A
-            // hint from the suspending session short-circuits the
-            // lookup once validated; a set with no interned state (the
-            // flow was translated from another plan, or ran NFA-style
-            // before suspension) drops this lane to NFA stepping — the
-            // kernels are report-equivalent, only the cost differs.
+        for group in placed.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let si = (group[0] >> 32) as usize;
+            self.live.lanes.insert(si);
             locals.clear();
-            locals.extend(lane.dynamic.iter().map(|l| l as u32));
-            let dfa = self
-                .plan
-                .shard(si)
-                .dfa()
-                .expect("dfa_capable lane has a DFA");
-            while hints.next_if(|&&(s, _)| (s as usize) < si).is_some() {}
-            let hinted = hints
-                .next_if(|&&(s, _)| s as usize == si)
-                .map(|&(_, state)| state)
-                .filter(|&state| dfa.dynamics(state) == locals.as_slice());
-            match hinted.or_else(|| dfa.resume_state(&locals)) {
-                Some(state) => lane.dfa_state = state,
-                None => {
-                    lane.is_dfa = false;
-                    self.fallback.push(si as u32);
+            locals.extend(group.iter().map(|&packed| packed as u32));
+            let shard = self.plan.shard(si);
+            let lane = &mut self.lanes[si];
+            if let ShardLane::Dfa(state) = lane {
+                // Re-derive the DFA state from the restored dynamic set.
+                // A hint from the suspending session short-circuits the
+                // lookup once validated; a set with no constructed state
+                // (the flow was translated from another plan, or ran
+                // NFA-style before suspension) drops this lane to NFA
+                // stepping — the kernels are report-equivalent, only the
+                // cost differs.
+                let dfa = shard.dfa().expect("a DFA lane's shard ships a DFA");
+                while hints.next_if(|&&(s, _)| (s as usize) < si).is_some() {}
+                let hinted = hints
+                    .next_if(|&&(s, _)| s as usize == si)
+                    .map(|&(_, state)| state)
+                    .filter(|&state| dfa.dynamics(state) == locals.as_slice());
+                if let Some(found) = hinted.or_else(|| dfa.resume_state(&locals)) {
+                    *state = found;
+                    continue;
                 }
+                *lane = ShardLane::Nfa(Box::new(NfaLane::new(shard.len())));
+                self.fallback.push(si as u32);
+            }
+            if let ShardLane::Nfa(lane) = lane {
+                for &local in &locals {
+                    lane.enable(local as usize);
+                }
+                lane.recount();
             }
         }
+        placed.clear();
     }
 
     fn is_idle(&self) -> bool {
@@ -1038,14 +1083,16 @@ mod tests {
 
     /// Every session reports the same cycles through the one observer
     /// protocol: the flat session (its lane as shard 0), the sharded
-    /// session at 2 shards and at one shard per component, and — for
-    /// byte plans — the interpreted oracle, on all four plan flavours,
-    /// fed in chunks that split strided pairs, with an odd input length
-    /// so strided streams end in a flush cycle.
+    /// session at 2 shards and at one shard per component, the hybrid
+    /// plan's session (whose DFA shards lend their states' lists), and
+    /// — for byte plans — the interpreted oracle, on all four plan
+    /// flavours, fed in chunks that split strided pairs, with an odd
+    /// input length so strided streams end in a flush cycle.
     #[test]
     fn every_session_reports_the_same_cycles_on_every_flavour() {
         use crate::interp::InterpSimulator;
         use crate::FlatSession;
+        use cama_core::compile::{compile_hybrid_ruleset, dfa_enabled, DfaPolicy, PlanCache};
         use cama_core::compiled::{CompiledAutomaton, CompiledStridedAutomaton};
         use cama_core::stride::StridedNfa;
         use cama_encoding::{EncodingPlan, StridedEncoding};
@@ -1092,6 +1139,10 @@ mod tests {
             let plan = encoding.compile_sharded(&nfa, &ids);
             assert_eq!(byte, record(ShardedSession::new(&plan)), "encoded {ids:?}");
         }
+        let mut cache = PlanCache::new(8);
+        let (hybrid, _) = compile_hybrid_ruleset(&nfa, 1, &mut cache, &DfaPolicy::default());
+        assert_eq!(hybrid.num_dfa_shards() > 0, dfa_enabled());
+        assert_eq!(byte, record(ShardedSession::new(&hybrid)), "hybrid");
 
         let strided = StridedNfa::from_nfa(&nfa);
         let pairs = record(FlatSession::new(&CompiledStridedAutomaton::compile(
@@ -1110,32 +1161,32 @@ mod tests {
         }
     }
 
+    /// The shards stepped through their DFA and through the NFA kernel.
+    #[derive(Default)]
+    struct Modes {
+        dfa: Vec<usize>,
+        nfa: Vec<usize>,
+    }
+
+    impl ShardObserver for Modes {
+        fn on_shard_cycle(&mut self, view: &ShardCycleView<'_>) {
+            self.nfa.push(view.shard);
+        }
+        fn on_dfa_shard_cycle(&mut self, view: &DfaShardCycleView<'_>) {
+            self.dfa.push(view.shard_view.shard);
+        }
+        fn on_cycle_end(&mut self, _: &ShardCycleSummary) {}
+    }
+
     /// A DFA-capable lane that `resume` dropped to NFA stepping goes
     /// idle without being reset; `finish` and `suspend` must still
     /// return it to DFA stepping, and a suspended session must hold no
     /// live lane.
     #[test]
     fn idle_fallback_lane_returns_to_dfa_stepping_on_reset() {
-        use crate::activity::DfaShardCycleView;
         use crate::session::SuspendedFlow;
         use cama_core::compile::{compile_hybrid_ruleset, dfa_enabled, DfaPolicy, PlanCache};
 
-        /// The shards stepped through their DFA and through the NFA
-        /// kernel.
-        #[derive(Default)]
-        struct Modes {
-            dfa: Vec<usize>,
-            nfa: Vec<usize>,
-        }
-        impl ShardObserver for Modes {
-            fn on_shard_cycle(&mut self, view: &ShardCycleView<'_>) {
-                self.nfa.push(view.shard);
-            }
-            fn on_dfa_shard_cycle(&mut self, view: &DfaShardCycleView<'_>) {
-                self.dfa.push(view.shard_view.shard);
-            }
-            fn on_cycle_end(&mut self, _: &ShardCycleSummary) {}
-        }
         fn modes(session: &mut ShardedSession<'_>, input: &[u8]) -> Modes {
             let mut modes = Modes::default();
             session.feed_sharded_with(input, &mut modes);
@@ -1200,6 +1251,137 @@ mod tests {
             assert!(session.is_idle());
             assert!(active_shards(&session).is_empty());
         }
+    }
+
+    /// A flow with no DFA hints whose dynamic set is sorted by global id
+    /// — as [`SuspendedFlow::translate`] leaves it, and as a flat
+    /// session suspends it — resumes onto DFA states even where a
+    /// shard's local order differs from the global one, and then reports
+    /// what the flat engine reports.
+    #[test]
+    fn unhinted_flow_resumes_onto_dfa_states() {
+        use crate::FlatSession;
+        use cama_core::compile::{compile_hybrid_ruleset, dfa_enabled, DfaPolicy, PlanCache};
+
+        // `x` lists `y` then `w` as successors, so the component is laid
+        // out x, y, w, z: `w` precedes `z` locally but not globally.
+        let nfa = regex::compile_set(&["ab", "x(yz?)*w"]).unwrap();
+        let mut cache = PlanCache::new(8);
+        let (plan, _) = compile_hybrid_ruleset(&nfa, 1, &mut cache, &DfaPolicy::default());
+        let flat_plan = CompiledAutomaton::compile(&nfa);
+        let (prefix, rest) = (&b"abxy"[..], &b"zyw"[..]);
+
+        let mut flat = FlatSession::new(&flat_plan);
+        flat.feed(prefix);
+        let flow = flat.suspend();
+        assert!(flow.dfa.is_empty());
+        assert!(flow.dynamic.windows(2).all(|pair| pair[0] < pair[1]));
+        let locals: Vec<u32> = flow
+            .dynamic
+            .iter()
+            .map(|&global| plan.placement_of(global as usize).1)
+            .collect();
+        assert!(
+            locals.windows(2).any(|pair| pair[0] > pair[1]),
+            "local order {locals:?} follows the global order"
+        );
+
+        let mut session = ShardedSession::new(&plan);
+        session.resume(flow);
+        assert!(session.fallback.is_empty(), "a constructed set fell back");
+        let mut modes = Modes::default();
+        session.feed_sharded_with(rest, &mut modes);
+        if dfa_enabled() {
+            assert!(
+                modes.nfa.is_empty(),
+                "the resumed lane stepped the NFA kernel"
+            );
+            assert!(!modes.dfa.is_empty());
+        }
+        let whole = [prefix, rest].concat();
+        assert_eq!(session.finish(), Simulator::new(&nfa).run(&whole));
+    }
+
+    /// A hybrid session suspends the same dynamic list as the pure-NFA
+    /// plan's session of the same ruleset, at every point of a stream.
+    #[test]
+    fn hybrid_suspend_lists_what_the_nfa_plan_lists() {
+        use cama_core::compile::{compile_hybrid_ruleset, compile_ruleset, DfaPolicy, PlanCache};
+
+        let nfa = regex::compile_set(&["ab+c", "x[0-9]+y", "xy", "x(yz?)*w"]).unwrap();
+        let mut cache = PlanCache::new(8);
+        let (nfa_plan, _) = compile_ruleset(&nfa, 1, &mut cache);
+        let (hybrid, _) = compile_hybrid_ruleset(&nfa, 1, &mut cache, &DfaPolicy::default());
+        let input = b"zabbx12xyzyzwabbbc";
+        let mut live = 0;
+        for cut in 0..=input.len() {
+            let suspend = |plan| {
+                let mut session = ShardedSession::new(plan);
+                session.feed(&input[..cut]);
+                session.suspend()
+            };
+            let (expect, got) = (suspend(&nfa_plan), suspend(&hybrid));
+            assert!(expect.dfa.is_empty());
+            assert_eq!(got.dynamic, expect.dynamic, "after {cut} bytes");
+            assert_eq!(got.result, expect.result, "after {cut} bytes");
+            live += usize::from(!got.dynamic.is_empty());
+        }
+        assert!(live > input.len() / 2, "the stream is mostly idle");
+    }
+
+    /// A sharded lane is at most 16 bytes. A DFA-capable lane owns no
+    /// NFA lane through `new`, `feed`, `suspend` and `finish`; a lane
+    /// that `resume` drops to NFA stepping owns one until the session
+    /// resets.
+    #[test]
+    fn dfa_lanes_own_no_nfa_lane_outside_fallback() {
+        use crate::session::SuspendedFlow;
+        use cama_core::compile::{compile_hybrid_ruleset, dfa_enabled, DfaPolicy, PlanCache};
+
+        assert!(size_of::<ShardLane>() <= 16, "{}", size_of::<ShardLane>());
+        if !dfa_enabled() {
+            return;
+        }
+        let nfa = regex::compile_set(&["ab+c", "xyz"]).unwrap();
+        let mut cache = PlanCache::new(8);
+        let (plan, _) = compile_hybrid_ruleset(&nfa, 1, &mut cache, &DfaPolicy::default());
+        assert_eq!(plan.num_dfa_shards(), plan.num_shards());
+        let boxed = |session: &ShardedSession<'_>| {
+            let lanes = session.lanes.iter().enumerate();
+            let nfa = lanes.filter(|(_, lane)| matches!(lane, ShardLane::Nfa(_)));
+            nfa.map(|(si, _)| si).collect::<Vec<_>>()
+        };
+
+        let mut session = ShardedSession::new(&plan);
+        assert!(boxed(&session).is_empty(), "after new");
+        session.feed(b"xyzabb");
+        assert!(boxed(&session).is_empty(), "after feed");
+        let flow = session.suspend();
+        assert!(boxed(&session).is_empty(), "after suspend");
+        session.resume(flow);
+        session.feed(b"bc");
+        assert!(boxed(&session).is_empty(), "after a hinted resume");
+        assert_eq!(session.finish().report_offsets(), vec![2, 7]);
+        assert!(boxed(&session).is_empty(), "after finish");
+
+        // `c` alone is no DFA state's dynamic set: NFA fallback.
+        let c = (0..nfa.len() as u32)
+            .find(|&g| nfa.ste(SteId(g)).class.contains(b'c'))
+            .unwrap();
+        let shard = plan.placement_of(c as usize).0 as usize;
+        let parked = SuspendedFlow {
+            cycle: 3,
+            fed: 3,
+            dynamic: vec![c],
+            ..SuspendedFlow::default()
+        };
+        session.resume(parked);
+        assert_eq!(boxed(&session), vec![shard], "after a fallback resume");
+        session.feed(b"cz");
+        assert!(session.is_idle());
+        assert_eq!(boxed(&session), vec![shard], "the idle fallback lane");
+        session.reset();
+        assert!(boxed(&session).is_empty(), "after reset");
     }
 
     #[test]
