@@ -18,6 +18,8 @@
 //! * `--quick` — short warm-up and window, so a full sweep still
 //!   produces a comparable timing table in seconds rather than minutes.
 
+#![forbid(unsafe_code)]
+
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 

@@ -24,9 +24,10 @@
 //!   compiled plan and determinization outcome) for the units of the
 //!   last two rulesets, so recompiling an updated ruleset pays only for
 //!   the components that actually changed;
-//! * [`compile_ruleset`] drives cache misses across a worker pool
-//!   ([`worker_count`] resolves the pool size exactly like the parallel
-//!   runtime: explicit request → `CAMA_WORKERS` → detected parallelism)
+//! * [`compile_ruleset`] drives cache misses across worker threads
+//!   ([`worker_count`] resolves their number: explicit request →
+//!   `CAMA_WORKERS` → [`detected_parallelism`], the one resolver the
+//!   stream-parallel runs in `cama_sim` and `cama_arch` use too)
 //!   and assembles the per-component shards into a
 //!   [`ShardedAutomaton`] bit-identical to
 //!   [`compile_per_component`](ShardedAutomaton::compile_per_component)
@@ -93,12 +94,19 @@ use crate::nfa::Nfa;
 /// name and of where the component sits in it.
 const UNIT_NAME: &str = "unit";
 
-/// Resolves a requested worker count for parallel compilation: an
-/// explicit positive request wins; `0` consults the `CAMA_WORKERS`
-/// environment variable and falls back to
-/// [`std::thread::available_parallelism`] (minimum 1). The same
-/// resolution order the shard-parallel runtime uses
-/// (`cama_sim::parallel::worker_count` delegates here).
+/// The machine's detected hardware parallelism
+/// ([`std::thread::available_parallelism`]), defaulting to 1 when the
+/// platform cannot say.
+pub fn detected_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// Resolves a requested worker count: an explicit positive request
+/// wins; `0` consults the `CAMA_WORKERS` environment variable (a
+/// positive integer) and falls back to [`detected_parallelism`]. Always
+/// at least 1. Parallel ruleset compilation ([`compile_ruleset`]),
+/// `cama_sim`'s `BatchSimulator::run_parallel` and `cama_arch`'s
+/// `evaluate_serving_parallel` all size their threads with it.
 pub fn worker_count(requested: usize) -> usize {
     if requested > 0 {
         return requested;
@@ -110,7 +118,7 @@ pub fn worker_count(requested: usize) -> usize {
             }
         }
     }
-    std::thread::available_parallelism().map_or(1, usize::from)
+    detected_parallelism()
 }
 
 /// Work-stealing fan-out over `0..count`: `threads` scoped workers each
@@ -1299,6 +1307,9 @@ mod tests {
     #[test]
     fn worker_count_resolution() {
         assert_eq!(worker_count(3), 3);
+        assert_eq!(worker_count(1), 1);
+        // 0 resolves through env/auto-detect; always at least 1.
         assert!(worker_count(0) >= 1);
+        assert!(detected_parallelism() >= 1);
     }
 }

@@ -95,7 +95,7 @@ use crate::frame::{FrameDecoder, FrameError, FrameEvent, StreamId};
 use crate::result::RunResult;
 use crate::session::{FlowSession, Session, SuspendedFlow};
 use crate::sharded::{ShardStats, ShardedExecution, ShardedSession};
-use cama_core::compile::work_steal;
+use cama_core::compile::{work_steal, worker_count};
 use cama_core::compiled::{CompiledAutomaton, ShardedAutomaton};
 use cama_core::PlanRemap;
 
@@ -859,11 +859,10 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
     ///
     /// `threads == 0` auto-detects: the `CAMA_WORKERS` environment
     /// variable if set to a positive integer, otherwise
-    /// [`std::thread::available_parallelism`] (see
-    /// [`worker_count`](crate::parallel::worker_count)). The resolved
-    /// count is clamped to the number of streams — no thread is ever
-    /// spawned without work — and a count of 1 (or an empty batch)
-    /// runs on the caller's thread.
+    /// [`std::thread::available_parallelism`] (see [`worker_count`]).
+    /// The resolved count is clamped to the number of streams — no
+    /// thread is ever spawned without work — and a count of 1 (or an
+    /// empty batch) runs on the caller's thread.
     ///
     /// Streams are dispatched by work-stealing ([`work_steal`]): threads
     /// claim the next unclaimed stream from a shared atomic cursor, so
@@ -875,7 +874,8 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
 
     /// [`run_parallel`](Self::run_parallel) with a per-thread close
     /// hook: after a thread runs out of streams to claim, `at_close`
-    /// sees its session once (stats harvesting, pool teardown checks).
+    /// sees its session once (the stats harvest of
+    /// [`run_parallel_stats`](BatchSimulator::run_parallel_stats)).
     fn run_parallel_collect(
         &self,
         streams: &[&[u8]],
@@ -885,7 +885,7 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
         let plan = self.plan;
         work_steal(
             streams.len(),
-            crate::parallel::worker_count(threads).min(streams.len()),
+            worker_count(threads).min(streams.len()),
             || plan.open_session(),
             |session, i| {
                 session.feed(streams[i]);

@@ -227,17 +227,16 @@ impl<P: ShardedExecution> FlowSession for FlatSession<'_, P> {
 /// The simulators are aliases: [`Simulator`],
 /// [`EncodedSimulator`](crate::EncodedSimulator),
 /// [`StridedSimulator`](crate::StridedSimulator),
-/// [`EncodedStridedSimulator`](crate::EncodedStridedSimulator),
-/// [`ShardedSimulator`](crate::ShardedSimulator) and
-/// [`ParallelShardedSimulator`](crate::ParallelShardedSimulator); each
-/// alias adds only its constructors.
+/// [`EncodedStridedSimulator`](crate::EncodedStridedSimulator) and
+/// [`ShardedSimulator`](crate::ShardedSimulator); each alias adds only
+/// its constructors.
 #[derive(Debug)]
 pub struct Engine<'a, P, N = Nfa, E = ()> {
     nfa: &'a N,
     plan: P,
     encoding: E,
     /// Sessions skip idle shards ([`FlowSession::set_skip_idle`]); set
-    /// through the sharded aliases' `skip_idle`.
+    /// through `ShardedSimulator::skip_idle`.
     pub(crate) skip_idle: bool,
 }
 

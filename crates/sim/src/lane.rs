@@ -142,8 +142,7 @@ impl NfaLane {
     }
 
     /// Sets a staged cross-shard activation in the next vector — the
-    /// single write both the sequential exchange and the parallel
-    /// mailbox drain perform per activation.
+    /// single write the cycle-end exchange performs per activation.
     #[inline]
     pub(crate) fn activate(&mut self, local: usize) {
         self.next.as_words_mut()[local / 64] |= 1u64 << (local % 64);

@@ -13,16 +13,15 @@
 //! * `lane` (internal) — the stepping core: the per-stream lanes and
 //!   the per-cycle kernels (byte, pair, DFA, and the non-selective pair
 //!   baseline). Flat sessions step one lane of enable/active vectors;
-//!   sharded sessions and the worker pool step one lane per shard — a
-//!   determinized shard's is only its DFA state — the shard-only parts
-//!   (global ids, cross-shard edges, per-state heat) passed in as a
-//!   context;
+//!   sharded sessions step one lane per shard — a determinized shard's
+//!   is only its DFA state — the shard-only parts (global ids,
+//!   cross-shard edges, per-state heat) passed in as a context;
 //! * [`Engine`] — the one owning engine over any [`StreamPlan`]:
 //!   [`Simulator`] (byte plan), [`EncodedSimulator`] (the CAM codebook
 //!   the energy model charges), [`StridedSimulator`] and
-//!   [`EncodedStridedSimulator`] (two bytes per cycle),
-//!   [`ShardedSimulator`] and [`ParallelShardedSimulator`] are its
-//!   aliases, each adding only constructors;
+//!   [`EncodedStridedSimulator`] (two bytes per cycle) and
+//!   [`ShardedSimulator`] are its aliases, each adding only
+//!   constructors;
 //! * [`session`] — the streaming-session layer: every engine implements
 //!   [`AutomataEngine`], whose [`Session`]s accept input in arbitrary
 //!   chunks (`feed`) with results identical to one-shot runs.
@@ -32,14 +31,13 @@
 //! * [`sharded`] — per-CAM-array execution with idle-shard skipping
 //!   and one cross-shard exchange per cycle, generic over the plan
 //!   flavour through [`ShardedExecution`];
-//! * [`parallel`] — the multi-core shard-parallel runtime:
-//!   [`ParallelShardedSession`] pins disjoint shard subsets to worker
-//!   threads that run the sequential shard loop cycle-synchronously
-//!   (lock-free mailbox exchange, per-cycle barrier), bit-identical to
-//!   [`ShardedSession`];
 //! * [`BatchSimulator`] — the multi-stream stream table: open/feed/close
 //!   interleaved flows over one shared compiled plan, plus sequential
-//!   and work-stealing whole-batch runs;
+//!   and work-stealing whole-batch runs. Streams are the unit of
+//!   multi-core execution: [`BatchSimulator::run_parallel`] runs one
+//!   session per stream on [`worker_count`] threads, while a cycle's
+//!   shards all step on one thread, as the hardware's arrays all match
+//!   the same symbol in one cycle;
 //! * [`frame`] — length-prefixed wire framing ([`FrameDecoder`]) for
 //!   demuxing interleaved flows out of one buffer;
 //! * [`control`] — the serving control plane over the stream table:
@@ -104,7 +102,7 @@
 //! # Ok::<(), cama_core::Error>(())
 //! ```
 
-#![warn(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod activity;
 pub mod batch;
@@ -115,7 +113,6 @@ pub mod engine;
 pub mod frame;
 pub mod interp;
 mod lane;
-pub mod parallel;
 pub mod profile;
 pub mod result;
 pub mod session;
@@ -127,6 +124,7 @@ pub use activity::{
 };
 pub use batch::{BatchSimulator, ShardedBatch, StreamPlan, SwapReport, SwapVerdict};
 pub use buffers::BufferStats;
+pub use cama_core::compile::{detected_parallelism, worker_count};
 pub use control::{
     Admission, ClassLruPolicy, ControlConfig, ControlledBatch, FeedVerdict, FlowSpec, LruPolicy,
     QosClass, QosPolicy, RateLimit, RejectReason, TenantId, TenantUsage, VictimCandidate,
@@ -136,10 +134,6 @@ pub use encoded::{EncodedSession, EncodedSimulator};
 pub use engine::{ByteSession, Engine, FlatSession, Simulator};
 pub use frame::{FrameDecoder, FrameError, FrameEvent, StreamId};
 pub use interp::{InterpSession, InterpSimulator};
-pub use parallel::{
-    detected_parallelism, worker_count, ParallelShardedPlan, ParallelShardedSession,
-    ParallelShardedSimulator,
-};
 pub use profile::ShardingProfile;
 pub use result::{Report, RunResult};
 pub use session::{AutomataEngine, FlowSession, Session, SuspendedFlow};

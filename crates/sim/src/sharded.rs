@@ -79,9 +79,8 @@ use cama_core::{Nfa, SteId};
 /// Implemented once per cycle shape — the kernels stay generic over
 /// [`ExecutionPlan`] / [`StridedPlan`]; this trait only selects them,
 /// which is what lets the flat [`FlatSession`](crate::FlatSession), the
-/// [`ShardedSession`], the worker pool, [`StreamPlan`](crate::StreamPlan)
-/// and therefore [`BatchSimulator`](crate::BatchSimulator) accept every
-/// plan flavour.
+/// [`ShardedSession`], [`StreamPlan`](crate::StreamPlan) and therefore
+/// [`BatchSimulator`](crate::BatchSimulator) accept every plan flavour.
 pub trait ShardedExecution: PlanBase + Sized {
     /// Maps a chunk of input bytes onto engine cycles, calling `cycle`
     /// once per cycle in order — the one chunk-to-cycle mapping every
@@ -313,7 +312,7 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    pub(crate) fn new(num_shards: usize, num_states: usize) -> ShardStats {
+    fn new(num_shards: usize, num_states: usize) -> ShardStats {
         ShardStats {
             shard_cycles: vec![0; num_shards],
             state_active: vec![0; num_states],
@@ -326,12 +325,14 @@ impl ShardStats {
         self.shard_cycles.iter().sum()
     }
 
-    /// Accumulates another session's (or worker's) counters into this
-    /// one. Every field is a sum, so merging per-worker stats in any
-    /// order is lossless — the parallel runtime and multi-session
-    /// rollups produce exactly the counters one sequential session
-    /// would have. Shorter per-shard/per-state vectors are extended
-    /// (merging into a `ShardStats::default()` accumulator works).
+    /// Accumulates another session's counters into this one. Every
+    /// field is a sum, so merging per-session stats in any order is
+    /// lossless — a multi-session rollup, such as
+    /// [`run_parallel_stats`](crate::BatchSimulator::run_parallel_stats)'s
+    /// across its threads' sessions, counts exactly what one session
+    /// over the same streams would have. Shorter per-shard/per-state
+    /// vectors are extended (merging into a `ShardStats::default()`
+    /// accumulator works).
     pub fn merge(&mut self, other: &ShardStats) {
         if self.shard_cycles.len() < other.shard_cycles.len() {
             self.shard_cycles.resize(other.shard_cycles.len(), 0);
@@ -354,27 +355,26 @@ impl ShardStats {
 /// One cycle's totals over the shards a [`ShardSinks::visit`] pass
 /// stepped or skipped.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct CycleTally {
-    pub(crate) num_active: usize,
-    pub(crate) num_dynamic: usize,
-    pub(crate) reports: usize,
-    pub(crate) visited: usize,
-    pub(crate) skipped: usize,
+struct CycleTally {
+    num_active: usize,
+    num_dynamic: usize,
+    reports: usize,
+    visited: usize,
+    skipped: usize,
 }
 
-/// What a pass over shards writes outside the lanes: staged reports,
-/// staged cross-shard activations (packed `shard << 32 | local`) and
-/// the execution counters. A [`ShardedSession`] owns one; each pool
-/// worker owns its own.
+/// What a [`ShardedSession`]'s pass over shards writes outside the
+/// lanes: staged reports, staged cross-shard activations (packed
+/// `shard << 32 | local`) and the execution counters.
 #[derive(Clone, Debug)]
-pub(crate) struct ShardSinks {
-    pub(crate) reports: Vec<Report>,
-    pub(crate) exchange: Vec<u64>,
-    pub(crate) stats: ShardStats,
+struct ShardSinks {
+    reports: Vec<Report>,
+    exchange: Vec<u64>,
+    stats: ShardStats,
 }
 
 impl ShardSinks {
-    pub(crate) fn new(num_shards: usize, num_states: usize) -> ShardSinks {
+    fn new(num_shards: usize, num_states: usize) -> ShardSinks {
         ShardSinks {
             reports: Vec::new(),
             exchange: Vec::new(),
@@ -385,15 +385,11 @@ impl ShardSinks {
     /// The per-cycle shard loop: probe and step each candidate `(index,
     /// shard, lane)` for one cycle, in ascending shard order, counting
     /// into the stats and reporting each stepped shard to `observer`.
-    /// The candidates are [`LiveLanes::candidates`] out of the `covered`
-    /// shards the caller owns; every covered shard that is not stepped
-    /// counts as skipped. The sequential session covers every shard;
-    /// each pool worker covers its pinned ones — the same loop, which is
-    /// what makes their results bit-identical by construction.
-    pub(crate) fn visit<'a, P: ShardedExecution + 'a>(
+    /// The candidates are [`LiveLanes::candidates`]; every shard that
+    /// is not stepped counts as skipped.
+    fn visit<'a, P: ShardedExecution + 'a>(
         &mut self,
         lanes: impl Iterator<Item = (usize, &'a Shard<P>, &'a mut ShardLane)>,
-        covered: usize,
         step: CycleStep,
         cycle: usize,
         skip_idle: bool,
@@ -466,27 +462,26 @@ impl ShardSinks {
             tally.num_active += out.num_active;
             tally.reports += out.reports;
         }
-        tally.skipped = covered - tally.visited;
+        tally.skipped = self.stats.shard_cycles.len() - tally.visited;
         self.stats.skipped_shard_cycles += tally.skipped as u64;
         tally
     }
 }
 
-/// Which lanes a pass over shards must look at: the live lanes (those
-/// with a non-empty dynamic set) and one cycle's scratch set — first
-/// the candidates, then the lanes to advance — one bit per shard. A
-/// [`ShardedSession`] owns one over every shard; each pool worker owns
-/// one over its pinned shards.
+/// Which lanes a [`ShardedSession`]'s pass over shards must look at:
+/// the live lanes (those with a non-empty dynamic set) and one cycle's
+/// scratch set — first the candidates, then the lanes to advance — one
+/// bit per shard.
 #[derive(Clone, Debug)]
-pub(crate) struct LiveLanes {
+struct LiveLanes {
     /// The lanes whose dynamic set is non-empty.
-    pub(crate) lanes: BitSet,
+    lanes: BitSet,
     /// Empty between cycles.
     scan: BitSet,
 }
 
 impl LiveLanes {
-    pub(crate) fn new(num_shards: usize) -> LiveLanes {
+    fn new(num_shards: usize) -> LiveLanes {
         LiveLanes {
             lanes: BitSet::new(num_shards),
             scan: BitSet::new(num_shards),
@@ -494,7 +489,7 @@ impl LiveLanes {
     }
 
     /// Calls `reset` on every live lane and empties the set.
-    pub(crate) fn clear(&mut self, reset: impl FnMut(usize)) {
+    fn clear(&mut self, reset: impl FnMut(usize)) {
         self.lanes.iter().for_each(reset);
         self.lanes.clear();
     }
@@ -502,15 +497,13 @@ impl LiveLanes {
     /// This cycle's candidate shards, ascending: the live lanes, the
     /// shards a start can fire in on `step` (the plan's start index),
     /// and on the first cycle the start-of-data shards — or, with
-    /// idle-skipping off, every non-empty shard. A pool worker passes
-    /// its pinned-shard mask as `mine`.
-    pub(crate) fn candidates<P: PlanBase>(
+    /// idle-skipping off, every non-empty shard.
+    fn candidates<P: PlanBase>(
         &mut self,
         plan: &ShardedAutomaton<P>,
         step: CycleStep,
         first_cycle: bool,
         skip_idle: bool,
-        mine: Option<&[u64]>,
     ) -> bitset::Iter<'_> {
         let scan = self.scan.as_words_mut();
         if skip_idle {
@@ -528,18 +521,13 @@ impl LiveLanes {
                 }
             }
         }
-        if let Some(mine) = mine {
-            for (out, &m) in scan.iter_mut().zip(mine) {
-                *out &= m;
-            }
-        }
         self.scan.iter()
     }
 
     /// Marks a lane that received a cross-shard activation for this
     /// cycle's advance.
     #[inline]
-    pub(crate) fn touch(&mut self, shard: usize) {
+    fn touch(&mut self, shard: usize) {
         self.scan.insert(shard);
     }
 
@@ -547,7 +535,7 @@ impl LiveLanes {
     /// `advance` (which returns whether the lane stays live) and
     /// rebuilds the live set from the answers. Every live lane is a
     /// candidate, so no other lane can hold dynamic state.
-    pub(crate) fn advance(&mut self, mut advance: impl FnMut(usize) -> bool) {
+    fn advance(&mut self, mut advance: impl FnMut(usize) -> bool) {
         let words = self.scan.as_words_mut().iter_mut();
         for (w, (scan, live)) in words.zip(self.lanes.as_words_mut()).enumerate() {
             let mut bits = std::mem::take(scan);
@@ -610,23 +598,23 @@ fn pick<'a, P>(
 #[derive(Clone, Debug)]
 pub struct ShardedSession<'p, P: PlanBase = CompiledAutomaton> {
     plan: &'p ShardedAutomaton<P>,
-    pub(crate) skip_idle: bool,
-    pub(crate) lanes: Vec<ShardLane>,
+    skip_idle: bool,
+    lanes: Vec<ShardLane>,
     /// The lanes with dynamic state, which every cycle visits.
-    pub(crate) live: LiveLanes,
+    live: LiveLanes,
     /// DFA-capable lanes `resume` dropped to NFA stepping; `reset`
     /// returns them to DFA state 0, dropping their NFA lanes, even if
     /// they went idle.
     fallback: Vec<u32>,
     /// This cycle's staged reports and activations, plus the lifetime
     /// counters.
-    pub(crate) sinks: ShardSinks,
-    pub(crate) cycle: usize,
+    sinks: ShardSinks,
+    cycle: usize,
     /// Strided plans: first byte of a pair whose second byte has not
     /// arrived yet. Always `None` for byte plans.
-    pub(crate) carry: Option<u8>,
-    pub(crate) result: RunResult,
-    pub(crate) fed: usize,
+    carry: Option<u8>,
+    result: RunResult,
+    fed: usize,
 }
 
 impl<'p, P: PlanBase> ShardedSession<'p, P> {
@@ -706,10 +694,9 @@ impl<'p, P: ShardedExecution> ShardedSession<'p, P> {
         let plan = self.plan;
         let candidates = self
             .live
-            .candidates(plan, step, self.cycle == 0, self.skip_idle, None);
+            .candidates(plan, step, self.cycle == 0, self.skip_idle);
         let tally = self.sinks.visit(
             pick(plan.shards(), &mut self.lanes, candidates),
-            plan.num_shards(),
             step,
             self.cycle,
             self.skip_idle,

@@ -29,6 +29,8 @@
 //! # Ok::<(), cama::core::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use cama_arch as arch;
 pub use cama_core as core;
 pub use cama_encoding as encoding;
